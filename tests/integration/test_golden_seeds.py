@@ -45,15 +45,35 @@ GOLDEN_DIGESTS = {
 }
 
 
-def _run_digest(scheduler: str, seed: int) -> tuple[str, str]:
-    """Run the pinned configuration; return (digest, readable payload)."""
-    config = ExperimentConfig(
-        scheduler=scheduler,
+#: Failure injection for the ``dvfs+failures`` pins.
+DVFS_FAILURES = {"failure_mtbf": 400.0, "failure_mttr": 40.0}
+
+#: Adaptive-RL + ``dvfs_enabled=True`` pins: ``(digest, adjustments)``.
+#: Keys are ``"dvfs/seed<seed>"`` and ``"dvfs+failures/seed<seed>"``.
+DVFS_GOLDEN = {
+    "dvfs/seed11": ("5cec540038c2f591", 22030),
+    "dvfs/seed23": ("a1b8eff7da53c082", 22815),
+    "dvfs/seed47": ("6b097ab62bf588cd", 23103),
+    "dvfs+failures/seed11": ("1839783e428b413f", 23308),
+    "dvfs+failures/seed23": ("c95930334842d600", 23517),
+    "dvfs+failures/seed47": ("1fd1e4a9d37e0e67", 19148),
+}
+
+
+def dvfs_config(seed: int, failures: bool = False) -> ExperimentConfig:
+    """The pinned DVFS configuration (shared with the parity tests)."""
+    return ExperimentConfig(
+        scheduler="adaptive-rl",
         seed=seed,
         num_tasks=NUM_TASKS,
         arrival_period=ARRIVAL_PERIOD,
+        scheduler_kwargs={"dvfs_enabled": True},
+        **(DVFS_FAILURES if failures else {}),
     )
-    metrics = run_experiment(config).metrics
+
+
+def _digest_payload(metrics) -> tuple[str, str]:
+    """(digest, readable payload) of a run's headline metrics."""
     payload = "|".join(
         [
             metrics.avert.hex(),
@@ -62,6 +82,24 @@ def _run_digest(scheduler: str, seed: int) -> tuple[str, str]:
         ]
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16], payload
+
+
+def _run_digest(scheduler: str, seed: int) -> tuple[str, str]:
+    """Run the pinned configuration; return (digest, readable payload)."""
+    config = ExperimentConfig(
+        scheduler=scheduler,
+        seed=seed,
+        num_tasks=NUM_TASKS,
+        arrival_period=ARRIVAL_PERIOD,
+    )
+    return _digest_payload(run_experiment(config).metrics)
+
+
+def _run_dvfs(seed: int, failures: bool) -> tuple[str, str, int]:
+    """Run a DVFS pin; return (digest, payload, governor adjustments)."""
+    result = run_experiment(dvfs_config(seed, failures))
+    digest, payload = _digest_payload(result.metrics)
+    return digest, payload, result.scheduler.governor.adjustments
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
@@ -92,15 +130,7 @@ def test_dict_backend_matches_golden_digest(seed: int) -> None:
         arrival_period=ARRIVAL_PERIOD,
         scheduler_kwargs={"q_backend": "dict"},
     )
-    metrics = run_experiment(config).metrics
-    payload = "|".join(
-        [
-            metrics.avert.hex(),
-            metrics.ecs.hex(),
-            float(metrics.success_rate).hex(),
-        ]
-    )
-    digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
+    digest, payload = _digest_payload(run_experiment(config).metrics)
     expected = GOLDEN_DIGESTS[f"adaptive-rl/seed{seed}"]
     assert digest == expected, (
         f"dict backend seed={seed}: digest {digest} != pinned {expected} "
@@ -109,10 +139,29 @@ def test_dict_backend_matches_golden_digest(seed: int) -> None:
     )
 
 
+@pytest.mark.parametrize("failures", [False, True], ids=["plain", "failures"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_dvfs_golden_digest(seed: int, failures: bool) -> None:
+    """Adaptive-RL + DVFS: digest and governor adjustments are pinned."""
+    digest, payload, adjustments = _run_dvfs(seed, failures)
+    key = f"dvfs{'+failures' if failures else ''}/seed{seed}"
+    expected_digest, expected_adjustments = DVFS_GOLDEN[key]
+    assert (digest, adjustments) == (expected_digest, expected_adjustments), (
+        f"{key}: digest {digest} / adjustments {adjustments} != pinned "
+        f"{expected_digest} / {expected_adjustments} (AveRT|ECS|success = "
+        f"{payload}); the DVFS governor's decisions have changed"
+    )
+
+
 def test_golden_table_is_complete() -> None:
     """Every (scheduler, seed) cell has exactly one pinned digest."""
     expected_keys = {f"{s}/seed{d}" for s in SCHEDULERS for d in SEEDS}
     assert set(GOLDEN_DIGESTS) == expected_keys
+    dvfs_keys = {
+        f"{variant}/seed{d}" for variant in ("dvfs", "dvfs+failures")
+        for d in SEEDS
+    }
+    assert set(DVFS_GOLDEN) == dvfs_keys
 
 
 if __name__ == "__main__":  # pragma: no cover - digest refresh helper
@@ -120,3 +169,8 @@ if __name__ == "__main__":  # pragma: no cover - digest refresh helper
         for seed_value in SEEDS:
             dig, pay = _run_digest(sched, seed_value)
             print(f'    "{sched}/seed{seed_value}": "{dig}",  # {pay}')
+    for with_failures in (False, True):
+        for seed_value in SEEDS:
+            dig, pay, adj = _run_dvfs(seed_value, with_failures)
+            variant = "dvfs+failures" if with_failures else "dvfs"
+            print(f'    "{variant}/seed{seed_value}": ("{dig}", {adj}),  # {pay}')

@@ -20,8 +20,10 @@ from repro.workload.generator import WorkloadGenerator
 
 from ..integration.test_golden_seeds import (
     ARRIVAL_PERIOD,
+    DVFS_GOLDEN,
     GOLDEN_DIGESTS,
     NUM_TASKS,
+    dvfs_config,
 )
 
 
@@ -71,6 +73,28 @@ def test_service_matches_golden_digest(scheduler: str, seed: int) -> None:
         f"{scheduler} seed={seed}: service digest {digest} != golden "
         f"{expected}; slicing has perturbed the simulation trajectory"
     )
+
+
+def test_dvfs_service_matches_golden_digest() -> None:
+    """DVFS + failure injection: the sliced service run lands on the
+    pinned batch digest and makes exactly the batch's frequency changes.
+
+    The governor runs inside every scheduling pass, so a slice boundary
+    that added, dropped or moved a pass would rescale a processor at a
+    different time and shift both the digest and the adjustment count.
+    """
+    service = SchedulerService(
+        dvfs_config(23, failures=True),
+        _producer,
+        max_queue=19,
+        slice_len=13.7,
+    )
+    report = service.run()
+    assert report.completed == NUM_TASKS
+    assert report.failures_injected > 0
+    expected_digest, expected_adjustments = DVFS_GOLDEN["dvfs+failures/seed23"]
+    assert _digest(report.metrics) == expected_digest
+    assert service.engine.scheduler.governor.adjustments == expected_adjustments
 
 
 def test_slice_length_is_irrelevant() -> None:
