@@ -160,6 +160,9 @@ class ComputeNode:
         self._load_cache = 0.0
         self._pending_tasks_cache = 0
         self._pending_size_cache = 0.0
+        #: Pending-task deadlines, built on first read after a refresh
+        #: (only the DVFS governor reads them, so most runs never do).
+        self._deadlines_cache: Optional[tuple[float, ...]] = None
         self._power_dirty = True
         self._power_cache: tuple[float, ...] = ()
         self._sleeping_cache = 0
@@ -231,6 +234,7 @@ class ComputeNode:
             for t in g.tasks
             if not t.completed
         )
+        self._deadlines_cache = None
         self._work_dirty = False
 
     def _refresh_power_caches(self) -> None:
@@ -262,11 +266,24 @@ class ComputeNode:
         return self._pending_tasks_cache
 
     @property
-    def pending_task_list(self) -> list[Task]:
-        """Tasks admitted to this node and not yet completed."""
-        return [
-            t for g in self._active_groups for t in g.tasks if not t.completed
-        ]
+    def pending_deadlines(self) -> tuple[float, ...]:
+        """Deadlines of the pending tasks, in :attr:`pending_size_mi` order.
+
+        Built lazily and kept until the next work-cache refresh, so the
+        tuple object identifies one work epoch: while it is the same
+        object, the node's pending work has not changed.
+        """
+        if self._work_dirty:
+            self._refresh_work_caches()
+        deadlines = self._deadlines_cache
+        if deadlines is None:
+            deadlines = self._deadlines_cache = tuple(
+                t.deadline
+                for g in self._active_groups
+                for t in g.tasks
+                if not t.completed
+            )
+        return deadlines
 
     @property
     def pending_size_mi(self) -> float:

@@ -18,10 +18,16 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from ..cluster.node import ComputeNode
 from ..obs import CAT_ENERGY, NULL_TELEMETRY
 
 __all__ = ["DVFSGovernor", "energy_optimal_scale"]
+
+#: Shortest deadline window counted per pending task (a numpy.float64,
+#: like the deadlines, so the window sum never mixes in Python floats).
+_EPS = np.float64(1e-6)
 
 
 def energy_optimal_scale(p_min_w: float, p_max_w: float) -> float:
@@ -33,7 +39,15 @@ def energy_optimal_scale(p_min_w: float, p_max_w: float) -> float:
 
 
 class DVFSGovernor:
-    """Per-node frequency governor driven by deadline slack."""
+    """Per-node frequency governor driven by deadline slack.
+
+    A pass evaluates only the nodes whose target can differ from the θ
+    they run at: nodes with admitted work, and nodes the governor left
+    below nominal frequency (an idle node's target is θ = 1.0).  The
+    governor is the only code that rescales processors and sets every
+    processor of a node to the same θ, so a node whose target equals
+    the θ it last set needs no processor visit.
+    """
 
     def __init__(self, safety_factor: float = 1.5) -> None:
         if safety_factor < 1.0:
@@ -42,36 +56,63 @@ class DVFSGovernor:
         self.adjustments = 0
         #: Telemetry sink; the owning scheduler installs its own.
         self.telemetry = NULL_TELEMETRY
+        #: Nodes the governor left below nominal frequency -> their θ.
+        self._scaled: dict[ComputeNode, float] = {}
+        #: Nodes held at θ = 1.0 -> the work epoch that demanded it.
+        self._saturated: dict[ComputeNode, tuple[float, ...]] = {}
+        #: Per-node θ floor (a node's processor set never changes).
+        self._floors: dict[ComputeNode, float] = {}
 
     def target_scale(self, node: ComputeNode, now: float) -> float:
         """The frequency scale the node's processors should run at."""
-        pending = node.pending_task_list
-        if not pending:
+        deadlines = node.pending_deadlines
+        if not deadlines:
             return 1.0
-        eps = 1e-6
-        k = min(len(pending), node.num_processors)
-        total_size = sum(t.size_mi for t in pending)
-        mean_window = sum(max(t.deadline - now, eps) for t in pending) / len(
-            pending
+        k = min(len(deadlines), node.num_processors)
+        # Every term is a numpy.float64, so sum() folds left to right
+        # with one rounded IEEE add per term on every Python version
+        # (3.12 compensates only exact Python floats).
+        mean_window = sum(max(d - now, _EPS) for d in deadlines) / len(
+            deadlines
         )
         # Demanded MI/time per concurrently busy processor.
-        per_proc_demand = (total_size / k) / mean_window
+        per_proc_demand = (node.pending_size_mi / k) / mean_window
         mean_speed = node.total_speed_mips / node.num_processors
         needed = self.safety_factor * per_proc_demand / mean_speed
-        floor = max(
-            energy_optimal_scale(
-                node.processors[0].profile.p_min_w,
-                node.processors[0].profile.p_max_w,
-            ),
-            0.5,
-        )
+        floor = self._floors.get(node)
+        if floor is None:
+            profile = node.processors[0].profile
+            floor = self._floors[node] = max(
+                energy_optimal_scale(profile.p_min_w, profile.p_max_w), 0.5
+            )
         return min(max(needed, floor), 1.0)
 
     def apply(self, nodes: Sequence[ComputeNode], now: float) -> None:
         """Set every node's processors to its target scale."""
         tel = self.telemetry
+        scaled = self._scaled
+        saturated = self._saturated
         for node in nodes:
+            if not node._active_groups and node not in scaled:
+                continue
+            deadlines = node.pending_deadlines
+            # Within one work epoch (the same deadline tuple object) a
+            # target of θ = 1.0 stays 1.0: ``now`` never decreases, each
+            # term max(d - now, eps) is non-increasing in it, and
+            # rounded IEEE add/sub/mul/div are monotone in each operand,
+            # so the mean window cannot grow and ``needed`` cannot
+            # shrink.  (``()`` is a shared singleton, never an epoch.)
+            if saturated.get(node) is deadlines:
+                continue
             theta = self.target_scale(node, now)
+            if theta == 1.0 and deadlines:
+                saturated[node] = deadlines
+            if theta == scaled.get(node, 1.0):
+                continue
+            if theta < 1.0:
+                scaled[node] = theta
+            else:
+                del scaled[node]
             changed = 0
             for proc in node.processors:
                 if proc.frequency_scale != theta:

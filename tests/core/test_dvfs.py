@@ -1,11 +1,16 @@
 """Unit tests for the DVFS extension (processor scaling + governor)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ComputeNode, Processor, SleepPolicy, TaskGroup
 from repro.cluster.processor import MIN_FREQUENCY_SCALE
 from repro.core.dvfs import DVFSGovernor, energy_optimal_scale
 from repro.energy import constant_power_profile
+from repro.obs import CAT_ENERGY, NULL_TELEMETRY, capture
+from repro.sim import Environment
 from repro.workload import Task
 
 
@@ -77,14 +82,27 @@ class TestEnergyOptimalScale:
 
 
 class TestGovernor:
-    def make_node(self, env, n_procs=2, speed=1000.0):
+    def make_node(self, env, n_procs=2, speed=1000.0, node_id="n"):
         procs = [
-            Processor(f"p{i}", speed, constant_power_profile())
+            Processor(f"{node_id}p{i}", speed, constant_power_profile())
             for i in range(n_procs)
         ]
         return ComputeNode(
-            env, "n", "s", procs, sleep_policy=SleepPolicy(allow_sleep=False)
+            env, node_id, "s", procs, sleep_policy=SleepPolicy(allow_sleep=False)
         )
+
+    @staticmethod
+    def count_evaluations(gov):
+        """Record the node of every ``target_scale`` call *gov* makes."""
+        evaluated = []
+        original = gov.target_scale
+
+        def target_scale(node, now):
+            evaluated.append(node.node_id)
+            return original(node, now)
+
+        gov.target_scale = target_scale
+        return evaluated
 
     def test_idle_node_returns_nominal(self, env):
         node = self.make_node(env)
@@ -122,6 +140,219 @@ class TestGovernor:
     def test_invalid_safety_factor(self):
         with pytest.raises(ValueError):
             DVFSGovernor(safety_factor=0.5)
+
+    def test_idle_nominal_node_is_never_evaluated(self, env):
+        nodes = [self.make_node(env, node_id=f"n{i}") for i in range(3)]
+        gov = DVFSGovernor()
+        evaluated = self.count_evaluations(gov)
+        for now in (0.0, 1.0, 2.0):
+            gov.apply(nodes, now)
+        assert evaluated == []
+        nodes[1].submit(TaskGroup([make_task(1, size=100.0, window=1e6)], 2.0))
+        gov.apply(nodes, 3.0)
+        assert evaluated == ["n1"]
+        assert gov.adjustments == 2
+
+    def test_drained_node_returns_to_nominal_once(self, env):
+        node = self.make_node(env)
+        node.submit(TaskGroup([make_task(1, size=100.0, window=1e6)], 0.0))
+        gov = DVFSGovernor()
+        gov.telemetry = capture(trace=True, metrics=False)
+        gov.apply([node], 0.0)
+        theta = node.processors[0].frequency_scale
+        assert theta < 1.0
+        env.run()
+        assert node.pending_tasks == 0
+        evaluated = self.count_evaluations(gov)
+        for now in (env.now, env.now + 1.0, env.now + 2.0):
+            gov.apply([node], now)
+        assert evaluated == ["n"]  # once, then skipped as idle at θ = 1
+        assert [p.frequency_scale for p in node.processors] == [1.0, 1.0]
+        assert gov.adjustments == 4
+        events = gov.telemetry.trace.filter(CAT_ENERGY, "dvfs")
+        assert [(e.fields["scale"], e.fields["previous"]) for e in events] == [
+            (theta, 1.0),
+            (theta, 1.0),
+            (1.0, theta),
+            (1.0, theta),
+        ]
+
+    def test_scaled_node_that_fails_returns_to_nominal(self, env):
+        node = self.make_node(env)
+        node.submit(TaskGroup([make_task(1, size=100.0, window=1e6)], 0.0))
+        gov = DVFSGovernor()
+        gov.apply([node], 0.0)
+        assert all(p.frequency_scale < 1.0 for p in node.processors)
+        node.fail()
+        gov.apply([node], 0.0)
+        assert [p.frequency_scale for p in node.processors] == [1.0, 1.0]
+        assert gov.adjustments == 4
+
+    def test_saturated_epoch_is_not_reevaluated(self, env):
+        # Urgent work demands θ = 1.0; until the node's work changes
+        # the target cannot drop, so the node is not evaluated again.
+        node = self.make_node(env, speed=500.0)
+        node.submit(TaskGroup([make_task(1, size=5000.0, window=10.5)], 0.0))
+        gov = DVFSGovernor()
+        evaluated = self.count_evaluations(gov)
+        gov.apply([node], 0.0)
+        gov.apply([node], 1.0)
+        assert evaluated == ["n"]
+        assert gov.adjustments == 0
+        node.submit(TaskGroup([make_task(2, size=100.0, window=1e6)], 1.0))
+        gov.apply([node], 2.0)
+        assert evaluated == ["n", "n"]  # new work epoch
+
+
+class FullScanGovernor:
+    """Reference governor: rescans every node's pending tasks and
+    visits every processor on every pass, with no skip rules."""
+
+    def __init__(self, safety_factor=1.5):
+        self.safety_factor = safety_factor
+        self.adjustments = 0
+        self.telemetry = NULL_TELEMETRY
+
+    def target_scale(self, node, now):
+        pending = [
+            t for g in node._active_groups for t in g.tasks if not t.completed
+        ]
+        if not pending:
+            return 1.0
+        eps = np.float64(1e-6)
+        k = min(len(pending), node.num_processors)
+        total_size = sum(t.size_mi for t in pending)
+        mean_window = sum(max(t.deadline - now, eps) for t in pending) / len(
+            pending
+        )
+        per_proc_demand = (total_size / k) / mean_window
+        mean_speed = node.total_speed_mips / node.num_processors
+        needed = self.safety_factor * per_proc_demand / mean_speed
+        profile = node.processors[0].profile
+        floor = max(energy_optimal_scale(profile.p_min_w, profile.p_max_w), 0.5)
+        return min(max(needed, floor), 1.0)
+
+    def apply(self, nodes, now):
+        tel = self.telemetry
+        for node in nodes:
+            theta = self.target_scale(node, now)
+            for proc in node.processors:
+                if proc.frequency_scale != theta:
+                    previous = proc.frequency_scale
+                    proc.set_frequency_scale(theta)
+                    self.adjustments += 1
+                    tel.emit(
+                        CAT_ENERGY,
+                        "dvfs",
+                        now,
+                        proc=proc.pid,
+                        node=node.node_id,
+                        scale=proc.frequency_scale,
+                        previous=previous,
+                    )
+
+
+#: One step of a governed 3-node run: submit a group, crash a node,
+#: repair one or do nothing, then let simulated time pass.
+STEPS = st.tuples(
+    st.one_of(
+        st.tuples(
+            st.just("submit"),
+            st.integers(0, 2),
+            st.lists(
+                st.tuples(
+                    st.floats(100.0, 20000.0),
+                    # Deadline windows: urgent (θ = 1.0) or slack-rich.
+                    st.one_of(st.floats(0.5, 60.0), st.floats(60.0, 3000.0)),
+                ),
+                min_size=1,
+                max_size=4,
+            ),
+        ),
+        st.tuples(st.sampled_from(["fail", "repair", "wait"]), st.integers(0, 2)),
+    ),
+    st.floats(0.1, 30.0),
+)
+
+
+class GovernedWorld:
+    """A 3-node platform driven by one governor, recording its trace."""
+
+    def __init__(self, governor, speeds):
+        self.env = Environment()
+        self.nodes = [
+            ComputeNode(
+                self.env,
+                f"n{i}",
+                "s",
+                [
+                    Processor(f"n{i}p{j}", speed, constant_power_profile())
+                    for j, speed in enumerate(node_speeds)
+                ],
+            )
+            for i, node_speeds in enumerate(speeds)
+        ]
+        self.governor = governor
+        governor.telemetry = capture(trace=True, metrics=False)
+        self.next_tid = 0
+        self.env.run(until=1.0)  # start every node's executor
+
+    def step(self, step):
+        (kind, index, *args), dt = step
+        env = self.env
+        node = self.nodes[index]
+        if kind == "submit":
+            tasks = []
+            for size, window in args[0]:
+                tasks.append(
+                    Task(
+                        tid=self.next_tid,
+                        size_mi=size,
+                        arrival_time=env.now,
+                        act=window / 2.0,
+                        deadline=env.now + window,
+                    )
+                )
+                self.next_tid += 1
+            node.try_submit(TaskGroup(tasks, env.now))
+        elif kind == "fail":
+            node.fail()
+        elif kind == "repair":
+            node.repair()
+        self.governor.apply(self.nodes, env.now)
+        env.run(until=env.now + dt)
+        self.governor.apply(self.nodes, env.now)
+
+    def observed(self):
+        """θ per processor, adjustment count, and the dvfs events."""
+        return (
+            [p.frequency_scale for n in self.nodes for p in n.processors],
+            self.governor.adjustments,
+            [
+                (e.t, e.fields)
+                for e in self.governor.telemetry.trace.filter(CAT_ENERGY, "dvfs")
+            ],
+        )
+
+
+class TestGovernorMatchesFullScan:
+    @given(
+        speeds=st.lists(
+            st.lists(st.floats(500.0, 1000.0), min_size=1, max_size=4),
+            min_size=3,
+            max_size=3,
+        ),
+        steps=st.lists(STEPS, min_size=1, max_size=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_scales_adjustments_and_events(self, speeds, steps):
+        fast = GovernedWorld(DVFSGovernor(), speeds)
+        reference = GovernedWorld(FullScanGovernor(), speeds)
+        for step in steps:
+            fast.step(step)
+            reference.step(step)
+            assert fast.observed() == reference.observed()
+            assert fast.env.now == reference.env.now
 
 
 class TestSchedulerIntegration:
