@@ -4,7 +4,8 @@ Opt-in sanitizer-style validation: an :class:`InvariantAuditor` attaches
 to an experiment before it runs and independently re-checks the physics
 the paper defines — clock/dispatch order, the Eq. 2 queue bound, task
 conservation, Eq. 5 energy closure, Eq. 1 priority classes, the
-15-cycle shared-memory cap, and dense-vs-dict Q-table parity.  See
+15-cycle shared-memory cap, dense-vs-dict Q-table parity, and the DVFS
+governor's skip rules.  See
 ``docs/architecture.md`` ("Strict mode") for the full catalogue.
 
 Three ways to turn it on:
@@ -25,6 +26,7 @@ from typing import Optional
 from .auditor import (
     INV_CLOCK,
     INV_CONSERVATION,
+    INV_DVFS,
     INV_ENERGY,
     INV_MEMORY,
     INV_ORDER,
@@ -50,6 +52,7 @@ __all__ = [
     "INV_PRIORITY",
     "INV_MEMORY",
     "INV_QPARITY",
+    "INV_DVFS",
 ]
 
 #: Process-wide override; ``None`` defers to the REPRO_STRICT env var.

@@ -31,6 +31,9 @@ memory-cap          no agent ever holds more than the 15-cycle
 qtable-parity       the dense Q backend stays bit-identical to a
                     shadow dict ``QTable`` fed the same updates, and its
                     maintained per-row argmax matches a fresh rescan
+dvfs-skip           every processor runs at the θ the DVFS governor
+                    recorded for its node, and every busy node it skips
+                    as saturated still has a target of θ = 1.0
 ==================  ====================================================
 
 Checks are layered for cost: the O(1) clock/dispatch checks run per
@@ -70,6 +73,7 @@ __all__ = [
     "INV_PRIORITY",
     "INV_MEMORY",
     "INV_QPARITY",
+    "INV_DVFS",
 ]
 
 INV_CLOCK = "clock-monotonic"
@@ -80,6 +84,7 @@ INV_ENERGY = "energy-closure"
 INV_PRIORITY = "priority-class"
 INV_MEMORY = "memory-cap"
 INV_QPARITY = "qtable-parity"
+INV_DVFS = "dvfs-skip"
 
 
 def _close(a: float, b: float, tol: float) -> bool:
@@ -230,6 +235,8 @@ class InvariantAuditor:
         #: injection safe under service-mode slicing).
         self._orphans_seen = 0
         self._memory = None
+        #: The scheduler's DVFS governor, when it has one.
+        self._governor = None
         #: (label, dense table, shadow dict table) triples.
         self._qmirrors: list[tuple[str, DenseQTable, QTable]] = []
 
@@ -399,6 +406,7 @@ class InvariantAuditor:
 
         scheduler._sample_cycle = _sample_cycle  # type: ignore[method-assign]
 
+        self._governor = getattr(scheduler, "governor", None)
         memory = getattr(scheduler, "memory", None)
         if memory is not None:
             self._wrap_memory(memory)
@@ -557,6 +565,8 @@ class InvariantAuditor:
         self.report.sweeps += 1
         self._events_at_last_sweep = self.report.events_audited
         self._sweep_nodes()
+        if self._governor is not None:
+            self._sweep_governor()
         self._sweep_energy()
         if self.scheduler is not None:
             self._sweep_conservation()
@@ -622,6 +632,26 @@ class InvariantAuditor:
                         cached_load=node._load_cache,
                         fresh_load=load,
                     )
+                pending = [
+                    t
+                    for g in node._active_groups
+                    for t in g.tasks
+                    if not t.completed
+                ]
+                size = sum(t.size_mi for t in pending)
+                deadlines = node._deadlines_cache
+                if node._pending_size_cache != size or (
+                    deadlines is not None
+                    and deadlines != tuple(t.deadline for t in pending)
+                ):
+                    self._violate(
+                        INV_QUEUE,
+                        node.node_id,
+                        "clean pending-size or pending-deadline cache "
+                        "does not match a rescan of the pending tasks",
+                        cached_size=node._pending_size_cache,
+                        fresh_size=size,
+                    )
             if not node._power_dirty:
                 power = tuple(p.current_power_w for p in node.processors)
                 if node._power_cache != power:
@@ -630,6 +660,44 @@ class InvariantAuditor:
                         node.node_id,
                         "clean power cache does not match the processors' "
                         "current draw",
+                    )
+
+    def _sweep_governor(self) -> None:
+        """The DVFS governor's skips are safe.
+
+        Every processor must run at the θ the governor recorded for its
+        node (an unchanged target then needs no processor visit), and a
+        node skipped for the rest of its work epoch must still have a
+        target of θ = 1.0.
+        """
+        gov = self._governor
+        for node in self._nodes:
+            self.report.count(INV_DVFS)
+            recorded = gov._scaled.get(node, 1.0)
+            off = [
+                p.pid for p in node.processors if p.frequency_scale != recorded
+            ]
+            if off:
+                self._violate(
+                    INV_DVFS,
+                    node.node_id,
+                    f"processors {off} do not run at the governor's "
+                    f"recorded θ {recorded!r}",
+                    recorded=recorded,
+                )
+            epoch = node._deadlines_cache
+            if (
+                epoch
+                and not node._work_dirty
+                and gov._saturated.get(node) is epoch
+            ):
+                theta = gov.target_scale(node, self.env.now)
+                if theta != 1.0:
+                    self._violate(
+                        INV_DVFS,
+                        node.node_id,
+                        f"skipped as saturated but its target is {theta!r}",
+                        target=theta,
                     )
 
     def _sweep_energy(self) -> None:

@@ -10,7 +10,8 @@ import heapq
 
 import pytest
 
-from repro.cluster import PlatformSpec, build_system
+from repro.cluster import PlatformSpec, TaskGroup, build_system
+from repro.core import AdaptiveRLConfig, AdaptiveRLScheduler
 from repro.core.shared_memory import SharedLearningMemory
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
@@ -19,6 +20,7 @@ from repro.rl.replay import ReplayRing
 from repro.sim import Environment, RandomStreams
 from repro.validate import (
     INV_CLOCK,
+    INV_DVFS,
     INV_ENERGY,
     INV_MEMORY,
     INV_ORDER,
@@ -52,6 +54,25 @@ def make_audited_cluster(on_violation="collect"):
     system = build_system(env, SMALL_PLATFORM, streams)
     auditor = InvariantAuditor(env, system, on_violation=on_violation)
     return env, system, auditor
+
+
+def make_governed_cluster():
+    """An audited cluster under Adaptive-RL with the DVFS governor on."""
+    env = Environment()
+    streams = RandomStreams(seed=7)
+    system = build_system(env, SMALL_PLATFORM, streams)
+    scheduler = AdaptiveRLScheduler(AdaptiveRLConfig(dvfs_enabled=True))
+    scheduler.attach(env, system, streams)
+    auditor = InvariantAuditor(env, system, scheduler, on_violation="collect")
+    return system, scheduler.governor, auditor
+
+
+def slack_rich_group(tid=0):
+    """One small task with a huge deadline window (θ well below 1)."""
+    task = Task(
+        tid=tid, size_mi=100.0, arrival_time=0.0, act=0.2, deadline=1e6
+    )
+    return TaskGroup([task], created_at=0.0)
 
 
 class TestCleanRuns:
@@ -92,6 +113,7 @@ class TestCleanRuns:
             strict=True,
         )
         assert result.audit.ok, result.audit.summary()
+        assert result.audit.checks.get(INV_DVFS, 0) > 0
 
     def test_fcfs_clean(self):
         result = run_experiment(
@@ -313,6 +335,54 @@ class TestCorruptionDetection:
             v.invariant == INV_QPARITY and "argmax" in v.message
             for v in auditor.report.violations
         )
+
+    def test_corrupted_pending_deadline_cache(self):
+        env, system, auditor = make_audited_cluster()
+        node = system.nodes[0]
+        node.submit(slack_rich_group())
+        (deadline,) = node.pending_deadlines
+        auditor.sweep()
+        assert auditor.report.ok
+        node._deadlines_cache = (deadline + 1.0,)
+        auditor.sweep()
+        assert any(
+            v.invariant == INV_QUEUE and "pending-deadline" in v.message
+            for v in auditor.report.violations
+        )
+
+    def test_corrupted_pending_size_cache(self):
+        env, system, auditor = make_audited_cluster()
+        node = system.nodes[0]
+        node.submit(slack_rich_group())
+        node._pending_size_cache = node.pending_size_mi + 1.0
+        auditor.sweep()
+        bad = [v for v in auditor.report.violations if v.invariant == INV_QUEUE]
+        assert bad and bad[0].details["fresh_size"] == 100.0
+
+    def test_processor_rescaled_behind_the_governor(self):
+        system, governor, auditor = make_governed_cluster()
+        auditor.sweep()
+        assert auditor.report.checks[INV_DVFS] == len(system.nodes)
+        assert auditor.report.ok
+        # An idle node at θ = 1.0 is skipped; if anything else rescales
+        # one of its processors, the governor would never undo it.
+        system.nodes[1].processors[2].set_frequency_scale(0.7)
+        auditor.sweep()
+        bad = [v for v in auditor.report.violations if v.invariant == INV_DVFS]
+        assert [v.subject for v in bad] == [system.nodes[1].node_id]
+        assert bad[0].details["recorded"] == 1.0
+
+    def test_false_saturation_claim(self):
+        system, governor, auditor = make_governed_cluster()
+        node = system.nodes[0]
+        node.submit(slack_rich_group())
+        # Mark the node's slack-rich work epoch as demanding θ = 1.0:
+        # the governor would skip a node whose target is below 1.
+        governor._saturated[node] = node.pending_deadlines
+        auditor.sweep()
+        bad = [v for v in auditor.report.violations if v.invariant == INV_DVFS]
+        assert [v.subject for v in bad] == [node.node_id]
+        assert bad[0].details["target"] < 1.0
 
     def test_collect_mode_keeps_running(self):
         env, system, auditor = make_audited_cluster()
