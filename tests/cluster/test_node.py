@@ -174,6 +174,20 @@ class TestQueueing:
         env.run()
         assert node.pending_size_mi == 0.0
 
+    def test_pending_deadlines_cache_one_work_epoch(self, env):
+        node = make_node(env, n_procs=1)
+        short = make_task(1, size=500.0)
+        long = make_task(2, size=5000.0, slack=50.0)
+        node.submit(TaskGroup([short, long], created_at=0.0))
+        epoch = node.pending_deadlines
+        assert epoch == (short.deadline, long.deadline)
+        assert node.pending_deadlines is epoch  # kept while work is unchanged
+        env.run(until=1.0)  # the short task completes
+        assert node.pending_deadlines == (long.deadline,)
+        assert node.pending_deadlines is not epoch
+        env.run()
+        assert node.pending_deadlines == ()
+
 
 class TestCallbacks:
     def test_task_and_group_callbacks(self, env):
