@@ -267,7 +267,7 @@ class ComputeNode:
 
     @property
     def pending_deadlines(self) -> tuple[float, ...]:
-        """Deadlines of the pending tasks, in :attr:`pending_size_mi` order.
+        """Deadlines of the pending tasks, in the order their sizes are summed.
 
         Built lazily and kept until the next work-cache refresh, so the
         tuple object identifies one work epoch: while it is the same

@@ -632,17 +632,17 @@ class InvariantAuditor:
                         cached_load=node._load_cache,
                         fresh_load=load,
                     )
-                pending = [
+                live = [
                     t
                     for g in node._active_groups
                     for t in g.tasks
                     if not t.completed
                 ]
-                size = sum(t.size_mi for t in pending)
+                size = sum(t.size_mi for t in live)
                 deadlines = node._deadlines_cache
                 if node._pending_size_cache != size or (
                     deadlines is not None
-                    and deadlines != tuple(t.deadline for t in pending)
+                    and deadlines != tuple(t.deadline for t in live)
                 ):
                     self._violate(
                         INV_QUEUE,
