@@ -3,7 +3,8 @@
 Perf refactors of a stochastic simulator are only safe when paired with
 a regression oracle: these tests pin per-seed sha256 digests of the
 headline metrics (AveRT, total system energy ``ECS``, success rate) for
-3 seeds × 2 schedulers, captured on the pre-optimisation kernel.  Any
+3 seeds × all seven registered schedulers, plus one paper-scale
+Adaptive-RL run, captured before the code under them changed.  Any
 change that alters event ordering, float accumulation order, or RNG
 stream consumption shifts at least one digest and fails loudly.
 
@@ -25,7 +26,15 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 
 SEEDS = (11, 23, 47)
-SCHEDULERS = ("adaptive-rl", "fcfs")
+SCHEDULERS = (
+    "adaptive-rl",
+    "fcfs",
+    "online-rl",
+    "qplus",
+    "prediction",
+    "edf",
+    "random",
+)
 
 #: Workload shape: heavy enough that deadlines are actually missed
 #: (success rate < 1 for the learning scheduler), so all three digest
@@ -42,6 +51,28 @@ GOLDEN_DIGESTS = {
     "fcfs/seed11": "627ed7079a3657b2",
     "fcfs/seed23": "045753fe9226f6f2",
     "fcfs/seed47": "ea5242cc0ea99cd5",
+    "online-rl/seed11": "d5c4513d704d623b",
+    "online-rl/seed23": "832126361da4e645",
+    "online-rl/seed47": "cad99a5eacc1098c",
+    "qplus/seed11": "11f834a8d484ed37",
+    "qplus/seed23": "d930e44e0933d54c",
+    "qplus/seed47": "2280b810a4eb1b8b",
+    "prediction/seed11": "360ec14357f51f16",
+    "prediction/seed23": "3a86cfbbb449d3e3",
+    "prediction/seed47": "0d423171cdeeb0a9",
+    "edf/seed11": "79bf5b7cf7238142",
+    "edf/seed23": "4398c85cf32fd523",
+    "edf/seed47": "c1c654fae5eeeca2",
+    "random/seed11": "0222747cc565807e",
+    "random/seed23": "b58786f84288b30e",
+    "random/seed47": "d0666971669409d2",
+}
+
+#: Paper-scale pins: the paper's 3,000-task point at the default
+#: arrival period.  Keys are ``"<scheduler>/<tasks>/seed<seed>"``.
+PAPER_SCALE_TASKS = 3000
+PAPER_SCALE_GOLDEN = {
+    "adaptive-rl/3000/seed11": "b5541c930221d950",
 }
 
 
@@ -95,6 +126,14 @@ def _run_digest(scheduler: str, seed: int) -> tuple[str, str]:
     return _digest_payload(run_experiment(config).metrics)
 
 
+def _run_paper_scale(scheduler: str, seed: int) -> tuple[str, str]:
+    """Run a paper-scale pin; return (digest, readable payload)."""
+    config = ExperimentConfig(
+        scheduler=scheduler, seed=seed, num_tasks=PAPER_SCALE_TASKS
+    )
+    return _digest_payload(run_experiment(config).metrics)
+
+
 def _run_dvfs(seed: int, failures: bool) -> tuple[str, str, int]:
     """Run a DVFS pin; return (digest, payload, governor adjustments)."""
     result = run_experiment(dvfs_config(seed, failures))
@@ -112,6 +151,18 @@ def test_golden_seed_digest(scheduler: str, seed: int) -> None:
         f"{expected} (AveRT|ECS|success = {payload}); the kernel or the "
         "decision loop is no longer bit-deterministic against the golden "
         "baseline"
+    )
+
+
+@pytest.mark.parametrize("key", sorted(PAPER_SCALE_GOLDEN))
+def test_paper_scale_digest(key: str) -> None:
+    scheduler, _, seed = key.split("/")
+    digest, payload = _run_paper_scale(scheduler, int(seed[len("seed"):]))
+    expected = PAPER_SCALE_GOLDEN[key]
+    assert digest == expected, (
+        f"{key}: metrics digest {digest} != pinned {expected} "
+        f"(AveRT|ECS|success = {payload}); the paper-scale run is no "
+        "longer bit-deterministic against the golden baseline"
     )
 
 
@@ -162,6 +213,9 @@ def test_golden_table_is_complete() -> None:
         for d in SEEDS
     }
     assert set(DVFS_GOLDEN) == dvfs_keys
+    assert set(PAPER_SCALE_GOLDEN) == {
+        f"adaptive-rl/{PAPER_SCALE_TASKS}/seed11"
+    }
 
 
 if __name__ == "__main__":  # pragma: no cover - digest refresh helper
@@ -169,6 +223,10 @@ if __name__ == "__main__":  # pragma: no cover - digest refresh helper
         for seed_value in SEEDS:
             dig, pay = _run_digest(sched, seed_value)
             print(f'    "{sched}/seed{seed_value}": "{dig}",  # {pay}')
+    for key_value in sorted(PAPER_SCALE_GOLDEN):
+        sched, _, seed_text = key_value.split("/")
+        dig, pay = _run_paper_scale(sched, int(seed_text[len("seed"):]))
+        print(f'    "{key_value}": "{dig}",  # {pay}')
     for with_failures in (False, True):
         for seed_value in SEEDS:
             dig, pay, adj = _run_dvfs(seed_value, with_failures)
