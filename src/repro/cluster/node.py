@@ -165,8 +165,8 @@ class ComputeNode:
         self._deadlines_cache: Optional[tuple[float, ...]] = None
         self._power_dirty = True
         self._power_cache: tuple[float, ...] = ()
+        self._total_power_cache = 0.0
         self._sleeping_cache = 0
-        self._state_cache: Optional[NodeState] = None
         for proc in self.processors:
             proc.on_power_change = self._mark_power_dirty
 
@@ -238,10 +238,13 @@ class ComputeNode:
         self._work_dirty = False
 
     def _refresh_power_caches(self) -> None:
-        """Recompute the per-processor power snapshot and sleep count."""
+        """Recompute the per-processor power snapshot, its total (the
+        same ``sum()`` as :attr:`NodeState.total_power_w`) and the
+        sleep count."""
         self._power_cache = tuple(
             p.current_power_w for p in self.processors
         )
+        self._total_power_cache = sum(self._power_cache)
         self._sleeping_cache = sum(
             1 for p in self.processors if p.state is ProcState.SLEEP
         )
@@ -299,35 +302,28 @@ class ComputeNode:
             self._refresh_power_caches()
         return self._sleeping_cache
 
+    @property
+    def total_power_w(self) -> float:
+        """Instantaneous node draw ``Σ PPj`` (cached with the snapshot)."""
+        if self._power_dirty:
+            self._refresh_power_caches()
+        return self._total_power_cache
+
     def state(self) -> NodeState:
         """Snapshot ``Sc(t)`` for the site agent (§IV.B).
 
-        The snapshot is cached: with many scheduling passes per
-        completion, most observations see an unchanged node, so the
-        previous (frozen, hence safely shared) ``NodeState`` is
-        returned instead of rebuilding one per decision.
+        Site agents observe the node itself (it exposes the same
+        fields); a frozen snapshot is for callers that keep one.
         """
-        load = self.load
-        free_slots = self.queue_slots - len(self.queue.items)
         if self._power_dirty:
             self._refresh_power_caches()
-        cached = self._state_cache
-        if (
-            cached is not None
-            and cached.load == load
-            and cached.free_slots == free_slots
-            and cached.processor_power_w is self._power_cache
-        ):
-            return cached
-        state = NodeState(
+        return NodeState(
             node_id=self.node_id,
-            load=load,
-            free_slots=free_slots,
+            load=self.load,
+            free_slots=self.free_slots,
             processor_power_w=self._power_cache,
             processing_capacity=self._processing_capacity,
         )
-        self._state_cache = state
-        return state
 
     # -- callbacks ------------------------------------------------------------
     def on_task_complete(self, cb: Callable[[Task, "ComputeNode"], None]) -> None:

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..energy.accounting import SystemEnergy, system_energy
+from ..energy.meter import UsageTally
 from ..energy.power_model import (
     PowerProfile,
     constant_power_profile,
@@ -127,12 +128,11 @@ class System:
         self._slowest_speed_mips = min(
             p.speed_mips for p in self._processors
         )
-        # Meter-bank gather index in topology order: whole-system state
-        # scans (busy counts, power sums) read columns instead of
-        # walking processor objects.
-        self._meter_rows = np.array(
-            [p.meter._row for p in self._processors], dtype=np.intp
-        )
+        #: Running busy/powered time and busy count over every meter,
+        #: kept by the meters at each transition.
+        self.usage = UsageTally()
+        for p in self._processors:
+            self.usage.add(p.meter)
 
     def __iter__(self):
         return iter(self.sites)
@@ -169,9 +169,7 @@ class System:
 
     def busy_processors(self) -> int:
         """Number of processors currently executing a task."""
-        from ..energy.meter import BANK
-
-        return BANK.busy_count(self._meter_rows)
+        return self.usage.busy
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

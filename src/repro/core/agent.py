@@ -111,7 +111,7 @@ class SiteAgent:
     # -- observation -------------------------------------------------------
     def observe(self) -> tuple[DiscreteState, SiteObservation]:
         obs = observe_site(
-            self.site.states(), self._max_power_w, self._total_queue_slots
+            self.site.nodes, self._max_power_w, self._total_queue_slots
         )
         return discretize(obs), obs
 

@@ -9,11 +9,11 @@ neural variant consumes the continuous feature vector instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
-from ..cluster.node import NodeState
+from ..cluster.node import ComputeNode, NodeState
 
 __all__ = ["SiteObservation", "observe_site", "DiscreteState", "discretize"]
 
@@ -54,14 +54,19 @@ class SiteObservation:
 
 
 def observe_site(
-    states: Sequence[NodeState], max_power_w: float, total_queue_slots: int
+    states: Sequence[Union[NodeState, ComputeNode]],
+    max_power_w: float,
+    total_queue_slots: int,
 ) -> SiteObservation:
     """Aggregate per-node snapshots into a :class:`SiteObservation`.
 
     Parameters
     ----------
     states:
-        One :class:`NodeState` per node in the site.
+        One :class:`NodeState` per node in the site, or the nodes
+        themselves: only ``load``, ``free_slots``, ``total_power_w`` and
+        ``processing_capacity`` are read, which a node serves from its
+        caches without building a snapshot.
     max_power_w:
         Site power draw if every processor ran at peak — used to
         normalize the observed draw into [0, 1].

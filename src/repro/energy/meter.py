@@ -17,22 +17,27 @@ lives in the module-level :class:`MeterBank` — one preallocated float64
 / int8 column per field, one row per meter.  The meter object is a
 2-slot ``(bank, row)`` view whose methods perform the identical IEEE-754
 operations on array cells, and whose ``_busy_time``-style attributes
-survive as properties (the strict-mode auditor and the learning-cycle
-sampler read them; tests write them to provoke violations).
+survive as properties (the strict-mode auditor reads them; tests write
+them to provoke violations).
 
-What the layout buys: whole-population readers — the per-cycle sampler
-(:meth:`MeterBank.sample_cycle`), the busy-processor count
-(:meth:`MeterBank.busy_count`), the per-node power snapshot
-(:meth:`MeterBank.current_power`) — gather columns with one NumPy fancy
-index instead of a Python loop over meter objects, while keeping the
-exact per-meter float bits (sums stay left-to-right where the scalar
-code summed left-to-right).
+Learning-cycle usage
+--------------------
+Figures 9–10 read, on every learning cycle, the system's busy and
+powered (busy + idle) time so far.  Rather than rescanning every meter,
+each :class:`~repro.cluster.system.System` keeps a :class:`UsageTally`
+that :meth:`ProcessorEnergyMeter.set_state` and
+:meth:`~ProcessorEnergyMeter.finalize` update at every transition.  It
+holds times as exact integer counts of 2**-1074 (every finite double is
+a whole multiple of it), so reading it costs O(1) and rounds once: the
+result is the correctly rounded sum, equal bit for bit to the
+``math.fsum`` rescan :meth:`MeterBank.sample_cycle` computes.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import frexp, fsum
 from typing import Optional
 
 import numpy as np
@@ -40,7 +45,13 @@ import numpy as np
 from ..sim.columnar import FloatColumn, IntColumn
 from .power_model import PowerProfile
 
-__all__ = ["ProcState", "ProcessorEnergyMeter", "EnergyBreakdown", "MeterBank"]
+__all__ = [
+    "ProcState",
+    "ProcessorEnergyMeter",
+    "EnergyBreakdown",
+    "MeterBank",
+    "UsageTally",
+]
 
 
 class ProcState(enum.Enum):
@@ -159,49 +170,107 @@ class MeterBank:
         self.p_sleep.append(profile.power_at(ProcState.SLEEP.value))
         return row
 
-    # -- vectorized whole-population readers ----------------------------
     def sample_cycle(self, rows: np.ndarray, now: float):
         """``(busy_sum, powered_sum, busy_count)`` over *rows* at *now*.
 
-        Bit-identical to the scalar per-meter loop it replaces: the
-        accruing span is added with the same ``b + (now - since)``
-        expression, and both sums run left-to-right over the gathered
-        (row-ordered) values, exactly like the ``+=`` loop did.
+        A full rescan: each sum is ``math.fsum`` over the closed times,
+        one ``now`` per live meter in the state and the negated
+        ``since`` of each, so it is the correctly rounded exact sum.  A
+        :class:`UsageTally` over the same meters must equal it bit for
+        bit; the tests and the strict-mode auditor compare the two.
         """
-        b = self.busy_time.data[rows]
-        i = self.idle_time.data[rows]
         codes = self.state.data[rows]
         live = np.isnan(self.finalized_at.data[rows])
-        spans = now - self.since.data[rows]
-        busy_mask = codes == BUSY_CODE
-        b = np.where(busy_mask & live, b + spans, b)
-        i = np.where((codes == IDLE_CODE) & live, i + spans, i)
-        busy = sum(b.tolist())
-        powered = sum((b + i).tolist())
-        return busy, powered, int(np.count_nonzero(busy_mask))
-
-    def busy_count(self, rows: np.ndarray) -> int:
-        """Number of *rows* currently in the BUSY state."""
-        return int(np.count_nonzero(self.state.data[rows] == BUSY_CODE))
-
-    def current_power(self, rows: np.ndarray) -> np.ndarray:
-        """Instantaneous draw per row — vectorized ``_current_power``."""
-        codes = self.state.data[rows]
-        by_state = np.where(
-            codes == BUSY_CODE,
-            self.p_busy.data[rows],
-            np.where(
-                codes == IDLE_CODE,
-                self.p_idle.data[rows],
-                self.p_sleep.data[rows],
-            ),
+        since = self.since.data[rows]
+        busy_live = (codes == BUSY_CODE) & live
+        powered_live = busy_live | ((codes == IDLE_CODE) & live)
+        busy_times = self.busy_time.data[rows].tolist()
+        busy = fsum(
+            busy_times
+            + [now] * int(np.count_nonzero(busy_live))
+            + (-since[busy_live]).tolist()
         )
-        override = self.power_override.data[rows]
-        return np.where(np.isnan(override), by_state, override)
+        powered = fsum(
+            busy_times
+            + self.idle_time.data[rows].tolist()
+            + [now] * int(np.count_nonzero(powered_live))
+            + (-since[powered_live]).tolist()
+        )
+        return busy, powered, int(np.count_nonzero(codes == BUSY_CODE))
 
-    def sleep_count(self, rows: np.ndarray) -> int:
-        """Number of *rows* currently in the SLEEP state."""
-        return int(np.count_nonzero(self.state.data[rows] == SLEEP_CODE))
+
+def _units(x: float) -> int:
+    """*x* as an exact integer count of 2**-1074."""
+    mantissa, exponent = frexp(x)
+    whole = int(mantissa * 9007199254740992.0)  # × 2**53: exact
+    shift = exponent + 1021
+    return whole << shift if shift >= 0 else whole >> -shift
+
+
+#: 2**1074 units make one second; dividing a unit count by it (an
+#: integer true division) rounds exactly once.
+_UNITS_PER_SECOND = 1 << 1074
+
+
+class UsageTally:
+    """Exact running busy and powered time over one system's meters.
+
+    For busy and for idle it holds, in units of 2**-1074, the closed
+    time of its meters minus the ``since`` of the live meters now in
+    that state, plus the number of those meters; the time they are
+    accruing is then that number times ``now``.  Meters update it at
+    every transition (:meth:`ProcessorEnergyMeter.set_state`,
+    :meth:`~ProcessorEnergyMeter.finalize`), so :meth:`times` is O(1).
+    """
+
+    __slots__ = ("busy_units", "idle_units", "live_busy", "live_idle", "busy")
+
+    def __init__(self) -> None:
+        self.busy_units = 0
+        self.idle_units = 0
+        #: Unfinalized meters in the BUSY / IDLE state.
+        self.live_busy = 0
+        self.live_idle = 0
+        #: Meters whose state is BUSY, finalized or not.
+        self.busy = 0
+
+    def add(self, meter: "ProcessorEnergyMeter") -> None:
+        """Count *meter*'s closed times and open span; updates follow."""
+        bank, row = meter._bank, meter._row
+        self.busy_units += _units(bank.busy_time.data[row])
+        self.idle_units += _units(bank.idle_time.data[row])
+        code = bank.state.data[row]
+        if code == BUSY_CODE:
+            self.busy += 1
+        if np.isnan(bank.finalized_at.data[row]):
+            self._open(code, bank.since.data[row])
+        meter._tally = self
+
+    def _open(self, code: int, since: float) -> None:
+        """A live meter entered *code* at *since*."""
+        if code == BUSY_CODE:
+            self.busy_units -= _units(since)
+            self.live_busy += 1
+        elif code == IDLE_CODE:
+            self.idle_units -= _units(since)
+            self.live_idle += 1
+
+    def _close(self, code: int, since: float, closed: float, total: float) -> None:
+        """A live meter left *code*, entered at *since*, whose closed
+        time in it went from *closed* to *total*."""
+        if code == BUSY_CODE:
+            self.busy_units += _units(total) - _units(closed) + _units(since)
+            self.live_busy -= 1
+        elif code == IDLE_CODE:
+            self.idle_units += _units(total) - _units(closed) + _units(since)
+            self.live_idle -= 1
+
+    def times(self, now: float) -> tuple[float, float]:
+        """``(busy_time, powered_time)`` summed over the meters at *now*."""
+        t = _units(now)
+        busy = self.busy_units + self.live_busy * t
+        powered = busy + self.idle_units + self.live_idle * t
+        return busy / _UNITS_PER_SECOND, powered / _UNITS_PER_SECOND
 
 
 #: Process-wide bank backing every :class:`ProcessorEnergyMeter`.
@@ -213,7 +282,7 @@ class ProcessorEnergyMeter:
 
     A ``(bank, row)`` view over :data:`BANK` (see module docstring); the
     public surface — and the ``_``-prefixed accumulator attributes the
-    auditor and sampler rely on — is unchanged from the per-object
+    auditor relies on — is unchanged from the per-object
     version.  Deliberately no ``__slots__``: the strict-mode auditor
     shims ``set_state``/``finalize`` per instance.
     """
@@ -229,6 +298,8 @@ class ProcessorEnergyMeter:
         # extra attribute check); see bind_telemetry().
         self._telemetry = None
         self.owner: str = ""
+        #: The owning system's usage tally, bound by UsageTally.add.
+        self._tally: Optional[UsageTally] = None
 
     def bind_telemetry(self, telemetry, owner: str) -> None:
         """Attach a :class:`~repro.obs.Telemetry` that receives an
@@ -237,7 +308,7 @@ class ProcessorEnergyMeter:
         self._telemetry = telemetry
         self.owner = owner
 
-    # -- columnar cell accessors (auditor/sampler-visible "privates") ----
+    # -- columnar cell accessors (auditor-visible "privates") -----------
     @property
     def _state(self) -> ProcState:
         return _CODE_TO_STATE[self._bank.state.data[self._row]]
@@ -353,18 +424,26 @@ class ProcessorEnergyMeter:
             raise ValueError("power_w must be non-negative")
         tel = self._telemetry
         code = _STATE_TO_CODE[state]
-        if tel is not None and tel.tracing and code != bank.state.data[row]:
+        previous = bank.state.data[row]
+        if tel is not None and tel.tracing and code != previous:
             tel.emit(
                 "energy",
                 "state",
                 now,
                 proc=self.owner,
-                from_state=_CODE_TO_STATE[bank.state.data[row]].value,
+                from_state=_CODE_TO_STATE[previous].value,
                 to_state=state.value,
             )
         self._charge(now)
         bank.state.data[row] = code
         bank.power_override.data[row] = _NAN if power_w is None else power_w
+        tally = self._tally
+        if tally is not None:
+            if previous == BUSY_CODE:
+                tally.busy -= 1
+            if code == BUSY_CODE:
+                tally.busy += 1
+            tally._open(code, now)
 
     def _current_power(self) -> float:
         bank, row = self._bank, self._row
@@ -386,49 +465,29 @@ class ProcessorEnergyMeter:
                 f"time moved backwards: {now} < last transition {since}"
             )
         span = now - since
+        code = bank.state.data[row]
+        if code == BUSY_CODE:
+            times, energies = bank.busy_time.data, bank.busy_energy.data
+        elif code == IDLE_CODE:
+            times, energies = bank.idle_time.data, bank.idle_energy.data
+        else:
+            times, energies = bank.sleep_time.data, bank.sleep_energy.data
+        closed = total = times[row]
         if span > 0:
-            energy = span * self._current_power()
-            code = bank.state.data[row]
-            if code == BUSY_CODE:
-                bank.busy_time.data[row] += span
-                bank.busy_energy.data[row] += energy
-            elif code == IDLE_CODE:
-                bank.idle_time.data[row] += span
-                bank.idle_energy.data[row] += energy
-            else:
-                bank.sleep_time.data[row] += span
-                bank.sleep_energy.data[row] += energy
+            total = times[row] = closed + span
+            energies[row] += span * self._current_power()
         bank.since.data[row] = now
+        tally = self._tally
+        if tally is not None:
+            tally._close(code, since, closed, total)
 
     def finalize(self, now: float) -> EnergyBreakdown:
         """Charge the final span and freeze the meter."""
+        if not np.isnan(self._bank.finalized_at.data[self._row]):
+            raise RuntimeError("meter already finalized")
         self._charge(now)
         self._bank.finalized_at.data[self._row] = now
         return self.snapshot()
-
-    def powered_times(self, now: float) -> tuple[float, float]:
-        """``(busy_time, idle_time)`` as of *now*, without allocation.
-
-        The learning-cycle sampler reads only these two fields from
-        every processor on every cycle; this accessor reproduces
-        :meth:`snapshot`'s arithmetic for them exactly (the accruing
-        span is added to the current state's total) while skipping the
-        dict copies and the :class:`EnergyBreakdown` construction.
-        """
-        bank, row = self._bank, self._row
-        busy = bank.busy_time.data[row]
-        idle = bank.idle_time.data[row]
-        if np.isnan(bank.finalized_at.data[row]):
-            since = bank.since.data[row]
-            if now < since:
-                raise ValueError("snapshot time precedes last transition")
-            span = now - since
-            code = bank.state.data[row]
-            if code == BUSY_CODE:
-                busy += span
-            elif code == IDLE_CODE:
-                idle += span
-        return busy, idle
 
     def snapshot(self, now: float | None = None) -> EnergyBreakdown:
         """Breakdown as of the last transition (or *now* if given).

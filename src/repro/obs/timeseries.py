@@ -267,7 +267,7 @@ class _SystemProbe:
         system = self._system
         total_power = 0.0
         for site in system.sites:
-            site_power = sum(s.total_power_w for s in site.states())
+            site_power = sum(n.total_power_w for n in site.nodes)
             bank.record(f"power.site.{site.site_id}", now, site_power)
             total_power += site_power
         bank.record("power.system", now, total_power)

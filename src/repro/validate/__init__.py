@@ -4,8 +4,8 @@ Opt-in sanitizer-style validation: an :class:`InvariantAuditor` attaches
 to an experiment before it runs and independently re-checks the physics
 the paper defines — clock/dispatch order, the Eq. 2 queue bound, task
 conservation, Eq. 5 energy closure, Eq. 1 priority classes, the
-15-cycle shared-memory cap, dense-vs-dict Q-table parity, and the DVFS
-governor's skip rules.  See
+15-cycle shared-memory cap, dense-vs-dict Q-table parity, the DVFS
+governor's skip rules, and the exact running usage tally.  See
 ``docs/architecture.md`` ("Strict mode") for the full catalogue.
 
 Three ways to turn it on:
@@ -33,6 +33,7 @@ from .auditor import (
     INV_PRIORITY,
     INV_QPARITY,
     INV_QUEUE,
+    INV_USAGE,
     InvariantAuditor,
 )
 from .report import AuditReport, InvariantViolationError, Violation
@@ -53,6 +54,7 @@ __all__ = [
     "INV_MEMORY",
     "INV_QPARITY",
     "INV_DVFS",
+    "INV_USAGE",
 ]
 
 #: Process-wide override; ``None`` defers to the REPRO_STRICT env var.

@@ -34,6 +34,9 @@ qtable-parity       the dense Q backend stays bit-identical to a
 dvfs-skip           every processor runs at the θ the DVFS governor
                     recorded for its node, and every busy node it skips
                     as saturated still has a target of θ = 1.0
+usage-tally         the system's running busy/powered time and busy
+                    count equal an exact rescan of its meters, bit for
+                    bit (``MeterBank.sample_cycle``)
 ==================  ====================================================
 
 Checks are layered for cost: the O(1) clock/dispatch checks run per
@@ -55,7 +58,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from ..energy.meter import ProcessorEnergyMeter, ProcState
+import numpy as np
+
+from ..energy.meter import BANK, ProcessorEnergyMeter, ProcState
 from ..obs import CAT_AUDIT, NULL_TELEMETRY
 from ..rl.dense import DenseQTable
 from ..rl.qlearning import QTable
@@ -74,6 +79,7 @@ __all__ = [
     "INV_MEMORY",
     "INV_QPARITY",
     "INV_DVFS",
+    "INV_USAGE",
 ]
 
 INV_CLOCK = "clock-monotonic"
@@ -85,6 +91,7 @@ INV_PRIORITY = "priority-class"
 INV_MEMORY = "memory-cap"
 INV_QPARITY = "qtable-parity"
 INV_DVFS = "dvfs-skip"
+INV_USAGE = "usage-tally"
 
 
 def _close(a: float, b: float, tol: float) -> bool:
@@ -223,6 +230,8 @@ class InvariantAuditor:
         self._events_at_last_sweep = 0
         self._shadows: list[_MeterShadow] = []
         self._nodes: list[Any] = []
+        #: Meter-bank rows of the system's processors, for the rescan.
+        self._meter_rows = np.empty(0, dtype=np.intp)
         #: tid -> Task for every task ever submitted to the scheduler.
         self._tasks: dict[Any, Any] = {}
         #: tid -> completion count (anything > 1 is a violation).
@@ -351,6 +360,9 @@ class InvariantAuditor:
             raise RuntimeError("a system is already attached")
         self.system = system
         self._nodes = list(system.nodes)
+        self._meter_rows = np.array(
+            [p.meter._row for p in system.processors], dtype=np.intp
+        )
         for proc in system.processors:
             self._wrap_meter(proc.meter)
 
@@ -568,6 +580,8 @@ class InvariantAuditor:
         if self._governor is not None:
             self._sweep_governor()
         self._sweep_energy()
+        if self.system is not None:
+            self._sweep_usage()
         if self.scheduler is not None:
             self._sweep_conservation()
         if self._memory is not None:
@@ -654,7 +668,9 @@ class InvariantAuditor:
                     )
             if not node._power_dirty:
                 power = tuple(p.current_power_w for p in node.processors)
-                if node._power_cache != power:
+                if node._power_cache != power or (
+                    node._total_power_cache != sum(power)
+                ):
                     self._violate(
                         INV_QUEUE,
                         node.node_id,
@@ -771,6 +787,26 @@ class InvariantAuditor:
                             observed=energy_sum,
                             expected=rate * time_sum,
                         )
+
+    def _sweep_usage(self) -> None:
+        """The usage tally equals the exact rescan of the meters."""
+        self.report.count(INV_USAGE)
+        now = self.env.now
+        usage = self.system.usage
+        busy, powered = usage.times(now)
+        tallied = (busy, powered, usage.busy)
+        rescanned = BANK.sample_cycle(self._meter_rows, now)
+        if tallied != rescanned:
+            self._violate(
+                INV_USAGE,
+                "system",
+                f"usage tally (busy, powered, busy count) = "
+                f"({busy.hex()}, {powered.hex()}, {usage.busy}) but the "
+                f"meter rescan gives ({rescanned[0].hex()}, "
+                f"{rescanned[1].hex()}, {rescanned[2]})",
+                tallied=tallied,
+                rescanned=rescanned,
+            )
 
     def _sweep_conservation(self) -> None:
         rep = self.report

@@ -1,9 +1,15 @@
 """Unit tests for state observation and discretization (§IV.B)."""
 
-import pytest
+from dataclasses import fields
 
-from repro.cluster import NodeState
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster import NodeState, ResourceSite
 from repro.core import SiteObservation, discretize, observe_site
+from repro.core.dvfs import DVFSGovernor
+from tests.core.test_dvfs import STEPS, GovernedWorld
 
 
 def node_state(load=0.0, free_slots=4, powers=(48.0,) * 4, capacity=1000.0):
@@ -50,6 +56,45 @@ class TestObserveSite:
         f = obs.features()
         assert f.shape == (4,)
         assert all(0 <= v <= 1 for v in f)
+
+
+class TestObserveNodesDirectly:
+    """Agents pass the nodes themselves; the snapshots must agree."""
+
+    @staticmethod
+    def assert_same_observation(site):
+        max_power = sum(p.profile.p_max_w for n in site for p in n.processors)
+        slots = sum(n.queue_slots for n in site)
+        direct = observe_site(site.nodes, max_power, slots)
+        snapshots = observe_site(site.states(), max_power, slots)
+        for field in fields(SiteObservation):
+            assert repr(getattr(direct, field.name)) == repr(
+                getattr(snapshots, field.name)
+            ), field.name
+
+    @given(
+        speeds=st.lists(
+            st.lists(st.floats(500.0, 1000.0), min_size=1, max_size=4),
+            min_size=3,
+            max_size=3,
+        ),
+        steps=st.lists(STEPS, min_size=1, max_size=30),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_nodes_observe_like_their_snapshots(self, speeds, steps):
+        world = GovernedWorld(DVFSGovernor(), speeds)
+        site = ResourceSite("s", world.nodes)
+        self.assert_same_observation(site)
+        for step in steps:
+            world.step(step)
+            self.assert_same_observation(site)
+
+    def test_node_total_power_is_its_snapshot_total(self):
+        world = GovernedWorld(DVFSGovernor(), [[700.0, 800.0], [900.0], [600.0]])
+        world.step((("submit", 0, [(5000.0, 2000.0), (800.0, 10.0)]), 3.0))
+        for node in world.nodes:
+            assert node.total_power_w == node.state().total_power_w
+        assert world.nodes[0].total_power_w > world.nodes[1].total_power_w
 
 
 class TestDiscretize:

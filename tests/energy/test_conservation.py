@@ -106,18 +106,6 @@ class TestProcessorConservation:
                 b.busy_energy + b.idle_energy + b.sleep_energy, rel=1e-12
             )
 
-    def test_powered_times_matches_snapshot(self, env, busy_idle_sleep_node):
-        """The allocation-free fast accessor must agree with snapshot()
-        bit-for-bit, including the mid-span accrual."""
-        node = busy_idle_sleep_node
-        for until in (0.5, 4.0, 10.0, 30.0):
-            env.run(until=until)
-            for proc in node.processors:
-                b = proc.meter.snapshot(env.now)
-                busy, idle = proc.meter.powered_times(env.now)
-                assert busy == b.busy_time
-                assert idle == b.idle_time
-
 
 class TestAggregationConservation:
     def test_node_and_system_totals(self, env, busy_idle_sleep_node):

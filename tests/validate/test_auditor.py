@@ -27,6 +27,7 @@ from repro.validate import (
     INV_PRIORITY,
     INV_QPARITY,
     INV_QUEUE,
+    INV_USAGE,
     InvariantAuditor,
     InvariantViolationError,
     set_strict,
@@ -114,6 +115,7 @@ class TestCleanRuns:
         )
         assert result.audit.ok, result.audit.summary()
         assert result.audit.checks.get(INV_DVFS, 0) > 0
+        assert result.audit.checks.get(INV_USAGE, 0) > 0
 
     def test_fcfs_clean(self):
         result = run_experiment(
@@ -213,6 +215,16 @@ class TestCorruptionDetection:
             auditor.sweep()
         assert exc.value.violation.invariant == INV_ENERGY
         assert not exc.value.report.ok
+
+    def test_meter_time_written_behind_set_state(self):
+        env, system, auditor = make_audited_cluster()
+        system.processors[0].meter._busy_time += 1.0
+        auditor.sweep()
+        bad = [v for v in auditor.report.violations if v.invariant == INV_USAGE]
+        assert [v.subject for v in bad] == ["system"]
+        tallied, rescanned = bad[0].details["tallied"], bad[0].details["rescanned"]
+        assert (tallied[0], rescanned[0]) == (0.0, 1.0)
+        assert tallied[2] == rescanned[2] == 0
 
     def test_overfull_queue(self):
         env, system, auditor = make_audited_cluster()
