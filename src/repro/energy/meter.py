@@ -235,7 +235,8 @@ class UsageTally:
         self.busy = 0
 
     def add(self, meter: "ProcessorEnergyMeter") -> None:
-        """Count *meter*'s closed times and open span; updates follow."""
+        """Include *meter*: its closed times and, while it is live, its
+        open span.  The meter keeps the tally current from then on."""
         bank, row = meter._bank, meter._row
         self.busy_units += _units(bank.busy_time.data[row])
         self.idle_units += _units(bank.idle_time.data[row])
