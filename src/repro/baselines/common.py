@@ -51,17 +51,30 @@ class SingletonScheduler(Scheduler):
         """Hook: reorder the backlog before a pass (default: FIFO)."""
 
     def _pick_node(self, task: Task) -> Optional[ComputeNode]:
-        """Hook: choose the destination node (None = hold the task)."""
+        """Hook: choose the destination node (None = hold the task).
+
+        Contract: return ``None`` only when no node in the candidate set
+        is ``available``, and on ``None`` draw no random number and
+        record no state.  The candidate set may change only outside a
+        scheduling pass, which submits work and so can only make nodes
+        less available.  A ``None`` therefore holds for the rest of the
+        pass, and :meth:`_scheduling_pass` holds the remaining backlog
+        without asking again.
+        """
         assert self.system is not None
         return shortest_queue_node(self.system.nodes)
 
     def _scheduling_pass(self) -> None:
         assert self.env is not None
         self._order_backlog()
+        backlog = self.backlog
         held: list[Task] = []
-        for task in self.backlog:
+        for i, task in enumerate(backlog):
             node = self._pick_node(task)
-            if node is None or node.free_slots <= 0:
+            if node is None:
+                held.extend(backlog[i:])
+                break
+            if node.free_slots <= 0:
                 held.append(task)
                 continue
             group = TaskGroup([task], created_at=self.env.now)

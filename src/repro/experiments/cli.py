@@ -32,8 +32,10 @@ Parallel execution (see docs/parallel.md)::
     ... --jobs 4 --checkpoint-dir ck/          # journal completions
     ... --jobs 4 --checkpoint-dir ck/ --resume # skip journaled jobs
 
-``--jobs`` parallelizes the figure sweeps (fig7/8 and fig11/12 grids);
-fig9/10 are single runs and always execute serially.
+The selected figures are planned together: each distinct run they
+need executes once (Figs 9/10 reuse Fig 7/8 runs whenever their task
+counts match), and ``--jobs`` runs them all as one campaign, longest
+first.
 
 Prints each figure as an ASCII table followed by its paper-shape checks.
 """
@@ -61,13 +63,8 @@ from .figures import (
     HEAVY_TASKS,
     LIGHT_TASKS,
     PAPER_TASK_COUNTS,
-    comparison_sweep,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
+    FigurePlan,
+    run_configs,
 )
 from .reporting import render_figure, shape_checks
 
@@ -173,18 +170,19 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for the figure sweeps (default: 1, serial)",
+        help="worker processes for the figure runs (default: 1, serial)",
     )
     parser.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
         default=None,
-        help="journal sweep completions under DIR (one subdir per sweep)",
+        help="journal run completions in DIR/journal.jsonl",
     )
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="skip sweep jobs already journaled under --checkpoint-dir",
+        help="skip runs already journaled under --checkpoint-dir "
+        "(same figures and seeds as the interrupted invocation)",
     )
     parser.add_argument(
         "--strict",
@@ -287,10 +285,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     if args.jobs > 1 and telemetry.active:
         print(
-            "note: with --jobs > 1 the parallelized sweeps (fig7/8, "
-            "fig11/12) run in worker processes; their sampled series "
-            "merge back into this process's flight recorder, but "
-            "trace/metrics/profile cover the serial parts only."
+            "note: with --jobs > 1 every run executes in a worker "
+            "process; sampled series merge back into this process's "
+            "flight recorder, but trace/metrics/profile cover no run."
         )
 
     server = None
@@ -363,49 +360,21 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run_figures(args, wanted, task_counts, heavy, seeds) -> int:
     """Regenerate the selected figures; returns the process exit code."""
-    from pathlib import Path
-
-    from .figures import heterogeneity_sweep
-
-    def checkpoint(sweep_name):
-        if args.checkpoint_dir is None:
-            return None
-        return Path(args.checkpoint_dir) / sweep_name
+    plan = FigurePlan(tuple(wanted), task_counts, seeds, heavy, LIGHT_TASKS)
+    configs = plan.configs()
+    t0 = time.perf_counter()
+    runs = run_configs(
+        configs,
+        jobs=args.jobs,
+        checkpoint_dir=args.checkpoint_dir,
+        resume=args.resume,
+    )
+    print(f"campaign: {len(configs)} distinct runs in {time.perf_counter() - t0:.1f}s")
+    print()
 
     figs = []
-    shared_sweep = None
-    shared_h_sweep = None
     for fid in wanted:
-        t0 = time.time()
-        if fid in ("fig7", "fig8"):
-            if shared_sweep is None:
-                shared_sweep = comparison_sweep(
-                    task_counts,
-                    seeds,
-                    jobs=args.jobs,
-                    checkpoint_dir=checkpoint("comparison"),
-                    resume=args.resume,
-                )
-            fig = (figure7 if fid == "fig7" else figure8)(
-                task_counts, seeds, sweep=shared_sweep
-            )
-        elif fid == "fig9":
-            fig = figure9(num_tasks=heavy, seed=seeds[0])
-        elif fid == "fig10":
-            fig = figure10(num_tasks=LIGHT_TASKS, seed=seeds[0])
-        else:
-            if shared_h_sweep is None:
-                shared_h_sweep = heterogeneity_sweep(
-                    seeds=seeds,
-                    heavy_tasks=heavy,
-                    jobs=args.jobs,
-                    checkpoint_dir=checkpoint("heterogeneity"),
-                    resume=args.resume,
-                )
-            fig = (figure11 if fid == "fig11" else figure12)(
-                seeds=seeds, heavy_tasks=heavy, sweep=shared_h_sweep
-            )
-        elapsed = time.time() - t0
+        fig = plan.figure(fid, runs)
         figs.append(fig)
         if args.save_dir is not None:
             from pathlib import Path
@@ -416,7 +385,6 @@ def _run_figures(args, wanted, task_counts, heavy, seeds) -> int:
             out.mkdir(parents=True, exist_ok=True)
             save_figure(fig, out / f"{fid}.json")
         print(render_figure(fig))
-        print(f"(regenerated in {elapsed:.1f}s)")
         for check in shape_checks(fig):
             print(str(check))
         print()

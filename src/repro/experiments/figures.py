@@ -6,15 +6,21 @@ paper plots.  Figures 7 and 8 come from one shared sweep
 (:func:`comparison_sweep`); pass its result to both to avoid running the
 simulations twice.
 
+To regenerate several figures at once, :class:`FigurePlan` lists every
+distinct run they need, :func:`run_configs` runs each of them once (in
+process, or as one parallel campaign), and :meth:`FigurePlan.figure`
+builds each figure from the runs' records.
+
 Scale knobs (``task_counts``, ``seeds``) default to the paper's full
 settings; benches and tests pass reduced values.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from ..metrics.stats import mean_ci
 from .config import ExperimentConfig, default_platform
@@ -23,6 +29,8 @@ from .schedulers import PAPER_COMPARISON
 
 __all__ = [
     "FigureData",
+    "FigurePlan",
+    "run_configs",
     "comparison_sweep",
     "heterogeneity_sweep",
     "figure7",
@@ -86,28 +94,139 @@ def _aggregate(values_by_seed: Sequence[float]) -> tuple[float, float]:
     return ci.mean, ci.half_width
 
 
-def _parallel_sweep(
+def _comparison_grid(
+    task_counts: Sequence[int], seeds: Sequence[int], schedulers: Sequence[str]
+) -> dict:
+    """``{scheduler: {n: [config per seed]}}``: the Experiment 1 grid."""
+    return {
+        name: {
+            n: [
+                ExperimentConfig(scheduler=name, num_tasks=n, seed=seed)
+                for seed in seeds
+            ]
+            for n in task_counts
+        }
+        for name in schedulers
+    }
+
+
+def _utilization_grid(num_tasks: int, seed: int) -> dict:
+    """``{scheduler: config}``: the Experiment 2 pair at one load."""
+    return {
+        name: ExperimentConfig(scheduler=name, num_tasks=num_tasks, seed=seed)
+        for name in ("adaptive-rl", "online-rl")
+    }
+
+
+def _heterogeneity_grid(
+    levels: Sequence[float],
+    seeds: Sequence[int],
+    light_tasks: int,
+    heavy_tasks: int,
+) -> dict:
+    """``{load_label: {h: [config per seed]}}``: the Experiment 3 grid."""
+    loads = (("Heavily-loaded", heavy_tasks), ("Lightly-loaded", light_tasks))
+    return {
+        label: {
+            h: [
+                ExperimentConfig(
+                    scheduler="adaptive-rl",
+                    num_tasks=n,
+                    seed=seed,
+                    platform=default_platform(heterogeneity_cv=h),
+                )
+                for seed in seeds
+            ]
+            for h in levels
+        }
+        for label, n in loads
+    }
+
+
+def _leaves(grid) -> Iterator[ExperimentConfig]:
+    """Every config of a nested grid, in grid order."""
+    if isinstance(grid, ExperimentConfig):
+        yield grid
+        return
+    for sub in grid.values() if isinstance(grid, dict) else grid:
+        yield from _leaves(sub)
+
+
+def _distinct(configs: Iterable[ExperimentConfig]) -> list:
+    """*configs* with repeats dropped (by job id), in first-seen order."""
+    from ..parallel import job_id
+
+    distinct: dict = {}
+    for config in configs:
+        distinct.setdefault(job_id(config), config)
+    return list(distinct.values())
+
+
+def _fill(grid, runs: Mapping[str, object]):
+    """*grid* with every config replaced by its run from *runs*."""
+    from ..parallel import job_id
+
+    def fill(node):
+        if isinstance(node, ExperimentConfig):
+            return runs[job_id(node)]
+        if isinstance(node, dict):
+            return {key: fill(sub) for key, sub in node.items()}
+        return [fill(sub) for sub in node]
+
+    return fill(grid)
+
+
+def run_configs(
     configs: Sequence[ExperimentConfig],
-    campaign_name: str,
+    jobs: int = 1,
+    checkpoint_dir: Optional[Union[str, Path]] = None,
+    resume: bool = False,
+) -> dict:
+    """Run each of the distinct *configs*; ``{job_id: RecordView}``.
+
+    With ``jobs == 1`` and no checkpoint the runs execute in this
+    process, in order; otherwise they form one parallel campaign.  Both
+    paths build each record with
+    :func:`~repro.experiments.persistence.run_record`, and a
+    :class:`~repro.parallel.RecordView` exposes ``avert`` / ``ecs`` /
+    ``success_rate`` / ``utilization_series`` like
+    :class:`~repro.metrics.collector.RunMetrics`, so every figure
+    aggregates serial and parallel runs alike.
+    """
+    from ..parallel import RecordView, job_id
+    from .persistence import run_record
+
+    if jobs == 1 and not resume and checkpoint_dir is None:
+        records = []
+        for config in configs:
+            started = time.perf_counter()
+            metrics = run_experiment(config).metrics
+            records.append(
+                run_record(config, metrics, time.perf_counter() - started)
+            )
+    else:
+        records = _campaign_records(configs, jobs, checkpoint_dir, resume)
+    return {job_id(c): RecordView(r) for c, r in zip(configs, records)}
+
+
+def _campaign_records(
+    configs: Sequence[ExperimentConfig],
     jobs: int,
     checkpoint_dir: Optional[Union[str, Path]],
     resume: bool,
 ) -> list:
-    """Run *configs* through the parallel engine; RecordViews in order.
+    """Run *configs* as one :func:`repro.parallel.run_parallel` campaign.
 
-    The views expose ``avert`` / ``ecs`` / ``success_rate`` /
-    ``utilization`` like :class:`~repro.metrics.collector.RunMetrics`,
-    so the figure aggregators consume serial and parallel sweeps alike.
-
-    When the ambient telemetry's flight recorder is armed, each worker
-    samples its own series bank and the merged bank folds back into the
-    ambient one — a ``--jobs N`` sweep still yields one dashboard.
+    Returns the records in config order.  When the ambient telemetry's
+    flight recorder is armed, each worker samples its own series bank
+    and the merged bank folds back into the ambient one — a
+    ``--jobs N`` run still yields one dashboard.
     """
-    import json as _json
+    import json
     import tempfile
 
     from ..obs import get_telemetry
-    from ..parallel import RecordView, run_parallel
+    from ..parallel import run_parallel
 
     tel = get_telemetry()
     sample_every = tel.sample_every if tel.sampling else None
@@ -123,7 +242,7 @@ def _parallel_sweep(
             jobs=max(1, jobs),
             checkpoint_dir=checkpoint_dir,
             resume=resume,
-            campaign_name=campaign_name,
+            campaign_name="figures",
             sample_every=sample_every,
         )
         if tel.sampling and result.series_path is not None:
@@ -131,15 +250,24 @@ def _parallel_sweep(
 
             tel.series.merge_from(
                 SeriesBank.from_dict(
-                    _json.loads(
-                        result.series_path.read_text(encoding="utf-8")
-                    )
+                    json.loads(result.series_path.read_text(encoding="utf-8"))
                 )
             )
     finally:
         if scratch is not None:
             scratch.cleanup()
-    return [RecordView(record) for record in result.records]
+    return result.records
+
+
+def _run_grid(
+    grid,
+    jobs: int = 1,
+    checkpoint_dir: Optional[Union[str, Path]] = None,
+    resume: bool = False,
+):
+    """Run each distinct config of *grid* once; *grid* with runs in place."""
+    runs = run_configs(_distinct(_leaves(grid)), jobs, checkpoint_dir, resume)
+    return _fill(grid, runs)
 
 
 def comparison_sweep(
@@ -158,34 +286,12 @@ def comparison_sweep(
     :mod:`repro.parallel` engine — same values at the same seeds, with
     optional checkpoint/resume through *checkpoint_dir*.
     """
-    if jobs == 1 and not resume and checkpoint_dir is None:
-        results: dict = {}
-        for name in schedulers:
-            per_n: dict = {}
-            for n in task_counts:
-                runs = []
-                for seed in seeds:
-                    cfg = ExperimentConfig(
-                        scheduler=name, num_tasks=n, seed=seed
-                    )
-                    runs.append(run_experiment(cfg).metrics)
-                per_n[n] = runs
-            results[name] = per_n
-        return results
-
-    configs = [
-        ExperimentConfig(scheduler=name, num_tasks=n, seed=seed)
-        for name in schedulers
-        for n in task_counts
-        for seed in seeds
-    ]
-    views = iter(
-        _parallel_sweep(configs, "comparison-sweep", jobs, checkpoint_dir, resume)
+    return _run_grid(
+        _comparison_grid(task_counts, seeds, schedulers),
+        jobs,
+        checkpoint_dir,
+        resume,
     )
-    return {
-        name: {n: [next(views) for _ in seeds] for n in task_counts}
-        for name in schedulers
-    }
 
 
 def figure7(
@@ -256,18 +362,22 @@ def figure8(
     )
 
 
+#: Figs 9 and 10 plot the heavily and the lightly loaded state.
+_LOAD_LABELS = {"fig9": "heavily-loaded", "fig10": "lightly-loaded"}
+
+
 def _utilization_figure(
-    figure_id: str, num_tasks: int, load_label: str, seed: int
+    figure_id: str, num_tasks: int, seed: int, runs: Mapping[str, object]
 ) -> FigureData:
+    """Fig 9 or 10 from *runs*, the ``{scheduler: run}`` pair at one load."""
+    load_label = _LOAD_LABELS[figure_id]
     series = {}
     x_values: tuple = ()
-    for name in ("adaptive-rl", "online-rl"):
-        cfg = ExperimentConfig(scheduler=name, num_tasks=num_tasks, seed=seed)
-        metrics = run_experiment(cfg).metrics
-        points = metrics.utilization_series
-        x_values = tuple(p.percent_cycles for p in points)
+    for name, run in runs.items():
+        points = run.utilization_series
+        x_values = tuple(p["percent_cycles"] for p in points)
         label = f"{SCHEDULER_LABELS[name]} ({load_label})"
-        series[label] = tuple(p.cumulative_utilization for p in points)
+        series[label] = tuple(p["cumulative_utilization"] for p in points)
     return FigureData(
         figure_id=figure_id,
         title=(
@@ -284,12 +394,14 @@ def _utilization_figure(
 
 def figure9(num_tasks: int = HEAVY_TASKS, seed: int = 1) -> FigureData:
     """Figure 9: utilization vs % learning cycles, heavily loaded."""
-    return _utilization_figure("fig9", num_tasks, "heavily-loaded", seed)
+    runs = _run_grid(_utilization_grid(num_tasks, seed))
+    return _utilization_figure("fig9", num_tasks, seed, runs)
 
 
 def figure10(num_tasks: int = LIGHT_TASKS, seed: int = 1) -> FigureData:
     """Figure 10: utilization vs % learning cycles, lightly loaded."""
-    return _utilization_figure("fig10", num_tasks, "lightly-loaded", seed)
+    runs = _run_grid(_utilization_grid(num_tasks, seed))
+    return _utilization_figure("fig10", num_tasks, seed, runs)
 
 
 def heterogeneity_sweep(
@@ -307,43 +419,12 @@ def heterogeneity_sweep(
     it once and pass the result to both figure regenerators.  Parallel
     semantics match :func:`comparison_sweep`.
     """
-    loads = (("Heavily-loaded", heavy_tasks), ("Lightly-loaded", light_tasks))
-
-    def config_for(n: int, h: float, seed: int) -> ExperimentConfig:
-        return ExperimentConfig(
-            scheduler="adaptive-rl",
-            num_tasks=n,
-            seed=seed,
-            platform=default_platform(heterogeneity_cv=h),
-        )
-
-    if jobs == 1 and not resume and checkpoint_dir is None:
-        results: dict = {}
-        for label, n in loads:
-            per_h: dict = {}
-            for h in levels:
-                per_h[h] = [
-                    run_experiment(config_for(n, h, seed)).metrics
-                    for seed in seeds
-                ]
-            results[label] = per_h
-        return results
-
-    configs = [
-        config_for(n, h, seed)
-        for _, n in loads
-        for h in levels
-        for seed in seeds
-    ]
-    views = iter(
-        _parallel_sweep(
-            configs, "heterogeneity-sweep", jobs, checkpoint_dir, resume
-        )
+    return _run_grid(
+        _heterogeneity_grid(levels, seeds, light_tasks, heavy_tasks),
+        jobs,
+        checkpoint_dir,
+        resume,
     )
-    return {
-        label: {h: [next(views) for _ in seeds] for h in levels}
-        for label, _ in loads
-    }
 
 
 #: Backwards-compatible private alias (pre-parallel name).
@@ -432,3 +513,53 @@ ALL_FIGURES = {
     "fig11": figure11,
     "fig12": figure12,
 }
+
+
+@dataclass(frozen=True)
+class FigurePlan:
+    """The runs behind a set of figures at one scale.
+
+    :meth:`configs` plans them: every distinct config the figures need,
+    once each, so Figs 9–10 share the Fig 7–8 runs whenever their task
+    counts match.  Run the plan with :func:`run_configs` and build each
+    figure from the records with :meth:`figure`.
+    """
+
+    figure_ids: Sequence[str]
+    task_counts: Sequence[int] = PAPER_TASK_COUNTS
+    seeds: Sequence[int] = (1,)
+    heavy_tasks: int = HEAVY_TASKS
+    light_tasks: int = LIGHT_TASKS
+
+    def _grid(self, figure_id: str):
+        if figure_id in ("fig7", "fig8"):
+            return _comparison_grid(self.task_counts, self.seeds, PAPER_COMPARISON)
+        if figure_id in ("fig9", "fig10"):
+            return _utilization_grid(self._load(figure_id), self.seeds[0])
+        if figure_id in ("fig11", "fig12"):
+            return _heterogeneity_grid(
+                HETEROGENEITY_LEVELS, self.seeds, self.light_tasks, self.heavy_tasks
+            )
+        raise ValueError(f"unknown figure {figure_id!r}")
+
+    def _load(self, figure_id: str) -> int:
+        return self.heavy_tasks if figure_id == "fig9" else self.light_tasks
+
+    def configs(self) -> list:
+        """Every distinct config the figures need, in first-seen grid order."""
+        return _distinct(
+            config
+            for figure_id in self.figure_ids
+            for config in _leaves(self._grid(figure_id))
+        )
+
+    def figure(self, figure_id: str, runs: Mapping[str, object]) -> FigureData:
+        """Build one figure from *runs*, as :func:`run_configs` returns them."""
+        filled = _fill(self._grid(figure_id), runs)
+        if figure_id in ("fig9", "fig10"):
+            return _utilization_figure(
+                figure_id, self._load(figure_id), self.seeds[0], filled
+            )
+        if figure_id in ("fig7", "fig8"):
+            return ALL_FIGURES[figure_id](self.task_counts, self.seeds, sweep=filled)
+        return ALL_FIGURES[figure_id](seeds=self.seeds, sweep=filled)

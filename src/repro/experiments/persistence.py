@@ -7,6 +7,7 @@ makes EXPERIMENTS.md diffs and cross-machine comparisons cheap.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Union
 
@@ -68,7 +69,12 @@ def load_figure(path: Union[str, Path]) -> FigureData:
 
 
 def metrics_to_dict(metrics: RunMetrics) -> dict:
-    """Flatten the headline numbers of a run for JSON logging."""
+    """Flatten the headline numbers of a run for JSON logging.
+
+    The Figs 9–10 utilization series rides along as one dict per
+    checkpoint, so those figures can be built from a record alone; JSON
+    floats round-trip exactly.
+    """
     return {
         "scheduler": metrics.scheduler,
         "num_tasks": metrics.num_tasks,
@@ -93,6 +99,7 @@ def metrics_to_dict(metrics: RunMetrics) -> dict:
             "idle_time": metrics.energy.idle_time,
             "sleep_time": metrics.energy.sleep_time,
         },
+        "utilization_series": [asdict(p) for p in metrics.utilization_series],
     }
 
 

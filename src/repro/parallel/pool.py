@@ -4,6 +4,8 @@
 ``concurrent.futures.ProcessPoolExecutor``:
 
 - every config gets a deterministic job id (:func:`repro.parallel.jobs.job_id`);
+- pending jobs are submitted longest first (by ``num_tasks``), so no
+  long job starts last while the other workers idle;
 - completions are journaled (JSONL, fsynced) as they land, so an
   interrupted campaign resumed with ``resume=True`` re-executes only
   unfinished jobs — exactly-once completion keyed on job id;
@@ -148,7 +150,9 @@ def run_parallel(
     ----------
     configs:
         The campaign grid; duplicates are rejected (exactly-once
-        execution keys on the deterministic per-config job id).
+        execution keys on the deterministic per-config job id).  Jobs
+        are submitted longest first by ``num_tasks``, ties in grid
+        order; records come back in grid order.
     jobs:
         Worker process count (≥ 1).
     checkpoint_dir:
@@ -278,7 +282,8 @@ def run_parallel(
         return min(backoff_cap, backoff_base * 2 ** (attempts[job.job_id] - 1))
 
     try:
-        to_run = list(pending)
+        # Longest first; ``sorted`` is stable, so ties keep grid order.
+        to_run = sorted(pending, key=lambda job: -job.config.num_tasks)
         while to_run:
             pool = ProcessPoolExecutor(max_workers=jobs, mp_context=mp_context)
             futures = {pool.submit(_execute_job, payload_for(j)): j for j in to_run}

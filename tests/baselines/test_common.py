@@ -77,3 +77,34 @@ class TestSingletonScheduler:
             node.on_group_complete(lambda g, n: errors.append(g.error))
         env.run(until=done)
         assert errors and all(e is not None for e in errors)
+
+
+@pytest.mark.parametrize(
+    "name", ["fcfs", "edf", "random", "online-rl", "qplus", "prediction"]
+)
+def test_pass_asks_no_picker_after_the_first_none(name, env, small_system):
+    """Once no node can take a task, the pass holds the rest unasked."""
+    from repro.experiments.schedulers import make_scheduler
+
+    sched = make_scheduler(name)
+    sched.attach(env, small_system, RandomStreams(seed=1))
+    picks = []
+    pick = sched._pick_node
+
+    def counting_pick(task):
+        node = pick(task)
+        picks.append(node)
+        return node
+
+    sched._pick_node = counting_pick
+    # More tasks than queue slots: before the simulation starts nothing
+    # leaves a queue, so the pass must run out of nodes part-way.
+    slots = sum(node.free_slots for node in small_system.nodes)
+    tasks = [make_task(i) for i in range(slots + 5)]
+    sched.backlog.extend(tasks)
+    sched._scheduling_pass()
+
+    assert picks[-1] is None
+    assert all(node is not None for node in picks[:-1])
+    placed = len(picks) - 1
+    assert sched.backlog == tasks[placed:]

@@ -126,17 +126,57 @@ class TestCLI:
         capsys.readouterr()
         assert get_telemetry() is NULL_TELEMETRY
 
-    def test_fig7_fig8_share_one_sweep(self, capsys, monkeypatch):
-        calls = []
-        real = cli.comparison_sweep
+    def test_every_figure_runs_each_job_once(self, capsys, monkeypatch):
+        from repro.experiments import ExperimentConfig, PAPER_COMPARISON, figures
+        from repro.parallel import job_id
 
-        def counting_sweep(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        calls = []
+        real = figures.run_experiment
+
+        def counting_run(config, *args, **kwargs):
+            calls.append(job_id(config))
+            return real(config, *args, **kwargs)
+
+        # Fig 10's light count is a Fig 7/8 count; Fig 9's heavy one is not.
+        monkeypatch.setattr(cli, "QUICK_TASK_COUNTS", (30, 60))
+        monkeypatch.setattr(cli, "QUICK_HEAVY", 45)
+        monkeypatch.setattr(cli, "LIGHT_TASKS", 30)
+        monkeypatch.setattr(figures, "run_experiment", counting_run)
+        rc = cli.main(["--quick"])
+        out = capsys.readouterr().out
+        assert rc in (0, 1)
+        assert all(f"FIG{i}" in out for i in range(7, 13))
+
+        def ids(schedulers, n):
+            return {
+                job_id(ExperimentConfig(scheduler=s, num_tasks=n, seed=1))
+                for s in schedulers
+            }
+
+        comparison = ids(PAPER_COMPARISON, 30) | ids(PAPER_COMPARISON, 60)
+        fig9 = ids(("adaptive-rl", "online-rl"), 45)
+        # Each job once: the comparison grid, Fig 9's own pair and the
+        # 2 loads x 5 heterogeneity levels -- Fig 10 adds no run.
+        assert len(calls) == len(set(calls)) == len(comparison) + 2 + 10
+        assert comparison | fig9 <= set(calls)
+        assert "campaign: 20 distinct runs" in out
+
+    def test_two_workers_write_the_serial_figures(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from repro.experiments import figures
 
         monkeypatch.setattr(cli, "QUICK_TASK_COUNTS", (30, 60))
-        monkeypatch.setattr(cli, "comparison_sweep", counting_sweep)
-        cli.main(["fig7", "fig8", "--quick"])
-        out = capsys.readouterr().out
-        assert "FIG7" in out and "FIG8" in out
-        assert len(calls) == 1  # the expensive sweep ran once for both
+        monkeypatch.setattr(cli, "QUICK_HEAVY", 60)
+        monkeypatch.setattr(cli, "LIGHT_TASKS", 30)
+        cli.main(["--quick", "--jobs", "1", "--save-dir", str(tmp_path / "serial")])
+
+        def no_run_in_this_process(config, *args, **kwargs):
+            raise AssertionError("--jobs 2 ran a simulation outside the pool")
+
+        monkeypatch.setattr(figures, "run_experiment", no_run_in_this_process)
+        cli.main(["--quick", "--jobs", "2", "--save-dir", str(tmp_path / "par")])
+        capsys.readouterr()
+        for fid in figures.ALL_FIGURES:
+            serial = (tmp_path / "serial" / f"{fid}.json").read_bytes()
+            assert (tmp_path / "par" / f"{fid}.json").read_bytes() == serial, fid

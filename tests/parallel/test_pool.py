@@ -5,6 +5,7 @@ These spawn real worker processes; grids stay tiny (see conftest).
 
 import pytest
 
+from repro.experiments.campaign import grid
 from repro.obs import load_jsonl
 from repro.parallel import (
     CheckpointJournal,
@@ -45,6 +46,25 @@ class TestRecordEquality:
         assert len(starts) == len(small_grid())
         assert [e.t for e in events] == sorted(e.t for e in events)
         assert parallel_result.metrics_path.exists()
+
+
+class TestSubmissionOrder:
+    def test_longest_first_records_in_grid_order(self):
+        configs = grid(["fcfs", "edf"], [10, 30, 20], [1])
+        finished = []
+        # One worker completes jobs in the order they were submitted.
+        result = run_parallel(configs, jobs=1, on_record=finished.append)
+
+        def key(record):
+            return record["config_scheduler"], record["num_tasks"]
+
+        assert [key(r) for r in finished] == [
+            ("fcfs", 30), ("edf", 30), ("fcfs", 20), ("edf", 20),
+            ("fcfs", 10), ("edf", 10),
+        ]
+        assert [key(r) for r in result.records] == [
+            (c.scheduler, c.num_tasks) for c in configs
+        ]
 
 
 class TestWithoutCheckpoint:

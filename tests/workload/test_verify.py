@@ -211,6 +211,21 @@ class TestResultVerification:
         assert report.passed, [f.name for f in report.failures]
 
 
+class TestCommittedScenarios:
+    @pytest.mark.parametrize("scheduler", ["adaptive-rl", "fcfs"])
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_scheduler_results_verify(self, name, scheduler):
+        """CI's recipe: run, export as JSON, verify incl. the baseline."""
+        from repro.experiments.scenario import export_run_records, run_scenario
+
+        scenario = load_scenario(name)
+        result = run_scenario(scenario, scheduler)
+        results = json.loads(json.dumps(export_run_records(result, scenario)))
+        report, trace = verify_scenario(scenario)
+        verify_results(scenario, results, trace, report)
+        assert report.passed, [f.name for f in report.failures]
+
+
 class TestCommandLine:
     def _run(self, *argv):
         return subprocess.run(
