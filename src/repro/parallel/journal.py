@@ -18,7 +18,9 @@ being written:
 
 Loading tolerates a truncated *final* line (the crash case); any other
 malformed line raises :class:`~repro.parallel.errors.JournalError`
-because it means the file was edited or interleaved.
+because it means the file was edited or interleaved.  Reopening for a
+resume first cuts such a line off, so the ``resume`` marker and later
+entries start on a line of their own.
 """
 
 from __future__ import annotations

@@ -2,12 +2,20 @@
 
 Two journals need the same durability idiom — the campaign checkpoint
 journal (:mod:`repro.parallel.journal`) and the service admission log
-(:mod:`repro.service.journal`): append one JSON object per line, flush
-and fsync per entry so a crash loses at most the line being written,
-and on load tolerate a torn *final* line while rejecting corruption
-anywhere else.  This module is that idiom, extracted once:
+(:mod:`repro.service.journal`): append one JSON object per line, make
+lines durable with flush + fsync, and on load tolerate a torn *final*
+line while rejecting corruption anywhere else.  This module is that
+idiom, extracted once:
 
-- :class:`JsonlAppender` — the fsynced append side;
+- :class:`JsonlAppender` — the append side.  :meth:`~JsonlAppender.append`
+  fsyncs per entry (the checkpoint journal's contract: a crash loses
+  at most the line being written); :meth:`~JsonlAppender.write` plus
+  :meth:`~JsonlAppender.sync` group-commit several lines under one
+  fsync (the admission log's contract: a crash loses at most the
+  unsynced tail, whose owner must not have acted on it yet).  Either
+  way a crash can leave a torn final line at any byte offset, so
+  reopening for append first cuts the file back to its last whole
+  entry;
 - :func:`read_journal_entries` — the tolerant replay side.
 
 Both are format-agnostic: event vocabulary, versioning, and state
@@ -27,10 +35,11 @@ __all__ = ["JsonlAppender", "read_journal_entries"]
 
 
 class JsonlAppender:
-    """Append-only JSONL writer, flushed and fsynced per entry.
+    """Append-only JSONL writer with explicit durability points.
 
-    The fsync is the durability contract: a journal is the crash-
-    recovery source of truth, so a buffered entry is a lost entry.
+    A line is durable once :meth:`sync` (or :meth:`append`, which
+    syncs) returns: the journal is the crash-recovery source of truth,
+    so its owner must not act on an entry before then.
 
     Parameters
     ----------
@@ -50,19 +59,29 @@ class JsonlAppender:
         self.path = Path(path)
         self._error = error
         self._fh = None
+        self._pending = False
 
     @property
     def is_open(self) -> bool:
         return self._fh is not None
 
     def open(self, fresh: bool) -> "JsonlAppender":
-        """Open for appending; ``fresh=True`` truncates any prior file."""
+        """Open for appending; ``fresh=True`` truncates any prior file.
+
+        ``fresh=False`` first trims a torn tail, so the next entry
+        starts on its own line instead of being glued to a crash's
+        partial write.
+        """
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        if not fresh and self.path.is_file():
+            _trim_torn_tail(self.path)
         self._fh = self.path.open("w" if fresh else "a", encoding="utf-8")
         return self
 
     def close(self) -> None:
+        """Sync any pending lines, then close."""
         if self._fh is not None:
+            self.sync()
             self._fh.close()
             self._fh = None
 
@@ -72,14 +91,51 @@ class JsonlAppender:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def append(self, entry: dict) -> None:
-        """Serialize *entry*, append it, and force it through to disk."""
+    def write(self, entry: dict) -> None:
+        """Serialize *entry* and buffer it; durable only after :meth:`sync`."""
         if self._fh is None:
             raise self._error("journal is not open for writing")
         self._fh.write(json.dumps(entry, separators=(",", ":")))
         self._fh.write("\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        self._pending = True
+
+    def sync(self) -> None:
+        """Flush and fsync, when any line is pending since the last sync."""
+        if self._pending:
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+            self._pending = False
+
+    def append(self, entry: dict) -> None:
+        """Serialize *entry*, append it, and force it through to disk."""
+        self.write(entry)
+        self.sync()
+
+
+def _trim_torn_tail(path: Union[str, Path]) -> None:
+    """Make *path* end right after its last entry that parses.
+
+    :func:`read_journal_entries` tolerates a malformed final line; an
+    append after it would turn that line into a malformed *middle*
+    line.  So the final line is truncated when it does not parse, and
+    gets its missing ``\n`` when it parses (a crash between the
+    closing brace and the newline).  Trailing blank lines go too.
+    """
+    path = Path(path)
+    data = path.read_bytes()
+    end = len(data.rstrip())
+    start = data.rfind(b"\n", 0, end) + 1
+    try:
+        json.loads(data[start:end])
+    except ValueError:  # JSONDecodeError, UnicodeDecodeError
+        keep, tail = start, b""
+    else:
+        keep, tail = end, b"\n"
+    if data[keep:] != tail:
+        with path.open("r+b") as fh:
+            fh.truncate(keep)
+            fh.seek(keep)
+            fh.write(tail)
 
 
 def read_journal_entries(
@@ -89,10 +145,9 @@ def read_journal_entries(
     """Parse *path* into ``[(lineno, entry), ...]``.
 
     A malformed *final* line is dropped silently — that is the torn
-    write an interrupted :meth:`JsonlAppender.append` leaves behind.  A
-    malformed line anywhere else raises *error*, because it means the
-    file was edited or interleaved, and replaying a half-trusted
-    journal is worse than failing.
+    write a crash leaves behind.  A malformed line anywhere else raises
+    *error*, because it means the file was edited or interleaved, and
+    replaying a half-trusted journal is worse than failing.
     """
     raw_lines = Path(path).read_text(encoding="utf-8").splitlines()
     lines = [(i, l) for i, l in enumerate(raw_lines) if l.strip()]

@@ -15,10 +15,11 @@ them through
 the simulation kernel in bounded slices, and drains gracefully on
 producer exhaustion, ``--drain-after``, SIGINT, or SIGTERM — exit code
 0 means every admitted task completed.  With ``--journal-dir`` every
-admission is fsynced before it is acknowledged; after a crash,
-``--resume`` recovers the admitted tasks and continues the producer
-exactly where it left off (re-pass ``--replay FILE`` when the original
-run replayed a trace).  The final line is machine-parseable::
+admission decision is journaled, and fsynced before any of its tasks
+is simulated (one fsync per slice); after a crash, ``--resume``
+recovers the admitted tasks and continues the producer exactly where
+the durable journal left off (re-pass ``--replay FILE`` when the
+original run replayed a trace).  The final line is machine-parseable::
 
     SERVICE-REPORT {"state":"stopped","admitted":10000,...}
 """

@@ -14,9 +14,16 @@ and what happens at the bound is the *admission policy*:
 - ``shed-low`` — evict the lowest-priority queued task to make room
   (the incoming task itself is shed when nothing queued is lower).
 
-Every admission decision is journaled *before* it takes effect when a
-:class:`~repro.service.journal.AdmissionJournal` is attached — the
-durable-admission contract: an acked task survives a crash.
+When a :class:`~repro.service.journal.AdmissionJournal` is attached,
+every admission decision is journaled *before* it takes effect, and
+group-committed: :meth:`IngressQueue.submit` writes its line unsynced,
+and :meth:`IngressQueue.pop_next` syncs before a task leaves for the
+kernel.  The durable-admission contract: no task is simulated before
+its admit line is durable.  A submit's return value is therefore not
+a durability ack on its own — :meth:`IngressQueue.sync` (which
+:meth:`~repro.service.lifecycle.SchedulerService.submit` calls before
+acknowledging) is.  A crash loses at most the unsynced tail, which the
+replayable producers re-admit on resume.
 
 Thread-safety: all public methods take one internal condition lock, so
 multi-threaded producers and a draining engine can share the queue.
@@ -57,8 +64,8 @@ class IngressQueue:
         One of :data:`ADMISSION_POLICIES`.
     journal:
         Optional open :class:`~repro.service.journal.AdmissionJournal`;
-        every admit/shed/reject decision is journaled before it is
-        acknowledged.
+        every admit/shed/reject decision is journaled before it takes
+        effect, and synced before any task leaves for the kernel.
     telemetry:
         Metering (when armed) maintains ``service.admitted`` /
         ``service.rejected`` / ``service.shed`` /
@@ -290,7 +297,9 @@ class IngressQueue:
 
         The engine calls this with its slice target so the queue drains
         at simulated-time rate — that lag is exactly what makes the
-        bound meaningful as backpressure.
+        bound meaningful as backpressure.  With a journal attached, the
+        decisions written so far are synced before the task is handed
+        over (one fsync per slice: later pops find nothing pending).
         """
         with self._cond:
             if not self._tasks:
@@ -298,11 +307,19 @@ class IngressQueue:
             head = self._tasks[0]
             if head.arrival_time > horizon:
                 return None
+            if self.journal is not None:
+                self.journal.sync()
             self._tasks.popleft()
             if self._g_depth is not None:
                 self._g_depth.set(len(self._tasks))
             self._cond.notify_all()
             return head
+
+    def sync(self) -> None:
+        """Make every admission decision journaled so far durable."""
+        with self._cond:
+            if self.journal is not None:
+                self.journal.sync()
 
     def head_arrival(self) -> Optional[float]:
         """Arrival time of the queue head (None when empty)."""

@@ -3,10 +3,24 @@
 The service's crash-recovery contract is narrow and therefore strong:
 the *simulation* is deterministic given the admitted task sequence, so
 the only state worth making durable is that sequence.  Every admission
-decision is appended — fsynced, one JSON object per line, via the same
+decision is appended — one JSON object per line, via the same
 :class:`~repro.parallel.jsonl.JsonlAppender` idiom the campaign
-checkpoint journal uses — *before* the task enters the queue.  After a
-crash, :meth:`AdmissionJournal.load` reconstructs:
+checkpoint journal uses — *before* it takes effect in the queue.
+
+Admission lines (``admit``, ``shed``, ``reject``) are group-committed:
+written unsynced, then made durable by one :meth:`AdmissionJournal.sync`
+before any of their tasks leaves the ingress for the kernel
+(:meth:`~repro.service.ingress.IngressQueue.pop_next`) and before
+:meth:`~repro.service.lifecycle.SchedulerService.submit` acknowledges
+an outside caller.  The header, ``resume`` and ``drained`` lines, and
+:meth:`AdmissionJournal.close`, sync before returning.  The invariant:
+no task is simulated, and no outside submit is acknowledged, before
+its admit line is durable.  So a crash loses at most the unsynced
+tail — decisions no task in the kernel depends on — possibly cut
+mid-line.  The service's producers (the synthetic generator and
+``--replay``) replay what they produced, so the resumed life simply
+admits that tail again.  After a crash, :meth:`AdmissionJournal.load`
+reconstructs:
 
 - the admitted-but-not-shed tasks (replayed into a fresh engine, which
   re-runs them deterministically);
@@ -107,8 +121,11 @@ class AdmissionJournal:
     def open_resume(self, recovered: int) -> "AdmissionJournal":
         """Reopen an existing journal for appending after a crash.
 
-        Writes a ``resume`` marker recording how many pending tasks the
-        new life recovered — an audit trail of process deaths.
+        Trims a torn tail, then writes a ``resume`` marker recording
+        how many pending tasks the new life recovered — an audit trail
+        of process deaths.  Its sync also makes durable whatever the
+        prior life wrote but never synced, so the recovered tasks are
+        durable before the new life simulates them.
         """
         if not self.path.is_file():
             raise ServiceJournalError(
@@ -132,15 +149,21 @@ class AdmissionJournal:
         return self._writer.is_open
 
     # -- append events ---------------------------------------------------
+    # Admission decisions are buffered until sync().
     def write_admit(self, seq: int, task: Task) -> None:
         record = trace_to_records([task])[0]
-        self._writer.append({"ev": "admit", "seq": int(seq), "task": record})
+        self._writer.write({"ev": "admit", "seq": int(seq), "task": record})
 
     def write_shed(self, tid: int) -> None:
-        self._writer.append({"ev": "shed", "tid": int(tid)})
+        self._writer.write({"ev": "shed", "tid": int(tid)})
 
     def write_reject(self, tid: int) -> None:
-        self._writer.append({"ev": "reject", "tid": int(tid)})
+        self._writer.write({"ev": "reject", "tid": int(tid)})
+
+    def sync(self) -> None:
+        """Make every decision written so far durable (one fsync, and
+        none when nothing is pending)."""
+        self._writer.sync()
 
     def write_drained(
         self,
@@ -164,7 +187,7 @@ class AdmissionJournal:
     def load(cls, directory: Union[str, Path]) -> JournalState:
         """Reconstruct the admission state from ``admissions.jsonl``.
 
-        Tolerates a torn final line (the crash write); raises
+        Tolerates a torn final line (a crash mid-write); raises
         :class:`ServiceJournalError` on anything else that breaks the
         journal's invariants — missing header, wrong version, a ``seq``
         gap, a shed for an unknown tid.

@@ -221,8 +221,15 @@ class SchedulerService:
 
     # -- external control ------------------------------------------------
     def submit(self, task: Task, block: bool = True) -> bool:
-        """Programmatic admission (same contract as the ingress)."""
-        return self.ingress.submit(task, block=block)
+        """Programmatic admission (same contract as the ingress).
+
+        This is the ack to an outside caller, so with a journal it
+        returns (or raises) only after the decision is durable.
+        """
+        try:
+            return self.ingress.submit(task, block=block)
+        finally:
+            self.ingress.sync()
 
     def request_drain(self) -> None:
         """Ask the pump loop to drain at the next step (signal-safe)."""

@@ -12,14 +12,22 @@ shutdown paths the service guarantees:
    grow, SIGKILL the process mid-stream (no drain, no marker), then
    ``--resume`` and assert exactly-once admission: every producer task
    admitted exactly once across both lives, all of them completed.
+3. **Double crash** — as phase 2, but SIGKILL the resumed life too,
+   mid-stream, and resume a second time.  A kill can cut the
+   group-committed journal anywhere its text buffer happened to flush;
+   when the first kill left a whole final line, the check tears one
+   itself, so the second life always has to append after a torn tail.
 
-Both phases run twice: once plain and once with ``--failure-mtbf`` so
-node crashes and crash-resubmission ride along.  With failures on, the
-checks additionally assert ``completed == tasks_injected`` (the
-scheduler resubmitted every orphan), a nonzero ``failures_injected`` in
-the report *and* in the journal's drained marker, and that the resumed
-life re-derives the failure schedule from the journal's stored config
-alone (``--resume`` passes no failure flags).
+The first two phases run twice: once plain and once with
+``--failure-mtbf`` so node crashes and crash-resubmission ride along.
+With failures on, the checks additionally assert ``completed ==
+tasks_injected`` (the scheduler resubmitted every orphan), a nonzero
+``failures_injected`` in the report *and* in the journal's drained
+marker, and that the resumed life re-derives the failure schedule from
+the journal's stored config alone (``--resume`` passes no failure
+flags).  The journal is always read as a resume reads it
+(:func:`~repro.parallel.jsonl.read_journal_entries`), which tolerates
+a torn *final* line only.
 
 CI runs this as ``python -m repro.service.selfcheck``; it is equally
 useful locally after touching the service.  Exit status 0 means every
@@ -40,6 +48,8 @@ import urllib.request
 from pathlib import Path
 from typing import List, Optional
 
+from ..parallel.jsonl import read_journal_entries
+from .errors import ServiceJournalError
 from .journal import JOURNAL_FILENAME, AdmissionJournal
 
 __all__ = ["main"]
@@ -93,18 +103,14 @@ def _parse_report(output: str) -> dict:
 
 
 def _journal_admits(journal_dir: Path) -> List[int]:
-    tids = []
-    for line in (journal_dir / JOURNAL_FILENAME).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # torn tail from the SIGKILL — expected
-        if entry.get("ev") == "admit":
-            tids.append(entry["task"]["tid"])
-    return tids
+    """Admitted tids; raises on a malformed line other than the last."""
+    return [
+        entry["task"]["tid"]
+        for _, entry in read_journal_entries(
+            journal_dir / JOURNAL_FILENAME, error=ServiceJournalError
+        )
+        if entry.get("ev") == "admit"
+    ]
 
 
 def _assert_fault_counters(
@@ -140,6 +146,25 @@ def _assert_fault_counters(
         )
 
 
+def _stream_args(
+    jdir: Path, num_tasks: int, failure_mtbf: Optional[float]
+) -> List[str]:
+    extra = (
+        ["--failure-mtbf", str(failure_mtbf), "--failure-mttr", "40"]
+        if failure_mtbf is not None
+        else []
+    )
+    return [
+        "--scheduler", "fcfs",
+        "--num-tasks", str(num_tasks),
+        "--arrival-rate", "0.4",
+        "--max-queue", "64",
+        "--journal-dir", str(jdir),
+        "--quiet",
+        *extra,
+    ]
+
+
 def _check_graceful(
     workdir: Path,
     num_tasks: int,
@@ -149,22 +174,8 @@ def _check_graceful(
     failures: List[str] = []
     tag = "graceful+failures" if failure_mtbf is not None else "graceful"
     jdir = workdir / tag
-    extra = (
-        ["--failure-mtbf", str(failure_mtbf), "--failure-mttr", "40"]
-        if failure_mtbf is not None
-        else []
-    )
     proc = _spawn(
-        [
-            "--scheduler", "fcfs",
-            "--num-tasks", str(num_tasks),
-            "--arrival-rate", "0.4",
-            "--max-queue", "64",
-            "--journal-dir", str(jdir),
-            "--serve-metrics", "0",
-            "--quiet",
-            *extra,
-        ]
+        _stream_args(jdir, num_tasks, failure_mtbf) + ["--serve-metrics", "0"]
     )
     deadline = time.monotonic() + timeout
     try:
@@ -238,69 +249,82 @@ def _check_graceful(
     return failures
 
 
-def _check_crash_resume(
-    workdir: Path,
-    num_tasks: int,
-    kill_after: int,
-    timeout: float,
-    failure_mtbf: Optional[float] = None,
-) -> List[str]:
-    failures: List[str] = []
-    tag = "crash+failures" if failure_mtbf is not None else "crash"
-    jdir = workdir / tag
+def _kill_mid_stream(
+    args: List[str], jdir: Path, admits: int, timeout: float
+) -> Optional[str]:
+    """Run the service with *args* and SIGKILL it once the journal holds
+    at least *admits* admissions; returns a failure message, or None."""
     journal_path = jdir / JOURNAL_FILENAME
-    extra = (
-        ["--failure-mtbf", str(failure_mtbf), "--failure-mttr", "40"]
-        if failure_mtbf is not None
-        else []
-    )
-    proc = _spawn(
-        [
-            "--scheduler", "fcfs",
-            "--num-tasks", str(num_tasks),
-            "--arrival-rate", "0.4",
-            "--max-queue", "64",
-            "--journal-dir", str(jdir),
-            "--quiet",
-            *extra,
-        ]
-    )
+    proc = _spawn(args)
     deadline = time.monotonic() + timeout
     try:
         while time.monotonic() < deadline:
-            if journal_path.is_file() and len(_journal_admits(jdir)) >= kill_after:
+            if journal_path.is_file() and len(_journal_admits(jdir)) >= admits:
                 break
             if proc.poll() is not None:
                 break
             time.sleep(0.02)
         if proc.poll() is not None:
-            failures.append(
-                f"{tag}: service finished before the kill point — "
-                "raise --tasks or lower --kill-after"
-            )
             proc.communicate()
-            return failures
+            return (
+                "service finished before the kill point — raise --tasks "
+                "or lower --kill-after"
+            )
         proc.kill()  # SIGKILL: no drain, no marker, maybe a torn line
         proc.communicate()
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
-    first_life = _journal_admits(jdir)
-    if len(first_life) < kill_after:
-        failures.append(
-            f"{tag}: only {len(first_life)} admits journaled at kill time"
-        )
-    # No failure flags on resume: the journal's stored config must carry
-    # the failure model into the second life on its own.
-    proc2 = _spawn(["--journal-dir", str(jdir), "--resume", "--quiet"])
-    out2, _ = proc2.communicate(timeout=timeout * 4)
-    if proc2.returncode != 0:
-        failures.append(
-            f"{tag} resume: exit code {proc2.returncode}\n{out2}"
-        )
+    journaled = len(_journal_admits(jdir))
+    if journaled < admits:
+        return f"only {journaled} admits journaled at kill time"
+    return None
+
+
+def _tear_tail(journal_path: Path) -> None:
+    """Leave the journal as a kill in mid-flush would: half a line,
+    unterminated (unless the kill already did)."""
+    data = journal_path.read_bytes()
+    if data.endswith(b"\n"):
+        last = data[data.rfind(b"\n", 0, len(data) - 1) + 1:]
+        with journal_path.open("ab") as fh:
+            fh.write(last[: len(last) // 2])
+
+
+def _check_crash_resume(
+    workdir: Path,
+    num_tasks: int,
+    kill_after: int,
+    timeout: float,
+    failure_mtbf: Optional[float] = None,
+    crashes: int = 1,
+) -> List[str]:
+    failures: List[str] = []
+    tag = "crash" if crashes == 1 else "double-crash"
+    if failure_mtbf is not None:
+        tag += "+failures"
+    jdir = workdir / tag
+    args = _stream_args(jdir, num_tasks, failure_mtbf)
+    killed_after: List[int] = []
+    for life in range(crashes):
+        if life:
+            # Every resumed life after the first must append after a
+            # torn tail.  No flags on resume: the journal's stored
+            # config must carry the workload and failure model alone.
+            _tear_tail(jdir / JOURNAL_FILENAME)
+            args = ["--journal-dir", str(jdir), "--resume", "--quiet"]
+        target = (killed_after[-1] if killed_after else 0) + kill_after
+        problem = _kill_mid_stream(args, jdir, target, timeout)
+        if problem is not None:
+            return [f"{tag} life {life + 1}: {problem}"]
+        killed_after.append(len(_journal_admits(jdir)))
+    proc = _spawn(["--journal-dir", str(jdir), "--resume", "--quiet"])
+    out, _ = proc.communicate(timeout=timeout * 4)
+    if proc.returncode != 0:
+        failures.append(f"{tag} resume: exit code {proc.returncode}\n{out}")
         return failures
-    report = _parse_report(out2)
+    report = _parse_report(out)
     tids = _journal_admits(jdir)
     if sorted(tids) != list(range(num_tasks)):
         dupes = len(tids) - len(set(tids))
@@ -323,6 +347,11 @@ def _check_crash_resume(
     state = AdmissionJournal.load(jdir)
     if not state.drained:
         failures.append(f"{tag} resume: journal has no drained marker")
+    if state.resumes != crashes:
+        failures.append(
+            f"{tag} resume: journal records {state.resumes} resumes, "
+            f"expected {crashes}"
+        )
     if failure_mtbf is not None:
         _assert_fault_counters(f"{tag} resume", report, jdir, failures)
     if not failures:
@@ -333,7 +362,8 @@ def _check_crash_resume(
             else ""
         )
         print(
-            f"{tag} resume ok: killed after {len(first_life)} admissions, "
+            f"{tag} resume ok: killed after "
+            f"{' and '.join(map(str, killed_after))} admissions, "
             f"resumed to {report['admitted']} exactly-once, "
             f"{report['completed']} completed{extra_note}"
         )
@@ -376,12 +406,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         workdir, args.tasks, args.kill_after, args.timeout,
         failure_mtbf=args.failure_mtbf,
     )
+    failures += _check_crash_resume(
+        workdir, args.tasks, args.kill_after, args.timeout, crashes=2
+    )
     for message in failures:
         print(f"FAIL: {message}")
     if not failures:
         print(
             "service selfcheck ok: graceful drain + crash resume "
-            "verified, with and without failure injection"
+            "verified, with and without failure injection, and a "
+            "double crash"
         )
     return 1 if failures else 0
 

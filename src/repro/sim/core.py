@@ -96,6 +96,12 @@ class Environment:
         self._buckets: dict[float, list[tuple[float, int, int, Event]]] = {}
         #: Heap of the distinct pending bucket times.
         self._times: list[float] = []
+        #: Exact number of entries in ``_buckets``: incremented at the
+        #: three calendar inserts (:meth:`schedule`, :meth:`schedule_at`,
+        #: the :class:`Timeout` fast path), decremented by a bucket's
+        #: length when it merges into ``_active``.  Keeps
+        #: :attr:`queue_size` and the metered queue-depth gauge O(1).
+        self._calendar_len = 0
         #: Ring holding the entries of already-merged calendar buckets.
         self._active: deque[tuple[float, int, int, Event]] = deque()
         #: Columnar bulk-tick batches (struct-of-arrays event source).
@@ -121,8 +127,8 @@ class Environment:
         elif self.telemetry.sampling:
             # Flight recorder without metering: the sampler's events/sec
             # probe needs the event count, so keep a bare (unregistered)
-            # counter — one float add per event — but skip the queue-depth
-            # gauge, whose O(buckets) size scan is the expensive part.
+            # counter — one float add per event — but no queue-depth
+            # gauge, which only the metrics registry exposes.
             self._c_events = Counter("sim.events_processed")
             self._g_queue = None
         else:
@@ -173,7 +179,7 @@ class Environment:
             + len(self._active)
             + len(self._urgent)
             + len(self._normal)
-            + sum(len(bucket) for bucket in self._buckets.values())
+            + self._calendar_len
             + sum(batch.remaining for batch in self._tick_batches)
         )
 
@@ -225,6 +231,7 @@ class Environment:
                 heappush(self._times, at)
             else:
                 bucket.append(entry)
+            self._calendar_len += 1
             return
         heappush(self._queue, (at, priority, next(self._eid), event))
 
@@ -265,6 +272,7 @@ class Environment:
                 heappush(self._times, time)
             else:
                 bucket.append(entry)
+            self._calendar_len += 1
             return
         heappush(self._queue, (time, priority, next(self._eid), event))
 
@@ -389,7 +397,9 @@ class Environment:
                 or (at == best[0] and self._buckets[at][0] < best)
             ):
                 heappop(times)
-                active.extendleft(reversed(self._buckets.pop(at)))
+                bucket = self._buckets.pop(at)
+                self._calendar_len -= len(bucket)
+                active.extendleft(reversed(bucket))
                 return active.popleft()
         if best is None:
             return None
@@ -572,7 +582,9 @@ class Environment:
                             or (at == best[0] and buckets[at][0] < best)
                         ):
                             heappop(times)
-                            active.extendleft(reversed(buckets.pop(at)))
+                            bucket = buckets.pop(at)
+                            self._calendar_len -= len(bucket)
+                            active.extendleft(reversed(bucket))
                             source = 1
                     elif best is None:
                         break
@@ -677,7 +689,9 @@ class Environment:
                             or (at == best[0] and buckets[at][0] < best)
                         ):
                             heappop(times)
-                            active.extendleft(reversed(buckets.pop(at)))
+                            bucket = buckets.pop(at)
+                            self._calendar_len -= len(bucket)
+                            active.extendleft(reversed(bucket))
                             source = 1
                     elif best is None:
                         break
@@ -708,12 +722,13 @@ class Environment:
                     if c_events is not None:
                         c_events.value += 1
                         if g_queue is not None:
-                            g_queue.set(
+                            depth = (
                                 len(queue) + len(active) + len(urgent)
-                                + len(normal)
-                                + sum(len(b) for b in buckets.values())
-                                + sum(b.remaining for b in tick_batches)
+                                + len(normal) + self._calendar_len
                             )
+                            if tick_batches:
+                                depth += sum(b.remaining for b in tick_batches)
+                            g_queue.set(depth)
                     callbacks, event.callbacks = event.callbacks, None
                     for callback in callbacks:
                         callback(event)

@@ -195,6 +195,7 @@ class Timeout(Event):
                 heappush(env._times, at)
             else:
                 bucket.append((at, NORMAL, next(env._eid), self))
+            env._calendar_len += 1
 
     @property
     def delay(self) -> float:

@@ -24,6 +24,7 @@ import os
 from typing import Optional
 
 from .auditor import (
+    INV_CALENDAR,
     INV_CLOCK,
     INV_CONSERVATION,
     INV_DVFS,
@@ -55,6 +56,7 @@ __all__ = [
     "INV_QPARITY",
     "INV_DVFS",
     "INV_USAGE",
+    "INV_CALENDAR",
 ]
 
 #: Process-wide override; ``None`` defers to the REPRO_STRICT env var.

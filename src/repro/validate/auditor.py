@@ -37,6 +37,9 @@ dvfs-skip           every processor runs at the θ the DVFS governor
 usage-tally         the system's running busy/powered time and busy
                     count equal an exact rescan of its meters, bit for
                     bit (``MeterBank.sample_cycle``)
+calendar-count      the kernel's maintained calendar entry count equals
+                    a recount of its buckets (it backs ``queue_size``
+                    and the ``sim.queue_depth`` gauge)
 ==================  ====================================================
 
 Checks are layered for cost: the O(1) clock/dispatch checks run per
@@ -80,6 +83,7 @@ __all__ = [
     "INV_QPARITY",
     "INV_DVFS",
     "INV_USAGE",
+    "INV_CALENDAR",
 ]
 
 INV_CLOCK = "clock-monotonic"
@@ -92,6 +96,7 @@ INV_MEMORY = "memory-cap"
 INV_QPARITY = "qtable-parity"
 INV_DVFS = "dvfs-skip"
 INV_USAGE = "usage-tally"
+INV_CALENDAR = "calendar-count"
 
 
 def _close(a: float, b: float, tol: float) -> bool:
@@ -576,6 +581,7 @@ class InvariantAuditor:
         """Run the structural checks against the current state."""
         self.report.sweeps += 1
         self._events_at_last_sweep = self.report.events_audited
+        self._sweep_calendar()
         self._sweep_nodes()
         if self._governor is not None:
             self._sweep_governor()
@@ -590,6 +596,22 @@ class InvariantAuditor:
             final or self.report.sweeps % self.qparity_every == 0
         ):
             self._sweep_qtables()
+
+    def _sweep_calendar(self) -> None:
+        """The kernel's calendar count equals a recount of its buckets."""
+        self.report.count(INV_CALENDAR)
+        env = self.env
+        counted = env._calendar_len
+        recounted = sum(len(bucket) for bucket in env._buckets.values())
+        if counted != recounted:
+            self._violate(
+                INV_CALENDAR,
+                "env",
+                f"calendar count {counted} but its buckets hold "
+                f"{recounted} entries",
+                counted=counted,
+                recounted=recounted,
+            )
 
     def _sweep_nodes(self) -> None:
         rep = self.report

@@ -54,6 +54,29 @@ class TestRoundTrip:
         assert state.completed == {"a1": {"seed": 1}}
 
 
+    @pytest.mark.parametrize(
+        "tail",
+        ['{"ev": "do', '{"ev":"start","job":"b2","attempt":1}'],
+        ids=["torn", "unterminated"],
+    )
+    def test_resume_after_torn_tail(self, tmp_path, tail):
+        path = tmp_path / "journal.jsonl"
+        with write_journal(path) as j:
+            j.write_header("camp", ["a1", "b2"], total=2)
+            j.write_start("a1", attempt=1)
+            j.write_done("a1", attempt=1, record={"seed": 1})
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(tail)  # the crash's last write, without its newline
+        CheckpointJournal.load(path)
+        with write_journal(path, fresh=False) as j:
+            j.write_resume(pending=1)
+            j.write_start("b2", attempt=2)
+            j.write_done("b2", attempt=2, record={"seed": 2})
+        state = CheckpointJournal.load(path)
+        assert state.completed == {"a1": {"seed": 1}, "b2": {"seed": 2}}
+        assert state.started["b2"] == 2
+
+
 class TestCorruption:
     def _valid_lines(self):
         return [

@@ -88,3 +88,71 @@ class TestTornWriteRecovery:
         path.write_text('{"n": 1}\nbroken\n{"n": 3}\n')
         with pytest.raises(JournalError, match=r"log\.jsonl:2"):
             read_journal_entries(path)
+
+
+class TestGroupCommit:
+    def test_write_is_buffered_until_sync(self, tmp_path, monkeypatch):
+        fsyncs = []
+        monkeypatch.setattr("os.fsync", fsyncs.append)
+        path = tmp_path / "log.jsonl"
+        writer = JsonlAppender(path).open(fresh=True)
+        writer.write({"n": 1})
+        writer.write({"n": 2})
+        assert path.read_text() == ""
+        assert fsyncs == []
+        writer.sync()
+        assert len(fsyncs) == 1
+        assert [e for _, e in read_journal_entries(path)] == [
+            {"n": 1},
+            {"n": 2},
+        ]
+        writer.close()
+
+    def test_sync_without_pending_lines_is_free(self, tmp_path, monkeypatch):
+        fsyncs = []
+        monkeypatch.setattr("os.fsync", fsyncs.append)
+        writer = JsonlAppender(tmp_path / "log.jsonl").open(fresh=True)
+        writer.sync()
+        writer.append({"n": 1})
+        writer.sync()
+        writer.close()
+        assert len(fsyncs) == 1
+
+    def test_close_syncs_pending_lines(self, tmp_path, monkeypatch):
+        fsyncs = []
+        monkeypatch.setattr("os.fsync", fsyncs.append)
+        path = tmp_path / "log.jsonl"
+        with JsonlAppender(path).open(fresh=True) as writer:
+            writer.write({"n": 1})
+        assert len(fsyncs) == 1
+        assert [e for _, e in read_journal_entries(path)] == [{"n": 1}]
+
+
+class TestResumeAfterTornTail:
+    """Reopening for append cuts the file back to its last whole entry,
+    so the next entry never glues onto a crash's partial line."""
+
+    def test_every_cut_point_resumes_cleanly(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        first, second = b'{"n":1}\n', b'{"n":2,"pad":"xxxxxxxxxx"}\n'
+        for cut in range(len(second) + 1):
+            path.write_bytes(first + second[:cut])
+            with JsonlAppender(path).open(fresh=False) as writer:
+                writer.append({"n": 3})
+            # Only the whole line survives, with or without its "\n".
+            kept = second if cut >= len(second) - 1 else b""
+            assert path.read_bytes() == first + kept + b'{"n":3}\n', cut
+
+    def test_trailing_blank_lines_trimmed(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b'{"n":1}\n\n  \n')
+        with JsonlAppender(path).open(fresh=False) as writer:
+            writer.append({"n": 2})
+        assert path.read_bytes() == b'{"n":1}\n{"n":2}\n'
+
+    def test_torn_first_line_empties_the_file(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b'{"n":')
+        with JsonlAppender(path).open(fresh=False) as writer:
+            writer.append({"n": 2})
+        assert path.read_bytes() == b'{"n":2}\n'

@@ -86,6 +86,29 @@ class TestCrashSafety:
         state = AdmissionJournal.load(tmp_path)
         assert [t.tid for t in state.pending_tasks] == [10, 11]
 
+    @pytest.mark.parametrize(
+        "tail",
+        ['{"ev":"admit","seq":2,"task":{"tid":12,', '{"ev":"reject","tid":12}'],
+        ids=["torn", "unterminated"],
+    )
+    def test_resume_after_torn_tail_appends_cleanly(self, tmp_path, tail):
+        with fresh_journal(tmp_path) as j:
+            j.write_admit(0, make_task(10, 1.0))
+            j.write_admit(1, make_task(11, 2.0))
+        path = tmp_path / JOURNAL_FILENAME
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(tail)  # a crash's last write, without its newline
+        state = AdmissionJournal.load(tmp_path)
+        with AdmissionJournal(tmp_path).open_resume(
+            len(state.pending_tasks)
+        ) as j:
+            j.write_admit(state.admitted, make_task(13, 3.0))
+        state = AdmissionJournal.load(tmp_path)
+        assert [t.tid for t in state.pending_tasks] == [10, 11, 13]
+        assert state.resumes == 1
+        # A whole final line that only lacked its newline is kept.
+        assert state.rejected == (1 if tail.endswith("}") else 0)
+
     def test_mid_file_corruption_raises(self, tmp_path):
         with fresh_journal(tmp_path) as j:
             j.write_admit(0, make_task(10, 1.0))
@@ -96,6 +119,31 @@ class TestCrashSafety:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ServiceJournalError, match="malformed"):
             AdmissionJournal.load(tmp_path)
+
+
+class TestGroupCommit:
+    def test_decisions_are_durable_only_after_sync(self, tmp_path):
+        path = tmp_path / JOURNAL_FILENAME
+        j = fresh_journal(tmp_path)
+        header = path.read_bytes()
+        assert header.endswith(b"\n")  # the header is synced on open
+        j.write_admit(0, make_task(10, 1.0))
+        j.write_shed(10)
+        j.write_reject(11)
+        assert path.read_bytes() == header
+        j.sync()
+        state = AdmissionJournal.load(tmp_path)
+        assert (state.admitted, state.shed, state.rejected) == (1, 1, 1)
+        j.close()
+
+    def test_markers_sync_before_returning(self, tmp_path):
+        j = fresh_journal(tmp_path)
+        j.write_admit(0, make_task(10, 1.0))
+        j.write_drained(admitted=1, completed=1)
+        # Read while the journal is still open: nothing is buffered.
+        state = AdmissionJournal.load(tmp_path)
+        assert state.drained and state.admitted == 1
+        j.close()
 
 
 class TestInvariants:

@@ -19,6 +19,7 @@ from repro.rl.dense import DenseQTable
 from repro.rl.replay import ReplayRing
 from repro.sim import Environment, RandomStreams
 from repro.validate import (
+    INV_CALENDAR,
     INV_CLOCK,
     INV_DVFS,
     INV_ENERGY,
@@ -116,6 +117,7 @@ class TestCleanRuns:
         assert result.audit.ok, result.audit.summary()
         assert result.audit.checks.get(INV_DVFS, 0) > 0
         assert result.audit.checks.get(INV_USAGE, 0) > 0
+        assert result.audit.checks.get(INV_CALENDAR, 0) > 0
 
     def test_fcfs_clean(self):
         result = run_experiment(
@@ -225,6 +227,27 @@ class TestCorruptionDetection:
         tallied, rescanned = bad[0].details["tallied"], bad[0].details["rescanned"]
         assert (tallied[0], rescanned[0]) == (0.0, 1.0)
         assert tallied[2] == rescanned[2] == 0
+
+    def test_calendar_count_drift(self):
+        env, system, auditor = make_audited_cluster()
+        env.timeout(3.0)
+        env.timeout(3.0)
+        auditor.sweep()
+        assert auditor.report.checks[INV_CALENDAR] == 1
+        assert not [
+            v for v in auditor.report.violations if v.invariant == INV_CALENDAR
+        ]
+        # An insert that bypasses the count (a fourth calendar path).
+        env._buckets[3.0].append((3.0, 1, next(env._eid), env.event()))
+        auditor.sweep()
+        bad = [
+            v for v in auditor.report.violations if v.invariant == INV_CALENDAR
+        ]
+        assert [v.subject for v in bad] == ["env"]
+        assert (bad[0].details["counted"], bad[0].details["recounted"]) == (
+            env._calendar_len,
+            env._calendar_len + 1,
+        )
 
     def test_overfull_queue(self):
         env, system, auditor = make_audited_cluster()
