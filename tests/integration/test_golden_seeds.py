@@ -4,7 +4,9 @@ Perf refactors of a stochastic simulator are only safe when paired with
 a regression oracle: these tests pin per-seed sha256 digests of the
 headline metrics (AveRT, total system energy ``ECS``, success rate) for
 3 seeds × all seven registered schedulers, plus one paper-scale
-Adaptive-RL run, captured before the code under them changed.  Any
+Adaptive-RL run, Adaptive-RL under DVFS and under four platform or
+workload scenarios, and the kernel's event counts in each of its
+instrumentation modes, captured before the code under them changed.  Any
 change that alters event ordering, float accumulation order, or RNG
 stream consumption shifts at least one digest and fails loudly.
 
@@ -22,8 +24,10 @@ import hashlib
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
+from repro.cluster import SleepPolicy
+from repro.experiments.config import ExperimentConfig, default_platform
 from repro.experiments.runner import run_experiment
+from repro.obs import MetricsRegistry, SeriesBank, Telemetry
 
 SEEDS = (11, 23, 47)
 SCHEDULERS = (
@@ -91,6 +95,56 @@ DVFS_GOLDEN = {
 }
 
 
+#: Adaptive-RL at the pinned shape under one changed platform or
+#: workload axis each.  None of them draws on BLAS or array powers,
+#: whose last bits can depend on the CPU's SIMD dispatch (the neural
+#: value model and bounded-Pareto sizes stay unpinned for that reason).
+SCENARIOS = {
+    # The literal Eq. 5 platform: idle processors never sleep
+    # (DESIGN.md A7); every other pin runs with sleep gating.
+    "no-sleep": {
+        "platform": default_platform(
+            sleep_policy=SleepPolicy(allow_sleep=False)
+        )
+    },
+    "failures": dict(DVFS_FAILURES),
+    "diurnal": {"workload_overrides": {"arrival_process": "diurnal"}},
+    "mmpp": {
+        "workload_overrides": {
+            "arrival_process": "mmpp",
+            "size_distribution": "uniform",
+        }
+    },
+}
+
+#: Scenario pins.  Keys are ``"<scenario>/seed<seed>"``.
+SCENARIO_GOLDEN = {
+    "no-sleep/seed11": "d06a8769a311cb1b",
+    "no-sleep/seed23": "eeb3abdc3ac829ba",
+    "no-sleep/seed47": "73a2e71773882207",
+    "failures/seed11": "a10e9d0295d22359",
+    "failures/seed23": "28863d2a57ad878d",
+    "failures/seed47": "e777a4726ed24873",
+    "diurnal/seed11": "47f688306cc08ecb",
+    "diurnal/seed23": "6e699c4a9308900d",
+    "diurnal/seed47": "c8cd9664d1c5a4b4",
+    "mmpp/seed11": "bdf28c9d0cbb41d5",
+    "mmpp/seed23": "630a3eb8f584b426",
+    "mmpp/seed47": "f945cfddefd0bfd5",
+}
+
+#: Kernel-mode pins on ``adaptive-rl/seed11``: the event count each
+#: instrumented run loop reports.  Every mode reproduces the plain
+#: run's digest.
+KERNEL_EVENTS = 5148
+#: The metered run's ``sim.queue_depth`` gauge: (last value, high).
+KERNEL_QUEUE_DEPTH = (3, 233)
+#: The flight recorder at ``sample_every=50``: (``power.system``
+#: samples, last ``sim.events`` sample).  The sampler's own timeouts
+#: are events too, so the last sample exceeds the plain event count.
+KERNEL_SAMPLED = (17, 5160)
+
+
 def dvfs_config(seed: int, failures: bool = False) -> ExperimentConfig:
     """The pinned DVFS configuration (shared with the parity tests)."""
     return ExperimentConfig(
@@ -122,6 +176,18 @@ def _run_digest(scheduler: str, seed: int) -> tuple[str, str]:
         seed=seed,
         num_tasks=NUM_TASKS,
         arrival_period=ARRIVAL_PERIOD,
+    )
+    return _digest_payload(run_experiment(config).metrics)
+
+
+def _run_scenario(scenario: str, seed: int) -> tuple[str, str]:
+    """Run a scenario pin; return (digest, readable payload)."""
+    config = ExperimentConfig(
+        scheduler="adaptive-rl",
+        seed=seed,
+        num_tasks=NUM_TASKS,
+        arrival_period=ARRIVAL_PERIOD,
+        **SCENARIOS[scenario],
     )
     return _digest_payload(run_experiment(config).metrics)
 
@@ -164,6 +230,60 @@ def test_paper_scale_digest(key: str) -> None:
         f"(AveRT|ECS|success = {payload}); the paper-scale run is no "
         "longer bit-deterministic against the golden baseline"
     )
+
+
+@pytest.mark.parametrize("key", sorted(SCENARIO_GOLDEN))
+def test_scenario_digest(key: str) -> None:
+    scenario, seed = key.split("/")
+    digest, payload = _run_scenario(scenario, int(seed[len("seed"):]))
+    expected = SCENARIO_GOLDEN[key]
+    assert digest == expected, (
+        f"{key}: metrics digest {digest} != pinned {expected} "
+        f"(AveRT|ECS|success = {payload}); the scenario run is no longer "
+        "bit-deterministic against the golden baseline"
+    )
+
+
+def _kernel_config() -> ExperimentConfig:
+    return ExperimentConfig(
+        scheduler="adaptive-rl",
+        seed=11,
+        num_tasks=NUM_TASKS,
+        arrival_period=ARRIVAL_PERIOD,
+    )
+
+
+class TestKernelModes:
+    """Each instrumentation mode of the kernel's run loop counts the
+    same events and leaves the pinned digest unchanged."""
+
+    expected = GOLDEN_DIGESTS["adaptive-rl/seed11"]
+
+    def test_metered(self) -> None:
+        tel = Telemetry(metrics=MetricsRegistry())
+        result = run_experiment(_kernel_config(), telemetry=tel)
+        assert _digest_payload(result.metrics)[0] == self.expected
+        assert tel.metrics.counter("sim.events_processed").value == (
+            KERNEL_EVENTS
+        )
+        gauge = tel.metrics.gauge("sim.queue_depth")
+        assert (gauge.value, gauge.high) == KERNEL_QUEUE_DEPTH
+
+    def test_flight_recorder_only(self) -> None:
+        tel = Telemetry(series=SeriesBank(), sample_every=50.0)
+        result = run_experiment(_kernel_config(), telemetry=tel)
+        assert not tel.metering
+        assert _digest_payload(result.metrics)[0] == self.expected
+        assert (
+            len(tel.series.get("power.system")),
+            tel.series.get("sim.events").last(),
+        ) == KERNEL_SAMPLED
+
+    def test_strict(self) -> None:
+        result = run_experiment(_kernel_config(), strict=True)
+        assert _digest_payload(result.metrics)[0] == self.expected
+        assert result.audit.ok
+        assert result.audit.events_audited == KERNEL_EVENTS
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -216,6 +336,9 @@ def test_golden_table_is_complete() -> None:
     assert set(PAPER_SCALE_GOLDEN) == {
         f"adaptive-rl/{PAPER_SCALE_TASKS}/seed11"
     }
+    assert set(SCENARIO_GOLDEN) == {
+        f"{scenario}/seed{d}" for scenario in SCENARIOS for d in SEEDS
+    }
 
 
 if __name__ == "__main__":  # pragma: no cover - digest refresh helper
@@ -223,6 +346,10 @@ if __name__ == "__main__":  # pragma: no cover - digest refresh helper
         for seed_value in SEEDS:
             dig, pay = _run_digest(sched, seed_value)
             print(f'    "{sched}/seed{seed_value}": "{dig}",  # {pay}')
+    for scenario_name in SCENARIOS:
+        for seed_value in SEEDS:
+            dig, pay = _run_scenario(scenario_name, seed_value)
+            print(f'    "{scenario_name}/seed{seed_value}": "{dig}",  # {pay}')
     for key_value in sorted(PAPER_SCALE_GOLDEN):
         sched, _, seed_text = key_value.split("/")
         dig, pay = _run_paper_scale(sched, int(seed_text[len("seed"):]))
