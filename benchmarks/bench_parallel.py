@@ -26,7 +26,8 @@ import statistics
 import time
 from pathlib import Path
 
-from repro.experiments.campaign import Campaign, grid
+from repro.experiments.config import grid
+from repro.experiments.figures import run_configs
 from repro.parallel import run_parallel
 
 #: The ISSUE's bench shape: one scheduler, one task count, four seeds.
@@ -80,9 +81,9 @@ def run_comparison() -> dict:
 
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        serial = Campaign("bench-serial").run(configs)
+        serial = run_configs(configs)
         samples["serial"].append(time.perf_counter() - t0)
-        reference = [_comparable(r) for r in serial.records]
+        reference = [_comparable(view.record) for view in serial.values()]
 
         for workers in (2, 4):
             t0 = time.perf_counter()

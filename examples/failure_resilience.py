@@ -5,7 +5,8 @@ The paper motivates energy management partly through reliability
 failures", §I).  This example injects exponential node failures while
 Adaptive-RL runs, shows that every task still completes exactly once
 (abandoned work is resubmitted transparently), and renders the
-instantaneous platform power as an ASCII timeline.
+instantaneous platform power, recorded by the flight recorder
+(:class:`repro.obs.PeriodicSampler`), as an ASCII timeline.
 
 Usage::
 
@@ -16,9 +17,30 @@ import sys
 
 from repro.cluster import FailureInjector, FailureModel, PlatformSpec, build_system
 from repro.core import AdaptiveRLScheduler
-from repro.metrics import TimelineRecorder, collect_metrics
+from repro.metrics import collect_metrics
+from repro.obs import PeriodicSampler, SeriesBank, make_run_probes
 from repro.sim import Environment, RandomStreams
 from repro.workload import WorkloadGenerator, WorkloadSpec
+
+
+def ascii_plot(times, values, width=60, height=10) -> str:
+    """Render a sampled series as a small ASCII chart."""
+    if len(values) < 2:
+        return "(insufficient samples)"
+    lo, hi = min(values), max(values)
+    span = hi - lo or 1.0
+    step = max(1, len(values) // width)
+    cols = [
+        sum(values[i : i + step]) / len(values[i : i + step])
+        for i in range(0, len(values), step)
+    ][:width]
+    rows = []
+    for level in range(height, 0, -1):
+        threshold = lo + span * (level - 0.5) / height
+        rows.append("".join("#" if c >= threshold else " " for c in cols))
+    rows.append("-" * len(cols))
+    rows.append(f"power: {lo:.0f}–{hi:.0f} W over t=[0, {times[-1]:.0f}]")
+    return "\n".join(rows)
 
 
 def main() -> None:
@@ -46,7 +68,13 @@ def main() -> None:
     done = scheduler.expect(len(tasks))
     model = FailureModel(mean_time_between_failures=mtbf, mean_time_to_repair=60.0)
     injector = FailureInjector(env, system.nodes, model, streams)
-    recorder = TimelineRecorder(env, system, interval=10.0, scheduler=scheduler)
+    bank = SeriesBank()
+    PeriodicSampler(
+        bank,
+        every=10.0,
+        until=tasks[-1].arrival_time * 50,
+        probes=make_run_probes(system, scheduler, env),
+    ).attach(env)
 
     def arrivals():
         for t in tasks:
@@ -71,7 +99,8 @@ def main() -> None:
           f"ECS: {metrics.ecs / 1e6:.3f}M")
     print()
     print("instantaneous platform power:")
-    print(recorder.ascii_power_plot(width=70, height=8))
+    power = bank.get("power.system")
+    print(ascii_plot(power.times(), power.values().tolist(), width=70, height=8))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,6 @@
 """Experiment harness: configs, runner, figure regenerators, reporting."""
 
-from .campaign import Campaign, CampaignResult, grid
-from .config import ExperimentConfig, default_platform
+from .config import ExperimentConfig, default_platform, grid
 from .figures import (
     ALL_FIGURES,
     FigureData,
@@ -70,7 +69,5 @@ __all__ = [
     "figure_from_dict",
     "metrics_to_dict",
     "run_record",
-    "Campaign",
-    "CampaignResult",
     "grid",
 ]

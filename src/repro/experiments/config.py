@@ -11,7 +11,7 @@ overridable per experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from ..cluster.system import PlatformSpec
 from ..workload.generator import DEFAULT_PRIORITY_MIX
@@ -19,6 +19,7 @@ from ..workload.generator import DEFAULT_PRIORITY_MIX
 __all__ = [
     "ExperimentConfig",
     "default_platform",
+    "grid",
     "set_workload_defaults",
 ]
 
@@ -212,3 +213,20 @@ class ExperimentConfig:
             failure_mttr=float(data["failure_mttr"]),
             sim_time_factor=float(data["sim_time_factor"]),
         )
+
+
+def grid(
+    schedulers: Sequence[str],
+    task_counts: Sequence[int],
+    seeds: Sequence[int],
+    **common: Any,
+) -> list[ExperimentConfig]:
+    """Build the full scheduler × N × seed config grid."""
+    if not schedulers or not task_counts or not seeds:
+        raise ValueError("grid axes must be non-empty")
+    return [
+        ExperimentConfig(scheduler=s, num_tasks=n, seed=seed, **common)
+        for s in schedulers
+        for n in task_counts
+        for seed in seeds
+    ]

@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
-from ..metrics.collector import RunMetrics
 from ..metrics.stats import MeanCI, mean_ci
 from .config import ExperimentConfig
-from .runner import run_experiment
+from .figures import _run_grid
 
 __all__ = ["SweepPoint", "sweep", "ablation_table"]
 
@@ -17,10 +16,9 @@ __all__ = ["SweepPoint", "sweep", "ablation_table"]
 class SweepPoint:
     """Aggregated metrics at one sweep coordinate.
 
-    ``runs`` holds :class:`~repro.metrics.collector.RunMetrics` objects
-    for serial sweeps, or :class:`~repro.parallel.jobs.RecordView`
-    record wrappers for parallel ones — both expose the headline metric
-    attributes the aggregation reads.
+    ``runs`` holds one :class:`~repro.parallel.jobs.RecordView` per
+    seed; each exposes the headline metric attributes of its run's
+    record (``avert``, ``ecs``, ``scheduler``, ...).
     """
 
     label: str
@@ -31,7 +29,7 @@ class SweepPoint:
     runs: tuple
 
 
-def _aggregate(label: str, runs: Sequence[RunMetrics]) -> SweepPoint:
+def _aggregate(label: str, runs: Sequence) -> SweepPoint:
     return SweepPoint(
         label=label,
         avert=mean_ci([m.avert for m in runs]),
@@ -51,38 +49,18 @@ def sweep(
     """Run *base* under each named variation across *seeds*.
 
     ``variations`` maps a label to a function deriving a config from the
-    base; the identity function gives the control point.  With
-    ``jobs > 1`` the (variation × seed) grid fans out over the
-    :mod:`repro.parallel` engine — note that two labels whose derived
-    configs coincide are rejected there (exactly-once execution keys on
-    the config itself).
+    base; the identity function gives the control point.  The sweep
+    plans its (variation × seed) configs and runs each distinct one once
+    through :func:`~repro.experiments.figures.run_configs` — in process,
+    or over the :mod:`repro.parallel` engine with ``jobs > 1`` — so two
+    labels whose derived configs coincide share one run.
     """
-    if jobs != 1:
-        from ..parallel import RecordView, run_parallel
-
-        labels = list(variations)
-        configs = [
-            variations[label](base.with_overrides(seed=seed))
-            for label in labels
-            for seed in seeds
-        ]
-        result = run_parallel(
-            configs, jobs=max(1, jobs), campaign_name="ablation-sweep"
-        )
-        views = iter(RecordView(record) for record in result.records)
-        return {
-            label: _aggregate(label, [next(views) for _ in seeds])
-            for label in labels
-        }
-
-    results: dict[str, SweepPoint] = {}
-    for label, vary in variations.items():
-        runs = []
-        for seed in seeds:
-            cfg = vary(base.with_overrides(seed=seed))
-            runs.append(run_experiment(cfg).metrics)
-        results[label] = _aggregate(label, runs)
-    return results
+    plan = {
+        label: [vary(base.with_overrides(seed=seed)) for seed in seeds]
+        for label, vary in variations.items()
+    }
+    runs = _run_grid(plan, jobs)
+    return {label: _aggregate(label, runs[label]) for label in plan}
 
 
 def ablation_table(points: Mapping[str, SweepPoint]) -> str:

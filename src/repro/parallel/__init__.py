@@ -12,8 +12,9 @@ process pool:
   trace/metrics view (:mod:`repro.parallel.merge`).
 
 Entry points: :func:`run_parallel` (engine),
-``Campaign.run(jobs=N, resume=...)`` (campaign integration),
-``python -m repro.experiments.cli --jobs N`` (figures), and
+:func:`repro.experiments.figures.run_configs` (the one grid executor,
+which the figure CLI and :func:`repro.experiments.sweeps.sweep` plan
+over), ``python -m repro.experiments.cli --jobs N`` (figures), and
 ``python -m repro.parallel.selfcheck`` (interrupt/resume verification).
 See ``docs/parallel.md``.
 """

@@ -24,7 +24,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from ..experiments.campaign import grid
+from ..experiments.config import grid
 from ..experiments.persistence import run_record
 from ..experiments.runner import run_experiment
 from .errors import CampaignInterrupted

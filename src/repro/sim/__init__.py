@@ -2,12 +2,12 @@
 
 The kernel provides:
 
-- :class:`Environment` — clock, event heap, run loop;
+- :class:`Environment` — clock, event calendar, one run loop;
 - :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` —
   synchronization primitives;
 - :class:`Process` — generator-based simulated processes with interrupts;
-- :class:`Store`, :class:`PriorityStore`, :class:`FilterStore`,
-  :class:`Resource`, :class:`Container` — shared-resource primitives;
+- :class:`Store` — the bounded FIFO store behind each node's task queue
+  (the paper's ``qc``, §III.B);
 - :class:`RandomStreams` — reproducible named RNG streams.
 
 Example
@@ -29,20 +29,7 @@ from .core import Environment, NORMAL, URGENT
 from .events import AllOf, AnyOf, Condition, ConditionValue, Event, PENDING, Timeout
 from .exceptions import EmptySchedule, Interrupt, SimulationError, StopSimulation
 from .process import Process, ProcessGenerator
-from .resources import (
-    Container,
-    FilterStore,
-    Preempted,
-    PreemptiveResource,
-    PriorityItem,
-    PriorityRequest,
-    PriorityResource,
-    PriorityStore,
-    Release,
-    Request,
-    Resource,
-    Store,
-)
+from .resources import Store
 from .rng import RandomStreams
 
 __all__ = [
@@ -63,16 +50,5 @@ __all__ = [
     "SimulationError",
     "StopSimulation",
     "Store",
-    "PriorityStore",
-    "FilterStore",
-    "PriorityItem",
-    "Resource",
-    "Request",
-    "Release",
-    "PriorityResource",
-    "PriorityRequest",
-    "PreemptiveResource",
-    "Preempted",
-    "Container",
     "RandomStreams",
 ]

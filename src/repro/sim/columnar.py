@@ -199,7 +199,9 @@ class TickBatch:
     Because ticks carry no payload, the run loop can drain *every tick
     that precedes the next ordinary event* with one ``searchsorted``
     instead of one loop iteration per event — the columnar hot path
-    measured by the ``soa_ticks`` kernel-bench scenario.  Use
+    measured by the ``soa_ticks`` kernel-bench scenario.  An audit hook
+    or a metering gauge sees every event, so under either each tick is
+    processed as its own entry.  Use
     :meth:`Environment.schedule_ticks` to install one; bare ticks suit
     pacing grids, sampling rasters, and horizon fences where only the
     passage of simulated time matters.

@@ -73,10 +73,11 @@ class Environment:
         Simulated time at which the clock starts.
     telemetry:
         Optional :class:`~repro.obs.Telemetry` observing this
-        environment.  Components reach it through ``env.telemetry``;
-        the default null telemetry keeps the event loop unobserved —
-        :meth:`run` selects an instrumentation-free inner loop, so
-        disabled metering costs nothing per event.
+        environment.  Components reach it through ``env.telemetry``.
+        Metering arms an event counter and a queue-depth gauge; the
+        flight recorder alone arms a bare event counter.  :meth:`run`
+        binds the counter, the gauge and the audit hook once per call,
+        so the default null telemetry costs one false test per event.
     """
 
     def __init__(
@@ -112,10 +113,9 @@ class Environment:
         #: (:mod:`repro.validate`).  Called with each popped entry
         #: *before* the clock advances, so it can compare the entry
         #: against the previous time and the remaining queue heads.
-        #: Must be installed before :meth:`run` — the run loop selects
-        #: its unhooked fast path once per call.  ``None`` (the
-        #: default) keeps the fast path selected: disabled auditing
-        #: costs one attribute check per run() call, not per event.
+        #: Must be installed before :meth:`run`, which binds it once
+        #: per call.  ``None`` (the default) disables auditing; the run
+        #: loop then also drains tick batches in bulk.
         self._audit_hook = None
         self.telemetry: Telemetry = (
             telemetry if telemetry is not None else NULL_TELEMETRY
@@ -291,7 +291,8 @@ class Environment:
 
         Because ticks are payload-free, the run loop drains every tick
         that precedes the next ordinary event with one ``searchsorted``
-        instead of a Python iteration per event — see
+        instead of a Python iteration per event (unless an audit hook or
+        a metering gauge observes each event) — see
         :class:`~repro.sim.columnar.TickBatch`.  Use bare ticks for
         pacing grids, sampling rasters, and horizon fences where only
         the passage of simulated time matters; anything that must *react*
@@ -478,13 +479,12 @@ class Environment:
                 # float accumulation).
                 heappush(self._queue, (at, URGENT - 1, next(self._eid), stop))
 
-        # The inner loops below are step() with _pop() inlined and every
+        # The loop below is step() with _pop() inlined and every
         # container bound to a local (all are mutated in place, never
-        # rebound, so the locals stay valid across callbacks); the metered
-        # variant exists so the common NULL_TELEMETRY path carries no
-        # instrumentation at all.  An installed audit hook also forces
-        # the general loop — the choice is made once here, never per
-        # event, so disabled auditing is free.
+        # rebound, so the locals stay valid across callbacks).  The
+        # counter, gauge and audit hook are bound once per call too;
+        # ``hooked`` folds them into one test per event, so the plain
+        # NULL_TELEMETRY path pays a single false branch.
         queue = self._queue
         urgent = self._urgent
         normal = self._normal
@@ -493,67 +493,80 @@ class Environment:
         buckets = self._buckets
         tick_batches = self._tick_batches
         c_events = self._c_events
+        g_queue = self._g_queue
         audit = self._audit_hook
+        hooked = c_events is not None or audit is not None
+        # Ticks drain in bulk unless something observes every event: the
+        # auditor checks each entry and the gauge records the depth after
+        # each one, so under either a tick is its own entry.
+        bulk_ticks = audit is None and g_queue is None
         try:
-            if c_events is None and audit is None:
-                while True:
-                    best = queue[0] if queue else None
-                    source = 0
-                    if active:
-                        head = active[0]
-                        if best is None or head < best:
-                            best = head
-                            source = 1
-                    if urgent:
-                        head = urgent[0]
-                        if best is None or head < best:
-                            best = head
-                            source = 2
-                    if normal:
-                        head = normal[0]
-                        if best is None or head < best:
-                            best = head
-                            source = 3
-                    if tick_batches:
-                        tb = tick_batches[0]
-                        if len(tick_batches) > 1:
-                            for other in tick_batches[1:]:
-                                h = other.times[other.cursor]
-                                bh = tb.times[tb.cursor]
-                                if h < bh or (h == bh and other.eid < tb.eid):
-                                    tb = other
-                        arr = tb.times
-                        cur = tb.cursor
-                        t = arr[cur]
-                        tick_wins = (
-                            best is None
-                            or t < best[0]
-                            or (
-                                t == best[0]
-                                and (
-                                    best[1] > NORMAL
-                                    or (
-                                        best[1] == NORMAL
-                                        and tb.eid < best[2]
-                                    )
-                                )
+            while True:
+                best = queue[0] if queue else None
+                source = 0
+                if active:
+                    head = active[0]
+                    if best is None or head < best:
+                        best = head
+                        source = 1
+                if urgent:
+                    head = urgent[0]
+                    if best is None or head < best:
+                        best = head
+                        source = 2
+                if normal:
+                    head = normal[0]
+                    if best is None or head < best:
+                        best = head
+                        source = 3
+                if times:
+                    at = times[0]
+                    # The earliest calendar bucket wins when its time
+                    # beats the best head (ties resolved on the bucket
+                    # head's full key); it merges into the active ring.
+                    if (
+                        best is None
+                        or at < best[0]
+                        or (at == best[0] and buckets[at][0] < best)
+                    ):
+                        heappop(times)
+                        bucket = buckets.pop(at)
+                        self._calendar_len -= len(bucket)
+                        active.extendleft(reversed(bucket))
+                        best = active[0]
+                        source = 1
+                if tick_batches:
+                    tb = tick_batches[0]
+                    if len(tick_batches) > 1:
+                        for other in tick_batches[1:]:
+                            h = other.times[other.cursor]
+                            bh = tb.times[tb.cursor]
+                            if h < bh or (h == bh and other.eid < tb.eid):
+                                tb = other
+                    arr = tb.times
+                    cur = tb.cursor
+                    t = arr[cur]
+                    # A bare tick's key is (time, NORMAL, batch-eid).
+                    if (
+                        best is None
+                        or t < best[0]
+                        or (
+                            t == best[0]
+                            and (
+                                best[1] > NORMAL
+                                or (best[1] == NORMAL and tb.eid < best[2])
                             )
                         )
-                        if tick_wins and times:
-                            at = times[0]
-                            if at < t or (
-                                at == t and buckets[at][0][2] < tb.eid
-                            ):
-                                tick_wins = False
-                        if tick_wins:
+                    ):
+                        if not bulk_ticks:
+                            source = 4
+                        else:
                             # Columnar drain: every tick strictly before
                             # the next ordinary event (or the equal-time
                             # run, when the tick won a tie) falls in one
                             # searchsorted instead of one loop iteration
                             # per event.
                             bound = best[0] if best is not None else None
-                            if times and (bound is None or times[0] < bound):
-                                bound = times[0]
                             for other in tick_batches:
                                 if other is not tb:
                                     h = other.times[other.cursor]
@@ -573,152 +586,26 @@ class Environment:
                             tb.cursor = end
                             if end == len(arr):
                                 tick_batches.remove(tb)
+                            if c_events is not None:
+                                c_events.value += end - cur
                             continue
-                    if times:
-                        at = times[0]
-                        if (
-                            best is None
-                            or at < best[0]
-                            or (at == best[0] and buckets[at][0] < best)
-                        ):
-                            heappop(times)
-                            bucket = buckets.pop(at)
-                            self._calendar_len -= len(bucket)
-                            active.extendleft(reversed(bucket))
-                            source = 1
-                    elif best is None:
-                        break
-                    if source == 1:
-                        entry = active.popleft()
-                    elif source == 2:
-                        entry = urgent.popleft()
-                    elif source == 3:
-                        entry = normal.popleft()
-                    else:
-                        entry = heappop(queue)
-                    self._now, _, _, event = entry
-                    callbacks, event.callbacks = event.callbacks, None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-            elif audit is None and self._g_queue is None:
-                # Flight-recorder-only: the same inlined loop plus one
-                # float add per event.  The counter must stay live (the
-                # sampler's events/sec probe reads it mid-run), so it
-                # cannot be batched into a local.
-                while True:
-                    best = queue[0] if queue else None
-                    source = 0
-                    if active:
-                        head = active[0]
-                        if best is None or head < best:
-                            best = head
-                            source = 1
-                    if urgent:
-                        head = urgent[0]
-                        if best is None or head < best:
-                            best = head
-                            source = 2
-                    if normal:
-                        head = normal[0]
-                        if best is None or head < best:
-                            best = head
-                            source = 3
-                    if tick_batches:
-                        tb = tick_batches[0]
-                        if len(tick_batches) > 1:
-                            for other in tick_batches[1:]:
-                                h = other.times[other.cursor]
-                                bh = tb.times[tb.cursor]
-                                if h < bh or (h == bh and other.eid < tb.eid):
-                                    tb = other
-                        arr = tb.times
-                        cur = tb.cursor
-                        t = arr[cur]
-                        tick_wins = (
-                            best is None
-                            or t < best[0]
-                            or (
-                                t == best[0]
-                                and (
-                                    best[1] > NORMAL
-                                    or (
-                                        best[1] == NORMAL
-                                        and tb.eid < best[2]
-                                    )
-                                )
-                            )
-                        )
-                        if tick_wins and times:
-                            at = times[0]
-                            if at < t or (
-                                at == t and buckets[at][0][2] < tb.eid
-                            ):
-                                tick_wins = False
-                        if tick_wins:
-                            bound = best[0] if best is not None else None
-                            if times and (bound is None or times[0] < bound):
-                                bound = times[0]
-                            for other in tick_batches:
-                                if other is not tb:
-                                    h = other.times[other.cursor]
-                                    if bound is None or h < bound:
-                                        bound = h
-                            if bound is None:
-                                end = len(arr)
-                            elif t < bound:
-                                end = int(
-                                    np.searchsorted(arr, bound, side="left")
-                                )
-                            else:
-                                end = int(
-                                    np.searchsorted(arr, t, side="right")
-                                )
-                            self._now = float(arr[end - 1])
-                            tb.cursor = end
-                            if end == len(arr):
-                                tick_batches.remove(tb)
-                            c_events.value += end - cur
-                            continue
-                    if times:
-                        at = times[0]
-                        if (
-                            best is None
-                            or at < best[0]
-                            or (at == best[0] and buckets[at][0] < best)
-                        ):
-                            heappop(times)
-                            bucket = buckets.pop(at)
-                            self._calendar_len -= len(bucket)
-                            active.extendleft(reversed(bucket))
-                            source = 1
-                    elif best is None:
-                        break
-                    if source == 1:
-                        entry = active.popleft()
-                    elif source == 2:
-                        entry = urgent.popleft()
-                    elif source == 3:
-                        entry = normal.popleft()
-                    else:
-                        entry = heappop(queue)
-                    self._now, _, _, event = entry
-                    c_events.value += 1
-                    callbacks, event.callbacks = event.callbacks, None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-            else:
-                g_queue = self._g_queue
-                while True:
-                    entry = self._pop()
-                    if entry is None:
-                        break
+                elif best is None:
+                    break
+                if source == 1:
+                    entry = active.popleft()
+                elif source == 2:
+                    entry = urgent.popleft()
+                elif source == 3:
+                    entry = normal.popleft()
+                elif source == 0:
+                    entry = heappop(queue)
+                else:
+                    entry = self._pop_tick(tb)
+                if hooked:
+                    # Before the clock moves: the auditor compares the
+                    # entry against the current time.
                     if audit is not None:
                         audit(entry)
-                    self._now, _, _, event = entry
                     if c_events is not None:
                         c_events.value += 1
                         if g_queue is not None:
@@ -727,13 +614,16 @@ class Environment:
                                 + len(normal) + self._calendar_len
                             )
                             if tick_batches:
-                                depth += sum(b.remaining for b in tick_batches)
+                                depth += sum(
+                                    b.remaining for b in tick_batches
+                                )
                             g_queue.set(depth)
-                    callbacks, event.callbacks = event.callbacks, None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
+                self._now, _, _, event = entry
+                callbacks, event.callbacks = event.callbacks, None
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    raise event._value
         except StopSimulation as stop:
             return stop.value
 

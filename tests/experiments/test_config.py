@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cluster.node import SleepPolicy
-from repro.experiments import ExperimentConfig, default_platform
+from repro.experiments import ExperimentConfig, default_platform, grid
 
 
 class TestExperimentConfig:
@@ -167,3 +167,19 @@ class TestDefaultPlatform:
         p = default_platform(num_sites=7, heterogeneity_cv=0.5)
         assert p.num_sites == 7
         assert p.heterogeneity_cv == 0.5
+
+
+class TestGrid:
+    def test_full_cross_product(self):
+        configs = grid(["edf", "fcfs"], [20, 40], [1, 2, 3])
+        assert len(configs) == 12
+        assert {c.scheduler for c in configs} == {"edf", "fcfs"}
+        assert {c.num_tasks for c in configs} == {20, 40}
+
+    def test_common_kwargs_forwarded(self):
+        configs = grid(["edf"], [20], [1], arrival_period=999.0)
+        assert configs[0].arrival_period == 999.0
+
+    def test_empty_axis_rejected(self):
+        with pytest.raises(ValueError):
+            grid([], [20], [1])

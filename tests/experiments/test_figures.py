@@ -1,5 +1,7 @@
 """Unit tests for the figure regenerators (reduced scale)."""
 
+import json
+
 import pytest
 
 from repro.experiments import (
@@ -11,7 +13,9 @@ from repro.experiments import (
     figure11,
     figure12,
 )
-from repro.experiments.figures import FigureData
+from repro.experiments.config import grid
+from repro.experiments.figures import FigureData, run_configs
+from repro.obs import SeriesBank, Telemetry, use
 
 SMALL_COUNTS = (60, 120)
 SMALL_SEEDS = (1,)
@@ -93,3 +97,45 @@ class TestHeterogeneityFigures:
         fig = figure12((0.1, 0.9), sweep=h_sweep)
         assert fig.figure_id == "fig12"
         assert all(y > 0 for ys in fig.series.values() for y in ys)
+
+
+class TestRunConfigsSeriesMerge:
+    """A parallel ``run_configs`` folds each worker's flight-recorder
+    bank into the ambient telemetry (the ``cli --jobs N --sample-every``
+    path) — and the merged bank must equal the same per-worker files
+    merged in pure Python."""
+
+    def test_parallel_series_equal_pure_python_merge(self, tmp_path):
+        telemetry = Telemetry(series=SeriesBank(), sample_every=50.0)
+        ck = tmp_path / "ck"
+        with use(telemetry):
+            runs = run_configs(
+                grid(["edf", "fcfs"], [25], [1]), jobs=2, checkpoint_dir=ck
+            )
+        assert len(runs) == 2
+        assert (ck / "series.json").exists()
+
+        worker_files = sorted((ck / "obs").glob("series-*.json"))
+        assert len(worker_files) == 2
+        # Same fold order as the engine (sorted per-job filenames), so
+        # same-time ties land identically.
+        expected = SeriesBank()
+        for path in worker_files:
+            expected.merge_from(
+                SeriesBank.from_dict(json.loads(path.read_text()))
+            )
+
+        got = telemetry.series
+        assert got.names() == expected.names()
+        for name in expected.names():
+            assert (
+                got.get(name).times().tolist()
+                == expected.get(name).times().tolist()
+            ), name
+            # Wall-clock-derived rates differ across processes; every
+            # simulated-state series must match point for point.
+            if name != "sim.events_per_sec":
+                assert (
+                    got.get(name).values().tolist()
+                    == expected.get(name).values().tolist()
+                ), name

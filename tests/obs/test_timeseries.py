@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.obs import PeriodicSampler, SeriesBank, TimeSeries
+from repro.cluster import TaskGroup
+from repro.obs import PeriodicSampler, SeriesBank, TimeSeries, make_run_probes
 from repro.sim import Environment
+from repro.workload import Task
 
 
 class TestTimeSeries:
@@ -144,3 +146,39 @@ class TestPeriodicSampler:
     def test_cadence_must_be_positive(self):
         with pytest.raises(ValueError, match="cadence"):
             PeriodicSampler(SeriesBank(), every=0.0, until=10.0)
+
+
+class TestRunProbes:
+    """The standard probes record the platform's power and its
+    processor-state and pending-task counts."""
+
+    @pytest.fixture
+    def bank(self, env, no_sleep_system):
+        bank = SeriesBank()
+        PeriodicSampler(
+            bank,
+            every=10.0,
+            until=1000.0,
+            probes=make_run_probes(no_sleep_system, None, env),
+        ).attach(env)
+        task = Task(
+            tid=1, size_mi=200_000.0, arrival_time=0.0, act=1.0, deadline=5000.0
+        )
+        no_sleep_system.nodes[0].submit(TaskGroup([task], created_at=0.0))
+        env.run(until=1000.5)
+        return bank
+
+    def test_processor_states_partition(self, bank, no_sleep_system):
+        busy, idle, sleeping = (
+            bank.get(name).values()
+            for name in ("procs.busy", "procs.idle", "procs.sleeping")
+        )
+        assert len(busy) == 100
+        assert (busy + idle + sleeping == no_sleep_system.num_processors).all()
+
+    def test_power_and_counts_track_execution(self, bank):
+        busy = bank.get("procs.busy").values()
+        assert busy[0] >= 1 and busy[-1] == 0
+        assert bank.get("queue.pending_tasks").values()[0] >= 1
+        power = bank.get("power.system").values()
+        assert power[0] > power[-1] > 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.campaign import grid
+from repro.experiments.config import grid
 from repro.experiments.persistence import run_record
 from repro.experiments.runner import run_experiment
 

@@ -5,7 +5,7 @@ These spawn real worker processes; grids stay tiny (see conftest).
 
 import pytest
 
-from repro.experiments.campaign import grid
+from repro.experiments.config import grid
 from repro.obs import load_jsonl
 from repro.parallel import (
     CheckpointJournal,
