@@ -366,32 +366,11 @@ class Environment:
                 best = head
                 source = 3
         times = self._times
-        if self._tick_batches:
-            # A bare tick's key is (time, NORMAL, batch-eid); pop it when
-            # it beats the best head AND the earliest calendar bucket.
-            tb = self._best_tick_batch()
-            t = tb.times[tb.cursor]
-            tick_wins = (
-                best is None
-                or t < best[0]
-                or (
-                    t == best[0]
-                    and (
-                        best[1] > NORMAL
-                        or (best[1] == NORMAL and tb.eid < best[2])
-                    )
-                )
-            )
-            if tick_wins and times:
-                at = times[0]
-                if at < t or (at == t and self._buckets[at][0][2] < tb.eid):
-                    tick_wins = False
-            if tick_wins:
-                return self._pop_tick(tb)
         if times:
             at = times[0]
             # The earliest calendar bucket wins when its time beats the
-            # best head (ties resolved on the bucket head's full key).
+            # best head (ties resolved on the bucket head's full key); it
+            # merges into the active ring.
             if (
                 best is None
                 or at < best[0]
@@ -401,7 +380,24 @@ class Environment:
                 bucket = self._buckets.pop(at)
                 self._calendar_len -= len(bucket)
                 active.extendleft(reversed(bucket))
-                return active.popleft()
+                best = active[0]
+                source = 1
+        if self._tick_batches:
+            # A bare tick's key is (time, NORMAL, batch-eid).
+            tb = self._best_tick_batch()
+            t = tb.times[tb.cursor]
+            if (
+                best is None
+                or t < best[0]
+                or (
+                    t == best[0]
+                    and (
+                        best[1] > NORMAL
+                        or (best[1] == NORMAL and tb.eid < best[2])
+                    )
+                )
+            ):
+                return self._pop_tick(tb)
         if best is None:
             return None
         if source == 0:
@@ -558,9 +554,7 @@ class Environment:
                             )
                         )
                     ):
-                        if not bulk_ticks:
-                            source = 4
-                        else:
+                        if bulk_ticks:
                             # Columnar drain: every tick strictly before
                             # the next ordinary event (or the equal-time
                             # run, when the tick won a tie) falls in one
@@ -589,6 +583,9 @@ class Environment:
                             if c_events is not None:
                                 c_events.value += end - cur
                             continue
+                        # An auditor or gauge sees every event: the
+                        # tick is popped below as its own entry.
+                        source = 4
                 elif best is None:
                     break
                 if source == 1:
