@@ -532,13 +532,7 @@ class Environment:
                         best = active[0]
                         source = 1
                 if tick_batches:
-                    tb = tick_batches[0]
-                    if len(tick_batches) > 1:
-                        for other in tick_batches[1:]:
-                            h = other.times[other.cursor]
-                            bh = tb.times[tb.cursor]
-                            if h < bh or (h == bh and other.eid < tb.eid):
-                                tb = other
+                    tb = self._best_tick_batch()
                     arr = tb.times
                     cur = tb.cursor
                     t = arr[cur]
