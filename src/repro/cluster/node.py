@@ -272,16 +272,16 @@ class ComputeNode:
     def pending_deadlines(self) -> tuple[float, ...]:
         """Deadlines of the pending tasks, in the order their sizes are summed.
 
-        Built lazily and kept until the next work-cache refresh, so the
-        tuple object identifies one work epoch: while it is the same
-        object, the node's pending work has not changed.
+        Built lazily as Python floats and kept until the next work-cache
+        refresh, so the tuple object identifies one work epoch: while it
+        is the same object, the node's pending work has not changed.
         """
         if self._work_dirty:
             self._refresh_work_caches()
         deadlines = self._deadlines_cache
         if deadlines is None:
             deadlines = self._deadlines_cache = tuple(
-                t.deadline
+                float(t.deadline)
                 for g in self._active_groups
                 for t in g.tasks
                 if not t.completed

@@ -32,8 +32,9 @@ qtable-parity       the dense Q backend stays bit-identical to a
                     shadow dict ``QTable`` fed the same updates, and its
                     maintained per-row argmax matches a fresh rescan
 dvfs-skip           every processor runs at the θ the DVFS governor
-                    recorded for its node, and every busy node it skips
-                    as saturated still has a target of θ = 1.0
+                    recorded for its node, and every node it has
+                    settled (at θ = 1.0 for the work epoch, or at its
+                    floor until a horizon) still has that θ as target
 usage-tally         the system's running busy/powered time and busy
                     count equal an exact rescan of its meters, bit for
                     bit (``MeterBank.sample_cycle``)
@@ -705,10 +706,12 @@ class InvariantAuditor:
 
         Every processor must run at the θ the governor recorded for its
         node (an unchanged target then needs no processor visit), and a
-        node skipped for the rest of its work epoch must still have a
-        target of θ = 1.0.
+        node the governor would skip as settled — at θ = 1.0 for the
+        rest of its work epoch, or at its floor until a horizon — must
+        still have that θ as its target now.
         """
         gov = self._governor
+        now = self.env.now
         for node in self._nodes:
             self.report.count(INV_DVFS)
             recorded = gov._scaled.get(node, 1.0)
@@ -724,18 +727,24 @@ class InvariantAuditor:
                     recorded=recorded,
                 )
             epoch = node._deadlines_cache
+            settle = gov._settled.get(node)
             if (
                 epoch
                 and not node._work_dirty
-                and gov._saturated.get(node) is epoch
+                and settle is not None
+                and settle[0] is epoch
+                and now <= settle[1]
             ):
-                theta = gov.target_scale(node, self.env.now)
-                if theta != 1.0:
+                theta = gov.target_scale(node, now)
+                if theta != recorded:
                     self._violate(
                         INV_DVFS,
                         node.node_id,
-                        f"skipped as saturated but its target is {theta!r}",
+                        f"settled at θ {recorded!r} until t={settle[1]!r} "
+                        f"but its target is {theta!r}",
                         target=theta,
+                        recorded=recorded,
+                        until=settle[1],
                     )
 
     def _sweep_energy(self) -> None:

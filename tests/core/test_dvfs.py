@@ -1,5 +1,7 @@
 """Unit tests for the DVFS extension (processor scaling + governor)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,6 +204,78 @@ class TestGovernor:
         node.submit(TaskGroup([make_task(2, size=100.0, window=1e6)], 1.0))
         gov.apply([node], 2.0)
         assert evaluated == ["n", "n"]  # new work epoch
+
+    def test_floor_settled_node_waits_for_its_horizon(self, env):
+        # 1,000 MI due at t = 100 on 1,000 MIPS processors: the target
+        # is 1.5 / (100 - t), so it stays at the floor until about
+        # t = 100 - 1.5 / floor.  Until then the node is not evaluated.
+        node = self.make_node(env)
+        node.submit(TaskGroup([make_task(1, size=1000.0, window=100.0)], 0.0))
+        gov = DVFSGovernor()
+        evaluated = self.count_evaluations(gov)
+        floor = energy_optimal_scale(48.0, 95.0)
+        gov.apply([node], 0.0)
+        assert [p.frequency_scale for p in node.processors] == [floor, floor]
+        horizon = gov._settled[node][1]
+        assert 98.0 < horizon < 100.0 - 1.5 / floor
+        assert horizon == pytest.approx(100.0 - 1.5 / floor)
+        for now in (50.0, 98.0, horizon):
+            gov.apply([node], now)
+        assert evaluated == ["n"]
+        gov.apply([node], 98.2)  # the first pass after the horizon
+        assert evaluated == ["n", "n"]
+        theta = node.processors[0].frequency_scale
+        assert theta == pytest.approx(1.5 / (100.0 - 98.2))
+        assert floor < theta < 1.0
+        assert [p.frequency_scale for p in node.processors] == [theta, theta]
+        assert gov.adjustments == 4
+
+
+class TestFloorHorizon:
+    @given(
+        tasks=st.lists(
+            st.tuples(st.floats(100.0, 20000.0), st.floats(1.0, 50000.0)),
+            min_size=1,
+            max_size=8,
+        ),
+        speeds=st.lists(st.floats(500.0, 1000.0), min_size=1, max_size=6),
+        safety_factor=st.floats(1.0, 3.0),
+        origin=st.one_of(st.just(0.0), st.floats(0.0, 1e7)),
+        back=st.floats(0.0, 1e5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_target_is_the_floor_up_to_the_horizon(
+        self, tasks, speeds, safety_factor, origin, back
+    ):
+        # Deadlines below the horizon are already overdue there, so
+        # their windows count as ε, not as d - t.
+        env = Environment()
+        node = ComputeNode(
+            env,
+            "n",
+            "s",
+            [
+                Processor(f"p{i}", speed, constant_power_profile())
+                for i, speed in enumerate(speeds)
+            ],
+            sleep_policy=SleepPolicy(allow_sleep=False),
+        )
+        group = [
+            Task(
+                tid=i,
+                size_mi=size,
+                arrival_time=origin,
+                act=window / 2.0,
+                deadline=origin + window,
+            )
+            for i, (size, window) in enumerate(tasks)
+        ]
+        node.submit(TaskGroup(group, origin))
+        gov = DVFSGovernor(safety_factor)
+        horizon = gov._floor_horizon(node, node.pending_deadlines)
+        floor = max(energy_optimal_scale(48.0, 95.0), MIN_FREQUENCY_SCALE)
+        for t in (horizon, math.nextafter(horizon, -math.inf), horizon - back):
+            assert gov.target_scale(node, t) == floor
 
 
 class FullScanGovernor:

@@ -25,6 +25,7 @@ import hashlib
 import pytest
 
 from repro.cluster import SleepPolicy
+from repro.core.dvfs import DVFSGovernor
 from repro.experiments.config import ExperimentConfig, default_platform
 from repro.experiments.runner import run_experiment
 from repro.obs import MetricsRegistry, SeriesBank, Telemetry
@@ -93,6 +94,10 @@ DVFS_GOLDEN = {
     "dvfs+failures/seed23": ("c95930334842d600", 23517),
     "dvfs+failures/seed47": ("1fd1e4a9d37e0e67", 19148),
 }
+
+#: ``DVFSGovernor.target_scale`` calls over the ``dvfs/seed11`` run
+#: (15,486 before the governor settled floor-pinned nodes).
+DVFS_EVALUATIONS = 6141
 
 
 #: Adaptive-RL at the pinned shape under one changed platform or
@@ -322,6 +327,23 @@ def test_dvfs_golden_digest(seed: int, failures: bool) -> None:
         f"{expected_digest} / {expected_adjustments} (AveRT|ECS|success = "
         f"{payload}); the DVFS governor's decisions have changed"
     )
+
+
+def test_dvfs_governor_evaluations(monkeypatch) -> None:
+    """The governor's skip rules are pinned too: a change that drops a
+    skip keeps every digest but fails here."""
+    calls = 0
+    target_scale = DVFSGovernor.target_scale
+
+    def counted(governor, node, now):
+        nonlocal calls
+        calls += 1
+        return target_scale(governor, node, now)
+
+    monkeypatch.setattr(DVFSGovernor, "target_scale", counted)
+    # Not strict: the auditor evaluates the governor's targets too.
+    run_experiment(dvfs_config(11), strict=False)
+    assert calls == DVFS_EVALUATIONS
 
 
 def test_golden_table_is_complete() -> None:

@@ -7,6 +7,7 @@ structured, attributable violation.
 """
 
 import heapq
+import math
 
 import pytest
 
@@ -411,13 +412,39 @@ class TestCorruptionDetection:
         system, governor, auditor = make_governed_cluster()
         node = system.nodes[0]
         node.submit(slack_rich_group())
-        # Mark the node's slack-rich work epoch as demanding θ = 1.0:
+        # Settle the node's slack-rich work epoch at θ = 1.0 for good:
         # the governor would skip a node whose target is below 1.
-        governor._saturated[node] = node.pending_deadlines
+        governor._settled[node] = (node.pending_deadlines, math.inf)
         auditor.sweep()
         bad = [v for v in auditor.report.violations if v.invariant == INV_DVFS]
         assert [v.subject for v in bad] == [node.node_id]
         assert bad[0].details["target"] < 1.0
+
+    def test_floor_settle_past_the_crossing(self):
+        system, governor, auditor = make_governed_cluster()
+        node = system.nodes[0]
+        # 20,000 MI due at t = 60: the target is the floor at t = 0 and
+        # rises above it near t = 12, long before the task completes.
+        task = Task(
+            tid=0, size_mi=20000.0, arrival_time=0.0, act=40.0, deadline=60.0
+        )
+        node.submit(TaskGroup([task], created_at=0.0))
+        governor.apply(system.nodes, 0.0)
+        floor = governor._scaled[node]
+        epoch, horizon = governor._settled[node]
+        assert 0.0 < horizon < 20.0
+        auditor.env.run(until=horizon + 5.0)
+        assert node.pending_deadlines is epoch
+        auditor.sweep()
+        assert auditor.report.ok  # the settle has expired
+        # A horizon past the crossing would skip a node whose target
+        # has left the floor.
+        governor._settled[node] = (epoch, horizon + 10.0)
+        auditor.sweep()
+        bad = [v for v in auditor.report.violations if v.invariant == INV_DVFS]
+        assert [v.subject for v in bad] == [node.node_id]
+        assert bad[0].details["target"] > floor
+        assert bad[0].details["recorded"] == floor
 
     def test_collect_mode_keeps_running(self):
         env, system, auditor = make_audited_cluster()
