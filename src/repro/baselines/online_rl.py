@@ -26,6 +26,7 @@ from typing import Optional
 from ..cluster.node import ComputeNode
 from ..rl.exploration import RandomWalk
 from ..rl.qlearning import QTable
+from ..sim.fold import fold_sum
 from ..workload.task import Task
 from .common import SingletonScheduler, shortest_queue_node
 
@@ -82,12 +83,12 @@ class OnlineRLScheduler(SingletonScheduler):
         # task service time (updated online from submissions), and the
         # platform's all-idle power draw.
         self._mean_speed = (
-            sum(p.speed_mips for p in self.system.processors)
+            fold_sum(p.speed_mips for p in self.system.processors)
             / self.system.num_processors
         )
         self._size_sum = 0.0
         self._size_count = 0
-        self._power_ref = sum(
+        self._power_ref = fold_sum(
             p.profile.p_min_w for p in self.system.processors
         )
         self._apply_cap(1.0)
@@ -190,11 +191,12 @@ class OnlineRLScheduler(SingletonScheduler):
             return
         # Instantaneous draw at the interval boundary: attributes power
         # cleanly to the cap that was in force.
-        interval_power = sum(
+        interval_power = fold_sum(
             p.current_power_w for p in self.system.processors
         )
         if completed:
-            mean_rt = sum(t.response_time for t in completed) / len(completed)
+            total_rt = fold_sum(t.response_time for t in completed)
+            mean_rt = total_rt / len(completed)
         else:
             mean_rt = self._rt_ref
         # Backlog pressure is the leading indicator of an over-tight cap:

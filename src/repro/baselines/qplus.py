@@ -21,6 +21,7 @@ from typing import Dict, Optional
 
 from ..cluster.node import ComputeNode
 from ..rl.dense import DenseMultiRateQTable
+from ..sim.fold import fold_sum
 from ..workload.task import Task
 from .common import SingletonScheduler, shortest_queue_node
 
@@ -141,7 +142,7 @@ class QPlusLearningScheduler(SingletonScheduler):
         assert self.streams is not None
         self._rng = self.streams["baseline.qplus"]
         self._mean_speed = (
-            sum(p.speed_mips for p in self.system.processors)
+            fold_sum(p.speed_mips for p in self.system.processors)
             / self.system.num_processors
         )
         for node in self.system.nodes:

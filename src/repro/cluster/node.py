@@ -28,6 +28,7 @@ from ..energy.meter import ProcState
 from ..sim.core import Environment
 from ..sim.events import Event
 from ..sim.exceptions import Interrupt
+from ..sim.fold import fold_sum
 from ..sim.process import Process
 from ..sim.resources import Store
 from ..workload.task import Task
@@ -91,7 +92,7 @@ class NodeState:
 
     @property
     def total_power_w(self) -> float:
-        return sum(self.processor_power_w)
+        return fold_sum(self.processor_power_w)
 
 
 class ComputeNode:
@@ -148,7 +149,9 @@ class ComputeNode:
         # repair a node but never alter its processor set), so Eq. 2's
         # ``PCc`` really is "static per node" as the NodeState docstring
         # promises — freeze it here instead of recomputing per decision.
-        self._total_speed_mips = sum(p.speed_mips for p in self.processors)
+        self._total_speed_mips = fold_sum(
+            p.speed_mips for p in self.processors
+        )
         self._processing_capacity = self._total_speed_mips / queue_slots
 
         # Dirty-flag caches for the per-decision aggregates.  The cached
@@ -224,11 +227,11 @@ class ComputeNode:
         float updates — so cached results are bit-identical to the
         uncached ones regardless of admission/completion order.
         """
-        self._load_cache = sum(g.pw for g in self._active_groups)
+        self._load_cache = fold_sum(g.pw for g in self._active_groups)
         self._pending_tasks_cache = sum(
             g.remaining for g in self._active_groups
         )
-        self._pending_size_cache = sum(
+        self._pending_size_cache = fold_sum(
             t.size_mi
             for g in self._active_groups
             for t in g.tasks
@@ -239,12 +242,12 @@ class ComputeNode:
 
     def _refresh_power_caches(self) -> None:
         """Recompute the per-processor power snapshot, its total (the
-        same ``sum()`` as :attr:`NodeState.total_power_w`) and the
-        sleep count."""
+        same fold as :attr:`NodeState.total_power_w`) and the sleep
+        count."""
         self._power_cache = tuple(
             p.current_power_w for p in self.processors
         )
-        self._total_power_cache = sum(self._power_cache)
+        self._total_power_cache = fold_sum(self._power_cache)
         self._sleeping_cache = sum(
             1 for p in self.processors if p.state is ProcState.SLEEP
         )
@@ -272,16 +275,16 @@ class ComputeNode:
     def pending_deadlines(self) -> tuple[float, ...]:
         """Deadlines of the pending tasks, in the order their sizes are summed.
 
-        Built lazily as Python floats and kept until the next work-cache
-        refresh, so the tuple object identifies one work epoch: while it
-        is the same object, the node's pending work has not changed.
+        Built lazily and kept until the next work-cache refresh, so the
+        tuple object identifies one work epoch: while it is the same
+        object, the node's pending work has not changed.
         """
         if self._work_dirty:
             self._refresh_work_caches()
         deadlines = self._deadlines_cache
         if deadlines is None:
             deadlines = self._deadlines_cache = tuple(
-                float(t.deadline)
+                t.deadline
                 for g in self._active_groups
                 for t in g.tasks
                 if not t.completed
@@ -471,6 +474,9 @@ class ComputeNode:
                 for cb in self._task_callbacks:
                     cb(task, self)
                 group.task_done()
+                # A callback above may have refreshed the work caches
+                # while the group still counted this task as remaining.
+                self._work_dirty = True
                 get_ev = self._ready.get()
             except Interrupt:
                 # Node failure.  Any in-flight task was already orphaned

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence
 
+from ..sim.fold import fold_sum
 from ..workload.task import Task
 from .node import ComputeNode, NodeState
 from .taskgroup import TaskGroup
@@ -29,7 +30,9 @@ class ResourceSite:
         # Topology is fixed after construction, so the structural
         # aggregates observed every scheduling pass are frozen here.
         self._num_processors = sum(n.num_processors for n in self.nodes)
-        self._total_speed_mips = sum(n.total_speed_mips for n in self.nodes)
+        self._total_speed_mips = fold_sum(
+            n.total_speed_mips for n in self.nodes
+        )
         self._max_group_size = max(n.max_group_size for n in self.nodes)
 
     def __iter__(self):
@@ -56,7 +59,7 @@ class ResourceSite:
 
     @property
     def total_load(self) -> float:
-        return sum(n.load for n in self.nodes)
+        return fold_sum(n.load for n in self.nodes)
 
     @property
     def pending_tasks(self) -> int:

@@ -23,6 +23,7 @@ from itertools import count
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..sim.events import Event
+from ..sim.fold import fold_sum
 from ..workload.priorities import Priority
 from ..workload.task import Task
 
@@ -41,9 +42,9 @@ def processing_weight(tasks: Sequence[Task], at_time: float) -> float:
     if not tasks:
         raise ValueError("cannot compute processing weight of an empty group")
     eps = 1e-6
-    total_size = sum(t.size_mi for t in tasks)
-    mean_window = sum(max(t.deadline - at_time, eps) for t in tasks) / len(tasks)
-    return total_size / mean_window
+    total_size = fold_sum(t.size_mi for t in tasks)
+    windows = fold_sum(max(t.deadline - at_time, eps) for t in tasks)
+    return total_size / (windows / len(tasks))
 
 
 class TaskGroup:
@@ -93,7 +94,7 @@ class TaskGroup:
     @property
     def size_mi(self) -> float:
         """Total computational size of the group."""
-        return sum(t.size_mi for t in self.tasks)
+        return fold_sum(t.size_mi for t in self.tasks)
 
     @property
     def priority(self) -> Priority:

@@ -24,6 +24,7 @@ from ..cluster.site import ResourceSite
 from ..cluster.taskgroup import TaskGroup
 from ..obs import CAT_GROUP, CAT_MEMORY, CAT_RL, NULL_TELEMETRY, Telemetry
 from ..rl.exploration import EpsilonGreedy
+from ..sim.fold import fold_sum
 from ..workload.task import Task
 from .actions import GroupingAction, GroupingMode, action_space
 from .feedback import FeedbackRecord, grouping_error
@@ -88,7 +89,7 @@ class SiteAgent:
         else:
             # TG ablation: the only action is singleton grouping.
             self.actions = (GroupingAction(GroupingMode.MIXED, 1),)
-        self._max_power_w = sum(
+        self._max_power_w = fold_sum(
             p.profile.p_max_w for n in site.nodes for p in n.processors
         )
         self._total_queue_slots = sum(n.queue_slots for n in site.nodes)
@@ -294,7 +295,7 @@ class SiteAgent:
         if explore:
             return open_nodes[self.exploration.random_index(len(open_nodes))]
         window = max(
-            sum(t.deadline - now for t in group.tasks) / len(group), 1e-6
+            fold_sum(t.deadline - now for t in group.tasks) / len(group), 1e-6
         )
 
         def score(node: ComputeNode) -> tuple[float, str]:

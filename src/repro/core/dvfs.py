@@ -133,7 +133,7 @@ class DVFSGovernor:
         mean_speed, floor = self._node_constants(node)
         c = (
             self.safety_factor
-            * float(node.pending_size_mi)
+            * node.pending_size_mi
             * n
             / (min(n, node.num_processors) * mean_speed * floor)
         )

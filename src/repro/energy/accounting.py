@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ..sim.fold import fold_sum
 from .meter import EnergyBreakdown
 
 __all__ = ["NodeEnergy", "SystemEnergy", "node_energy", "system_energy"]
@@ -63,15 +64,15 @@ def node_energy(node_id: str, breakdowns: Sequence[EnergyBreakdown]) -> NodeEner
     """Aggregate processor breakdowns into a :class:`NodeEnergy` (Eq. 6)."""
     if not breakdowns:
         raise ValueError(f"node {node_id}: no processor breakdowns")
-    total = sum(b.total_energy for b in breakdowns)
+    total = fold_sum(b.total_energy for b in breakdowns)
     return NodeEnergy(
         node_id=node_id,
         num_processors=len(breakdowns),
         energy=total / len(breakdowns),
         total_processor_energy=total,
-        busy_time=sum(b.busy_time for b in breakdowns),
-        idle_time=sum(b.idle_time for b in breakdowns),
-        sleep_time=sum(b.sleep_time for b in breakdowns),
+        busy_time=fold_sum(b.busy_time for b in breakdowns),
+        idle_time=fold_sum(b.idle_time for b in breakdowns),
+        sleep_time=fold_sum(b.sleep_time for b in breakdowns),
     )
 
 
@@ -81,11 +82,11 @@ def system_energy(nodes: Iterable[NodeEnergy]) -> SystemEnergy:
     if not nodes:
         raise ValueError("no node energies to aggregate")
     return SystemEnergy(
-        ecs=sum(n.energy for n in nodes),
-        total_energy=sum(n.total_processor_energy for n in nodes),
+        ecs=fold_sum(n.energy for n in nodes),
+        total_energy=fold_sum(n.total_processor_energy for n in nodes),
         num_nodes=len(nodes),
         num_processors=sum(n.num_processors for n in nodes),
-        busy_time=sum(n.busy_time for n in nodes),
-        idle_time=sum(n.idle_time for n in nodes),
-        sleep_time=sum(n.sleep_time for n in nodes),
+        busy_time=fold_sum(n.busy_time for n in nodes),
+        idle_time=fold_sum(n.idle_time for n in nodes),
+        sleep_time=fold_sum(n.sleep_time for n in nodes),
     )

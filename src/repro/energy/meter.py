@@ -13,10 +13,11 @@ Struct-of-arrays layout
 Since the columnar refactor a meter owns no accumulators: all Eq. 5
 state (current power state, last-transition time, the six per-state
 time/energy totals, the DVFS override, the per-state profile powers)
-lives in the module-level :class:`MeterBank` — one preallocated float64
-/ int8 column per field, one row per meter.  The meter object is a
-2-slot ``(bank, row)`` view whose methods perform the identical IEEE-754
-operations on array cells, and whose ``_busy_time``-style attributes
+lives in the module-level :class:`MeterBank` — one plain Python list
+per field, one row per meter (see :mod:`repro.sim.columnar`), so every
+cell is a Python ``float`` or ``int``.  The meter object is a
+``(bank, row)`` view whose methods perform the identical IEEE-754
+operations on the cells, and whose ``_busy_time``-style attributes
 survive as properties (the strict-mode auditor reads them; tests write
 them to provoke violations).
 
@@ -38,11 +39,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import frexp, fsum
-from typing import Optional
+from typing import Iterable, Optional
 
-import numpy as np
-
-from ..sim.columnar import FloatColumn, IntColumn
 from .power_model import PowerProfile
 
 __all__ = [
@@ -62,7 +60,7 @@ class ProcState(enum.Enum):
     SLEEP = "sleep"
 
 
-#: Column encoding of :class:`ProcState` (int8 codes).
+#: Column encoding of :class:`ProcState` (int codes).
 BUSY_CODE, IDLE_CODE, SLEEP_CODE = 0, 1, 2
 _STATE_TO_CODE = {
     ProcState.BUSY: BUSY_CODE,
@@ -110,9 +108,9 @@ class EnergyBreakdown:
 class MeterBank:
     """Columnar Eq. 5 accumulators across every meter in the process.
 
-    Rows are append-only and never recycled; columns grow by doubling.
-    Meters are created at system-construction time and mutated by the
-    single engine thread, so access is lock-free.
+    Rows are append-only and never recycled.  Meters are created at
+    system-construction time and mutated by the single engine thread,
+    so access is lock-free.
     """
 
     __slots__ = (
@@ -131,31 +129,32 @@ class MeterBank:
         "p_sleep",
     )
 
-    def __init__(self, capacity: int = 64) -> None:
-        self.state = IntColumn(capacity, dtype=np.int8)
-        self.since = FloatColumn(capacity)
-        self.busy_time = FloatColumn(capacity)
-        self.idle_time = FloatColumn(capacity)
-        self.sleep_time = FloatColumn(capacity)
-        self.busy_energy = FloatColumn(capacity)
-        self.idle_energy = FloatColumn(capacity)
-        self.sleep_energy = FloatColumn(capacity)
+    def __init__(self) -> None:
+        self.state: list[int] = []
+        self.since: list[float] = []
+        self.busy_time: list[float] = []
+        self.idle_time: list[float] = []
+        self.sleep_time: list[float] = []
+        self.busy_energy: list[float] = []
+        self.idle_energy: list[float] = []
+        self.sleep_energy: list[float] = []
         #: DVFS busy-power override; NaN = "use the profile's draw".
-        self.power_override = FloatColumn(capacity)
+        self.power_override: list[float] = []
         #: Finalization time; NaN = still metering.
-        self.finalized_at = FloatColumn(capacity)
-        # Per-state profile powers, denormalized per row so vectorized
-        # power reads never touch the profile objects.
-        self.p_busy = FloatColumn(capacity)
-        self.p_idle = FloatColumn(capacity)
-        self.p_sleep = FloatColumn(capacity)
+        self.finalized_at: list[float] = []
+        # Per-state profile powers, denormalized per row so power reads
+        # never touch the profile objects.
+        self.p_busy: list[float] = []
+        self.p_idle: list[float] = []
+        self.p_sleep: list[float] = []
 
     def __len__(self) -> int:
         return len(self.since)
 
     def add(self, profile: PowerProfile, start_time: float) -> int:
         """Allocate a row for a new meter (initially IDLE)."""
-        row = self.state.append(IDLE_CODE)
+        row = len(self.state)
+        self.state.append(IDLE_CODE)
         self.since.append(start_time)
         self.busy_time.append(0.0)
         self.idle_time.append(0.0)
@@ -170,7 +169,7 @@ class MeterBank:
         self.p_sleep.append(profile.power_at(ProcState.SLEEP.value))
         return row
 
-    def sample_cycle(self, rows: np.ndarray, now: float):
+    def sample_cycle(self, rows: Iterable[int], now: float):
         """``(busy_sum, powered_sum, busy_count)`` over *rows* at *now*.
 
         A full rescan: each sum is ``math.fsum`` over the closed times,
@@ -179,24 +178,23 @@ class MeterBank:
         :class:`UsageTally` over the same meters must equal it bit for
         bit; the tests and the strict-mode auditor compare the two.
         """
-        codes = self.state.data[rows]
-        live = np.isnan(self.finalized_at.data[rows])
-        since = self.since.data[rows]
-        busy_live = (codes == BUSY_CODE) & live
-        powered_live = busy_live | ((codes == IDLE_CODE) & live)
-        busy_times = self.busy_time.data[rows].tolist()
-        busy = fsum(
-            busy_times
-            + [now] * int(np.count_nonzero(busy_live))
-            + (-since[busy_live]).tolist()
-        )
-        powered = fsum(
-            busy_times
-            + self.idle_time.data[rows].tolist()
-            + [now] * int(np.count_nonzero(powered_live))
-            + (-since[powered_live]).tolist()
-        )
-        return busy, powered, int(np.count_nonzero(codes == BUSY_CODE))
+        busy: list[float] = []
+        powered: list[float] = []
+        busy_count = 0
+        for row in rows:
+            code = self.state[row]
+            busy.append(self.busy_time[row])
+            powered.append(self.busy_time[row])
+            powered.append(self.idle_time[row])
+            if code == BUSY_CODE:
+                busy_count += 1
+            finalized = self.finalized_at[row]
+            if finalized != finalized and code != SLEEP_CODE:
+                open_span = (now, -self.since[row])
+                powered.extend(open_span)
+                if code == BUSY_CODE:
+                    busy.extend(open_span)
+        return fsum(busy), fsum(powered), busy_count
 
 
 def _units(x: float) -> int:
@@ -238,13 +236,14 @@ class UsageTally:
         """Include *meter*: its closed times and, while it is live, its
         open span.  The meter keeps the tally current from then on."""
         bank, row = meter._bank, meter._row
-        self.busy_units += _units(bank.busy_time.data[row])
-        self.idle_units += _units(bank.idle_time.data[row])
-        code = bank.state.data[row]
+        self.busy_units += _units(bank.busy_time[row])
+        self.idle_units += _units(bank.idle_time[row])
+        code = bank.state[row]
         if code == BUSY_CODE:
             self.busy += 1
-        if np.isnan(bank.finalized_at.data[row]):
-            self._open(code, bank.since.data[row])
+        finalized = bank.finalized_at[row]
+        if finalized != finalized:  # NaN: still metering
+            self._open(code, bank.since[row])
         meter._tally = self
 
     def _open(self, code: int, since: float) -> None:
@@ -312,87 +311,87 @@ class ProcessorEnergyMeter:
     # -- columnar cell accessors (auditor-visible "privates") -----------
     @property
     def _state(self) -> ProcState:
-        return _CODE_TO_STATE[self._bank.state.data[self._row]]
+        return _CODE_TO_STATE[self._bank.state[self._row]]
 
     @_state.setter
     def _state(self, state: ProcState) -> None:
-        self._bank.state.data[self._row] = _STATE_TO_CODE[state]
+        self._bank.state[self._row] = _STATE_TO_CODE[state]
 
     @property
     def _since(self) -> float:
-        return self._bank.since.data[self._row]
+        return self._bank.since[self._row]
 
     @_since.setter
     def _since(self, value: float) -> None:
-        self._bank.since.data[self._row] = value
+        self._bank.since[self._row] = value
 
     @property
     def _busy_time(self) -> float:
-        return self._bank.busy_time.data[self._row]
+        return self._bank.busy_time[self._row]
 
     @_busy_time.setter
     def _busy_time(self, value: float) -> None:
-        self._bank.busy_time.data[self._row] = value
+        self._bank.busy_time[self._row] = value
 
     @property
     def _idle_time(self) -> float:
-        return self._bank.idle_time.data[self._row]
+        return self._bank.idle_time[self._row]
 
     @_idle_time.setter
     def _idle_time(self, value: float) -> None:
-        self._bank.idle_time.data[self._row] = value
+        self._bank.idle_time[self._row] = value
 
     @property
     def _sleep_time(self) -> float:
-        return self._bank.sleep_time.data[self._row]
+        return self._bank.sleep_time[self._row]
 
     @_sleep_time.setter
     def _sleep_time(self, value: float) -> None:
-        self._bank.sleep_time.data[self._row] = value
+        self._bank.sleep_time[self._row] = value
 
     @property
     def _busy_energy(self) -> float:
-        return self._bank.busy_energy.data[self._row]
+        return self._bank.busy_energy[self._row]
 
     @_busy_energy.setter
     def _busy_energy(self, value: float) -> None:
-        self._bank.busy_energy.data[self._row] = value
+        self._bank.busy_energy[self._row] = value
 
     @property
     def _idle_energy(self) -> float:
-        return self._bank.idle_energy.data[self._row]
+        return self._bank.idle_energy[self._row]
 
     @_idle_energy.setter
     def _idle_energy(self, value: float) -> None:
-        self._bank.idle_energy.data[self._row] = value
+        self._bank.idle_energy[self._row] = value
 
     @property
     def _sleep_energy(self) -> float:
-        return self._bank.sleep_energy.data[self._row]
+        return self._bank.sleep_energy[self._row]
 
     @_sleep_energy.setter
     def _sleep_energy(self, value: float) -> None:
-        self._bank.sleep_energy.data[self._row] = value
+        self._bank.sleep_energy[self._row] = value
 
     @property
     def _power_override(self) -> Optional[float]:
-        v = self._bank.power_override.data[self._row]
+        v = self._bank.power_override[self._row]
         return None if v != v else v
 
     @_power_override.setter
     def _power_override(self, value: Optional[float]) -> None:
-        self._bank.power_override.data[self._row] = (
+        self._bank.power_override[self._row] = (
             _NAN if value is None else value
         )
 
     @property
     def _finalized_at(self) -> Optional[float]:
-        v = self._bank.finalized_at.data[self._row]
+        v = self._bank.finalized_at[self._row]
         return None if v != v else v
 
     @_finalized_at.setter
     def _finalized_at(self, value: Optional[float]) -> None:
-        self._bank.finalized_at.data[self._row] = (
+        self._bank.finalized_at[self._row] = (
             _NAN if value is None else value
         )
 
@@ -400,12 +399,12 @@ class ProcessorEnergyMeter:
     @property
     def state(self) -> ProcState:
         """The processor's current power state."""
-        return _CODE_TO_STATE[self._bank.state.data[self._row]]
+        return _CODE_TO_STATE[self._bank.state[self._row]]
 
     @property
     def last_transition(self) -> float:
         """Time of the most recent state change."""
-        return self._bank.since.data[self._row]
+        return self._bank.since[self._row]
 
     def set_state(
         self, state: ProcState, now: float, power_w: Optional[float] = None
@@ -417,7 +416,8 @@ class ProcessorEnergyMeter:
         runs at rather than on the state alone.
         """
         bank, row = self._bank, self._row
-        if not np.isnan(bank.finalized_at.data[row]):
+        finalized = bank.finalized_at[row]
+        if finalized == finalized:
             raise RuntimeError("meter already finalized")
         if not isinstance(state, ProcState):
             raise TypeError(f"state must be a ProcState, got {state!r}")
@@ -425,7 +425,7 @@ class ProcessorEnergyMeter:
             raise ValueError("power_w must be non-negative")
         tel = self._telemetry
         code = _STATE_TO_CODE[state]
-        previous = bank.state.data[row]
+        previous = bank.state[row]
         if tel is not None and tel.tracing and code != previous:
             tel.emit(
                 "energy",
@@ -436,8 +436,8 @@ class ProcessorEnergyMeter:
                 to_state=state.value,
             )
         self._charge(now)
-        bank.state.data[row] = code
-        bank.power_override.data[row] = _NAN if power_w is None else power_w
+        bank.state[row] = code
+        bank.power_override[row] = _NAN if power_w is None else power_w
         tally = self._tally
         if tally is not None:
             if previous == BUSY_CODE:
@@ -448,46 +448,47 @@ class ProcessorEnergyMeter:
 
     def _current_power(self) -> float:
         bank, row = self._bank, self._row
-        override = bank.power_override.data[row]
+        override = bank.power_override[row]
         if override == override:
             return override
-        code = bank.state.data[row]
+        code = bank.state[row]
         if code == BUSY_CODE:
-            return bank.p_busy.data[row]
+            return bank.p_busy[row]
         if code == IDLE_CODE:
-            return bank.p_idle.data[row]
-        return bank.p_sleep.data[row]
+            return bank.p_idle[row]
+        return bank.p_sleep[row]
 
     def _charge(self, now: float) -> None:
         bank, row = self._bank, self._row
-        since = bank.since.data[row]
+        since = bank.since[row]
         if now < since:
             raise ValueError(
                 f"time moved backwards: {now} < last transition {since}"
             )
         span = now - since
-        code = bank.state.data[row]
+        code = bank.state[row]
         if code == BUSY_CODE:
-            times, energies = bank.busy_time.data, bank.busy_energy.data
+            times, energies = bank.busy_time, bank.busy_energy
         elif code == IDLE_CODE:
-            times, energies = bank.idle_time.data, bank.idle_energy.data
+            times, energies = bank.idle_time, bank.idle_energy
         else:
-            times, energies = bank.sleep_time.data, bank.sleep_energy.data
+            times, energies = bank.sleep_time, bank.sleep_energy
         closed = total = times[row]
         if span > 0:
             total = times[row] = closed + span
             energies[row] += span * self._current_power()
-        bank.since.data[row] = now
+        bank.since[row] = now
         tally = self._tally
         if tally is not None:
             tally._close(code, since, closed, total)
 
     def finalize(self, now: float) -> EnergyBreakdown:
         """Charge the final span and freeze the meter."""
-        if not np.isnan(self._bank.finalized_at.data[self._row]):
+        finalized = self._bank.finalized_at[self._row]
+        if finalized == finalized:
             raise RuntimeError("meter already finalized")
         self._charge(now)
-        self._bank.finalized_at.data[self._row] = now
+        self._bank.finalized_at[self._row] = now
         return self.snapshot()
 
     def snapshot(self, now: float | None = None) -> EnergyBreakdown:
@@ -497,19 +498,20 @@ class ProcessorEnergyMeter:
         mutating the meter.
         """
         bank, row = self._bank, self._row
-        busy_time = bank.busy_time.data[row]
-        idle_time = bank.idle_time.data[row]
-        sleep_time = bank.sleep_time.data[row]
-        busy_energy = bank.busy_energy.data[row]
-        idle_energy = bank.idle_energy.data[row]
-        sleep_energy = bank.sleep_energy.data[row]
-        if now is not None and np.isnan(bank.finalized_at.data[row]):
-            since = bank.since.data[row]
+        busy_time = bank.busy_time[row]
+        idle_time = bank.idle_time[row]
+        sleep_time = bank.sleep_time[row]
+        busy_energy = bank.busy_energy[row]
+        idle_energy = bank.idle_energy[row]
+        sleep_energy = bank.sleep_energy[row]
+        finalized = bank.finalized_at[row]
+        if now is not None and finalized != finalized:
+            since = bank.since[row]
             if now < since:
                 raise ValueError("snapshot time precedes last transition")
             span = now - since
             accrued = span * self._current_power()
-            code = bank.state.data[row]
+            code = bank.state[row]
             if code == BUSY_CODE:
                 busy_time += span
                 busy_energy += accrued

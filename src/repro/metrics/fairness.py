@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..cluster.system import System
+from ..sim.fold import fold_sum
 from ..workload.task import Task
 from .response_time import summarize_response_times
 from .success_rate import summarize_success
@@ -76,7 +77,7 @@ def per_site_breakdown(
             tasks_completed=len(site_tasks),
             avert=response.mean,
             success_rate=success.completed_rate,
-            energy=sum(e.energy for e in energies),
-            busy_time=sum(e.busy_time for e in energies),
+            energy=fold_sum(e.energy for e in energies),
+            busy_time=fold_sum(e.busy_time for e in energies),
         )
     return out

@@ -11,12 +11,12 @@ Only order-insensitive accumulators live here: integer counts are exact
 and ``max`` is associative, so the streamed values are bit-identical to
 the batch rescans they replace.  Distributional statistics (median, p95)
 need the full sample, so :meth:`StreamingRunStats.record` also appends
-each completion's response/wait time to preallocated columnar logs
-(:class:`~repro.sim.columnar.FloatColumn`); because appends happen in
-completion order, the logged arrays carry the exact float64 values, in
-the exact order, of the end-of-run rescan
-``np.array([t.response_time for t in completed])`` — so
-:meth:`StreamingRunStats.response_summary` is bit-identical to
+each completion's response/wait time to a plain list of Python floats
+(see :mod:`repro.sim.columnar`); because appends happen in completion
+order, the logs carry the exact values, in the exact order, of the
+end-of-run rescan ``[t.response_time for t in completed]`` — so
+:meth:`StreamingRunStats.response_summary`, which builds its arrays
+from them when called, is bit-identical to
 :func:`~repro.metrics.response_time.summarize_response_times` without
 the O(N) object walk.
 """
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..sim.columnar import FloatColumn
 from ..workload.priorities import Priority
 from ..workload.task import Task
 from .response_time import ResponseTimeSummary
@@ -61,10 +60,10 @@ class StreamingRunStats:
         self.makespan = 0.0
         self.response_sum = 0.0
         self.wait_sum = 0.0
-        #: Columnar logs in completion order — the full sample the
+        #: Logs in completion order — the full sample the
         #: distributional summary needs, without rescanning tasks.
-        self.response_log = FloatColumn()
-        self.wait_log = FloatColumn()
+        self.response_log: list[float] = []
+        self.wait_log: list[float] = []
         self._per_priority: dict[Priority, list[int]] = {
             prio: [0, 0] for prio in Priority
         }
@@ -97,16 +96,16 @@ class StreamingRunStats:
     def response_summary(self) -> ResponseTimeSummary:
         """Distributional summary over the streamed completion logs.
 
-        Runs the same NumPy reductions, over the same float64 values in
-        the same (completion) order, as
+        Runs the same NumPy reductions, over the same values in the
+        same (completion) order, as
         :func:`~repro.metrics.response_time.summarize_response_times`
         applied to the completed-task list — so the result is
         bit-identical while skipping the per-task property walk.
         """
         if not self.completed:
             return ResponseTimeSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        rts = self.response_log.view()
-        waits = self.wait_log.view()
+        rts = np.array(self.response_log)
+        waits = np.array(self.wait_log)
         return ResponseTimeSummary(
             count=self.completed,
             mean=float(rts.mean()),

@@ -62,13 +62,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-import numpy as np
-
 from ..energy.meter import BANK, ProcessorEnergyMeter, ProcState
 from ..obs import CAT_AUDIT, NULL_TELEMETRY
 from ..rl.dense import DenseQTable
 from ..rl.qlearning import QTable
 from ..sim.core import Environment
+from ..sim.fold import fold_sum
 from ..workload.priorities import classify_slack
 from .report import AuditReport, InvariantViolationError, Violation
 
@@ -237,7 +236,7 @@ class InvariantAuditor:
         self._shadows: list[_MeterShadow] = []
         self._nodes: list[Any] = []
         #: Meter-bank rows of the system's processors, for the rescan.
-        self._meter_rows = np.empty(0, dtype=np.intp)
+        self._meter_rows: list[int] = []
         #: tid -> Task for every task ever submitted to the scheduler.
         self._tasks: dict[Any, Any] = {}
         #: tid -> completion count (anything > 1 is a violation).
@@ -366,9 +365,7 @@ class InvariantAuditor:
             raise RuntimeError("a system is already attached")
         self.system = system
         self._nodes = list(system.nodes)
-        self._meter_rows = np.array(
-            [p.meter._row for p in system.processors], dtype=np.intp
-        )
+        self._meter_rows = [p.meter._row for p in system.processors]
         for proc in system.processors:
             self._wrap_meter(proc.meter)
 
@@ -638,7 +635,7 @@ class InvariantAuditor:
                     break
             # Frozen Eq. 2 aggregates vs fresh recomputation (same
             # expressions as the constructor, so equality is exact).
-            total = sum(p.speed_mips for p in node.processors)
+            total = fold_sum(p.speed_mips for p in node.processors)
             if (
                 node._total_speed_mips != total
                 or node._processing_capacity != total / node.queue_slots
@@ -654,7 +651,7 @@ class InvariantAuditor:
             # Dirty-flag cache coherence (PR 3's invalidation points):
             # a clean cache must equal the full rescan bit-for-bit.
             if not node._work_dirty:
-                load = sum(g.pw for g in node._active_groups)
+                load = fold_sum(g.pw for g in node._active_groups)
                 pending = sum(g.remaining for g in node._active_groups)
                 if (
                     node._load_cache != load
@@ -675,7 +672,7 @@ class InvariantAuditor:
                     for t in g.tasks
                     if not t.completed
                 ]
-                size = sum(t.size_mi for t in live)
+                size = fold_sum(t.size_mi for t in live)
                 deadlines = node._deadlines_cache
                 if node._pending_size_cache != size or (
                     deadlines is not None
@@ -692,7 +689,7 @@ class InvariantAuditor:
             if not node._power_dirty:
                 power = tuple(p.current_power_w for p in node.processors)
                 if node._power_cache != power or (
-                    node._total_power_cache != sum(power)
+                    node._total_power_cache != fold_sum(power)
                 ):
                     self._violate(
                         INV_QUEUE,

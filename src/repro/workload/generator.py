@@ -228,10 +228,10 @@ class WorkloadGenerator:
                 )
                 for i in range(n)
             ]
-        # Columnar fill: one store for the whole workload, no per-field
-        # Python boxing; validation and slack classification run
-        # vectorized in bulk_append with exact scalar parity.
-        store = TaskStore(capacity=n)
+        # Columnar fill: one store for the whole workload; validation
+        # and slack classification run vectorized in bulk_append with
+        # exact scalar parity, and no Task object is constructed.
+        store = TaskStore()
         rows = store.bulk_append(range(n), sizes, arrivals, act, deadline)
         return [Task._view(store, row) for row in range(rows.start, rows.stop)]
 
@@ -266,9 +266,8 @@ class WorkloadGenerator:
         spec = self.spec
         n = spec.num_tasks
         scalar = oracle_mode()
-        # One store for the whole stream; presized so yielded views
-        # never see a column reallocation mid-iteration.
-        store = None if scalar else TaskStore(capacity=n)
+        # One store for the whole stream.
+        store = None if scalar else TaskStore()
 
         # Position-dependent slack-stream layout: draw both columns now.
         prio_idx = self._slack.choice(3, size=n, p=list(spec.priority_mix))

@@ -283,11 +283,11 @@ def iter_swf_tasks(
     synthetic generator — jobs accumulate into chunks of *chunk* rows,
     one vectorized validated append per chunk, tasks yielded as
     2-slot ``(store, row)`` views — so a multi-million-job log streams
-    without per-task Python object fields.
+    without one constructor call per job.
     """
     if chunk <= 0:
         raise ValueError("chunk must be positive")
-    store = TaskStore(capacity=chunk)
+    store = TaskStore()
 
     tids: list[int] = []
     sizes: list[float] = []

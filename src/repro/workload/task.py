@@ -6,10 +6,10 @@ simulator (start/finish times, the processor that ran it).
 
 Since the struct-of-arrays refactor a task owns no fields: it is a
 2-slot ``(store, row)`` view over a :class:`~repro.workload.taskstore.
-TaskStore`, whose columns hold one field across many tasks.  The
+TaskStore`, whose lists hold one field across many tasks.  The
 constructor still builds a standalone task (allocating a row in a
-module-level scratch store), the bulk paths (workload generator, trace
-replay) fill whole columns at once, and every property, method, and
+module-level scratch store), the bulk paths (workload generator, SWF
+loader) fill whole columns at once, and every property, method, and
 error message below is unchanged from the per-object implementation.
 """
 
@@ -30,6 +30,9 @@ _SCRATCH = TaskStore()
 
 #: NaN marker used by the execution-record columns ("not yet").
 _NAN = float("nan")
+
+#: Priority by column code (``Priority(code)`` without the enum lookup).
+_PRIORITIES = tuple(Priority)
 
 
 class Task:
@@ -82,14 +85,12 @@ class Task:
         )
         self._store = store
         self._row = row
-        if start_time is not None or finish_time is not None:
-            with store.lock:
-                if start_time is not None:
-                    store.start_time.data[row] = start_time
-                    store.processor_ids[row] = processor_id
-                    store.site_ids[row] = site_id
-                if finish_time is not None:
-                    store.finish_time.data[row] = finish_time
+        if start_time is not None:
+            store.start_time[row] = float(start_time)
+            store.processor_ids[row] = processor_id
+            store.site_ids[row] = site_id
+        if finish_time is not None:
+            store.finish_time[row] = float(finish_time)
 
     @classmethod
     def _view(cls, store: TaskStore, row: int) -> "Task":
@@ -106,23 +107,23 @@ class Task:
 
     @property
     def size_mi(self) -> float:
-        return self._store.size_mi.data[self._row]
+        return self._store.size_mi[self._row]
 
     @property
     def arrival_time(self) -> float:
-        return self._store.arrival_time.data[self._row]
+        return self._store.arrival_time[self._row]
 
     @property
     def act(self) -> float:
-        return self._store.act.data[self._row]
+        return self._store.act[self._row]
 
     @property
     def deadline(self) -> float:
-        return self._store.deadline.data[self._row]
+        return self._store.deadline[self._row]
 
     @property
     def priority(self) -> Priority:
-        return Priority(int(self._store.prio_code.data[self._row]))
+        return _PRIORITIES[self._store.prio_code[self._row]]
 
     # -- derived spec properties ----------------------------------------
     @property
@@ -144,12 +145,12 @@ class Task:
     # -- execution-record properties --------------------------------------
     @property
     def start_time(self) -> Optional[float]:
-        v = self._store.start_time.data[self._row]
+        v = self._store.start_time[self._row]
         return None if v != v else v
 
     @property
     def finish_time(self) -> Optional[float]:
-        v = self._store.finish_time.data[self._row]
+        v = self._store.finish_time[self._row]
         return None if v != v else v
 
     @property
@@ -162,52 +163,50 @@ class Task:
 
     @site_id.setter
     def site_id(self, value: Optional[str]) -> None:
-        # Schedulers tag the chosen site before dispatch.  A list cell
-        # write is atomic and stable across growth — no lock needed.
+        # Schedulers tag the chosen site before dispatch.
         self._store.site_ids[self._row] = value
 
     @property
     def completed(self) -> bool:
         """True once the task has finished executing."""
-        v = self._store.finish_time.data[self._row]
-        return bool(v == v)
+        v = self._store.finish_time[self._row]
+        return v == v
 
     @property
     def waiting_time(self) -> float:
         """Queueing delay from arrival to execution start."""
-        start = self._store.start_time.data[self._row]
+        start = self._store.start_time[self._row]
         if start != start:
             raise ValueError(f"task {self.tid} has not started")
-        return start - self._store.arrival_time.data[self._row]
+        return start - self._store.arrival_time[self._row]
 
     @property
     def response_time(self) -> float:
         """Total time in system: waiting time plus execution time."""
-        finish = self._store.finish_time.data[self._row]
+        finish = self._store.finish_time[self._row]
         if finish != finish:
             raise ValueError(f"task {self.tid} has not finished")
-        return finish - self._store.arrival_time.data[self._row]
+        return finish - self._store.arrival_time[self._row]
 
     @property
     def met_deadline(self) -> bool:
         """True if the task finished at or before its deadline (Eq. 8)."""
-        finish = self._store.finish_time.data[self._row]
+        finish = self._store.finish_time[self._row]
         if finish != finish:
             raise ValueError(f"task {self.tid} has not finished")
-        return bool(finish <= self._store.deadline.data[self._row])
+        return finish <= self._store.deadline[self._row]
 
     def mark_started(self, time: float, processor_id: str, site_id: str) -> None:
         """Record execution start (simulator hook)."""
         store, row = self._store, self._row
-        start = store.start_time.data[row]
+        start = store.start_time[row]
         if start == start:
             raise RuntimeError(f"task {self.tid} started twice")
-        if time < store.arrival_time.data[row]:
+        if time < store.arrival_time[row]:
             raise ValueError(f"task {self.tid} started before arrival")
-        with store.lock:  # vs. concurrent column growth
-            store.start_time.data[row] = time
-            store.processor_ids[row] = processor_id
-            store.site_ids[row] = site_id
+        store.start_time[row] = time
+        store.processor_ids[row] = processor_id
+        store.site_ids[row] = site_id
 
     def reset_execution(self) -> None:
         """Clear the execution record so the task can run again.
@@ -217,27 +216,25 @@ class Task:
         reset.  Idempotent on never-started tasks.
         """
         store, row = self._store, self._row
-        finish = store.finish_time.data[row]
+        finish = store.finish_time[row]
         if finish == finish:
             raise RuntimeError(f"task {self.tid} already completed")
-        with store.lock:  # vs. concurrent column growth
-            store.start_time.data[row] = _NAN
-            store.processor_ids[row] = None
-            store.site_ids[row] = None
+        store.start_time[row] = _NAN
+        store.processor_ids[row] = None
+        store.site_ids[row] = None
 
     def mark_finished(self, time: float) -> None:
         """Record execution completion (simulator hook)."""
         store, row = self._store, self._row
-        start = store.start_time.data[row]
+        start = store.start_time[row]
         if start != start:
             raise RuntimeError(f"task {self.tid} finished without starting")
-        finish = store.finish_time.data[row]
+        finish = store.finish_time[row]
         if finish == finish:
             raise RuntimeError(f"task {self.tid} finished twice")
         if time < start:
             raise ValueError(f"task {self.tid} finished before it started")
-        with store.lock:  # vs. concurrent column growth
-            store.finish_time.data[row] = time
+        store.finish_time[row] = time
 
     # -- value semantics (dataclass parity) -------------------------------
     def __eq__(self, other: object) -> bool:
@@ -261,10 +258,10 @@ class Task:
             _rebuild,
             (
                 self.tid,
-                float(self.size_mi),
-                float(self.arrival_time),
-                float(self.act),
-                float(self.deadline),
+                self.size_mi,
+                self.arrival_time,
+                self.act,
+                self.deadline,
                 self.priority,
                 self.start_time,
                 self.finish_time,

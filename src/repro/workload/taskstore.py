@@ -1,31 +1,26 @@
 """Columnar task storage — the struct-of-arrays backing for :class:`Task`.
 
-A :class:`TaskStore` holds one field across many tasks in a growable,
-preallocated column (:mod:`repro.sim.columnar`): the immutable
-specification (size, arrival, ACT, deadline, priority code) in float64 /
-int8 arrays, and the mutable execution record (start/finish times in
-float64 with NaN = "not yet", processor/site ids in plain lists).  A
+A :class:`TaskStore` holds one field across many tasks in one plain
+Python list (see :mod:`repro.sim.columnar` for why lists): the
+immutable specification (tid, size, arrival, ACT, deadline, priority
+code) and the mutable execution record (start/finish times with NaN =
+"not yet", processor/site ids with None).  A
 :class:`~repro.workload.task.Task` is a 2-slot ``(store, row)`` view —
-the object API is unchanged, but bulk construction (the workload
-generator) fills whole columns without boxing a single Python float,
-and whole-population reductions (metrics, verifiers) can read the
-columns directly.
-
-Identifier fields (``tid``, ``processor_id``, ``site_id``) stay in plain
-Python lists: tids must remain ``int`` (``np.int64`` is not an ``int``
-subclass, which breaks JSON serialization and dict keys) and the id
-strings are objects anyway.
+the object API is unchanged, and every field it returns is a Python
+``float``, ``int`` or ``str``.  Bulk construction (the workload
+generator, the SWF loader) validates and classifies a whole block with
+NumPy and fills the lists with ``ndarray.tolist()``.
 
 Thread-safety
 -------------
-Column growth reallocates the backing array, so a write racing a
-concurrent append could land in a dead buffer (the service ingress
-constructs tasks from a producer thread while the engine fills
-execution records).  Every mutation therefore holds the store's
-:attr:`~TaskStore.lock` — appends here, execution-record writes in the
-:class:`Task` mutators.  Reads stay lock-free: growth copies all
-committed values before the swap, and a task's record cells are only
-ever written by its owning thread.
+Several producer threads may append (the service ingress builds tasks
+from a producer thread while the engine fills execution records).  An
+append writes one cell to every list, so two unlocked appends could
+interleave and misalign rows; every append therefore holds the store's
+:attr:`~TaskStore.lock`.  A row, once returned, never moves, and a
+single list-cell write is atomic, so execution-record writes (each
+task's record is written only by its owning thread) and all reads are
+lock-free.
 
 Validation parity
 -----------------
@@ -46,8 +41,10 @@ from typing import Optional
 
 import numpy as np
 
-from ..sim.columnar import FloatColumn, IntColumn
 from .priorities import HIGH_SLACK_MAX, LOW_SLACK_MIN
+
+#: Execution-record marker for "not yet".
+_NAN = float("nan")
 
 __all__ = ["TaskStore"]
 
@@ -75,16 +72,16 @@ class TaskStore:
         "lock",
     )
 
-    def __init__(self, capacity: int = 16) -> None:
+    def __init__(self) -> None:
         self.lock = threading.Lock()
         self.tids: list[int] = []
-        self.size_mi = FloatColumn(capacity)
-        self.arrival_time = FloatColumn(capacity)
-        self.act = FloatColumn(capacity)
-        self.deadline = FloatColumn(capacity)
-        self.prio_code = IntColumn(capacity, dtype=np.int8)
-        self.start_time = FloatColumn(capacity)
-        self.finish_time = FloatColumn(capacity)
+        self.size_mi: list[float] = []
+        self.arrival_time: list[float] = []
+        self.act: list[float] = []
+        self.deadline: list[float] = []
+        self.prio_code: list[int] = []
+        self.start_time: list[float] = []
+        self.finish_time: list[float] = []
         self.processor_ids: list[Optional[str]] = []
         self.site_ids: list[Optional[str]] = []
 
@@ -103,14 +100,15 @@ class TaskStore:
     ) -> int:
         """Append one *pre-validated* task spec; returns its row."""
         with self.lock:
-            row = self.size_mi.append(size_mi)
-            self.arrival_time.append(arrival_time)
-            self.act.append(act)
-            self.deadline.append(deadline)
-            self.prio_code.append(prio_code)
-            self.start_time.append(np.nan)
-            self.finish_time.append(np.nan)
+            row = len(self.tids)
             self.tids.append(tid)
+            self.size_mi.append(float(size_mi))
+            self.arrival_time.append(float(arrival_time))
+            self.act.append(float(act))
+            self.deadline.append(float(deadline))
+            self.prio_code.append(int(prio_code))
+            self.start_time.append(_NAN)
+            self.finish_time.append(_NAN)
             self.processor_ids.append(None)
             self.site_ids.append(None)
         return row
@@ -178,18 +176,22 @@ class TaskStore:
             if len(codes) != n:
                 raise ValueError("task field columns must have equal length")
 
+        sizes, arrivals = sizes.tolist(), arrivals.tolist()
+        acts, deadlines = acts.tolist(), deadlines.tolist()
+        codes = codes.tolist()
         with self.lock:
-            rows = self.size_mi.extend(sizes)
+            start = len(self.tids)
+            self.tids.extend(tids)
+            self.size_mi.extend(sizes)
             self.arrival_time.extend(arrivals)
             self.act.extend(acts)
             self.deadline.extend(deadlines)
             self.prio_code.extend(codes)
-            self.start_time.extend(np.full(n, np.nan))
-            self.finish_time.extend(np.full(n, np.nan))
-            self.tids.extend(tids)
+            self.start_time.extend([_NAN] * n)
+            self.finish_time.extend([_NAN] * n)
             self.processor_ids.extend([None] * n)
             self.site_ids.extend([None] * n)
-        return rows
+        return slice(start, start + n)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<TaskStore size={len(self.tids)}>"

@@ -55,11 +55,11 @@ class TestRunMetrics:
 
         sched = run_result.scheduler
         assert np.array_equal(
-            sched.stream.response_log.view(),
+            sched.stream.response_log,
             np.array([t.response_time for t in sched.completed]),
         )
         assert np.array_equal(
-            sched.stream.wait_log.view(),
+            sched.stream.wait_log,
             np.array([t.waiting_time for t in sched.completed]),
         )
 

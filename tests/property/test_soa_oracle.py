@@ -38,7 +38,7 @@ def small_configs(draw):
     )
 
 
-def _run_traced(config, oracle: bool):
+def _run_traced(config, oracle: bool, strict=None):
     """Run *config*, recording a per-completion state snapshot.
 
     The spy shadows ``Scheduler._task_completed`` at class level so it
@@ -76,7 +76,7 @@ def _run_traced(config, oracle: bool):
         else:
             mp.delenv(ORACLE_ENV, raising=False)
         mp.setattr(Scheduler, "_task_completed", spy)
-        result = run_experiment(config)
+        result = run_experiment(config, strict=strict)
     digest = (
         result.metrics.avert.hex(),
         result.metrics.ecs.hex(),
@@ -98,3 +98,26 @@ class TestColumnarOracleEquivalence:
         # in the same delivery order.
         assert columnar_trace == oracle_trace
         assert columnar_digest == oracle_digest
+
+
+#: Cases Hypothesis drew above while a node's worker ran the task
+#: callbacks before ``group.task_done()``: the spy's ``pending_tasks``
+#: read cached a count one too high and marked it clean, which the
+#: strict auditor reports as ``queue-bound``.  ``(seed, tasks, period)``.
+STALE_PENDING_CASES = [(40, 14, 400.0), (0, 24, 100.0)]
+
+
+class TestPendingCacheAfterCompletion:
+    @pytest.mark.parametrize("seed,num_tasks,period", STALE_PENDING_CASES)
+    def test_callback_reads_leave_no_stale_cache(self, seed, num_tasks, period):
+        config = ExperimentConfig(
+            scheduler="adaptive-rl",
+            seed=seed,
+            num_tasks=num_tasks,
+            arrival_period=period,
+            platform=PlatformSpec(
+                num_sites=1, nodes_per_site=(1, 2), procs_per_node=(2, 4)
+            ),
+        )
+        trace, _ = _run_traced(config, oracle=False, strict=True)
+        assert len(trace) == num_tasks

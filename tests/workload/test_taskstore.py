@@ -98,7 +98,7 @@ class TestBulkValidation:
 
 class TestViewLifetime:
     def test_views_survive_column_growth(self):
-        store = TaskStore(capacity=2)
+        store = TaskStore()
         row = store.append(0, 600.0, 0.0, 1.2, 10.0, 0)
         view = Task._view(store, row)
         before = view.size_mi

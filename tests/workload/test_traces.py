@@ -224,7 +224,7 @@ class TestSoARoundTrip:
         from repro.workload.traces import iter_trace_jsonl, save_trace_jsonl
 
         slacks = [0.0, HIGH_SLACK_MAX, LOW_SLACK_MIN, MAX_SLACK]
-        store = TaskStore(capacity=len(slacks))
+        store = TaskStore()
         act = 10.0
         rows = store.bulk_append(
             list(range(1, len(slacks) + 1)),
