@@ -19,9 +19,9 @@ an event reads or writes a few cells.  A list cell is the Python
 accumulator stay Python scalars; an ndarray cell read boxes a
 ``numpy.float64`` whose arithmetic is several times slower.  Bulk
 producers still validate and classify vectorized and fill the lists
-with ``ndarray.tolist()``; the few bulk readers build an array when
-they run.  Rows are append-only, so a ``(store, row)`` view stays valid
-for the life of its store.
+with ``ndarray.tolist()``; the two bulk readers build what they need
+from the lists per call.  Rows are append-only, so a ``(store, row)``
+view stays valid for the life of its store.
 
 Sums over these floats go through :func:`~repro.sim.fold.fold_sum`,
 never builtin ``sum()`` (see that module).

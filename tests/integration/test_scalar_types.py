@@ -16,13 +16,13 @@ import pytest
 
 from repro.core.base import Scheduler
 from repro.energy.meter import BANK
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.service import SchedulerService
 from repro.sim.rng import RandomStreams
 from repro.workload.generator import WorkloadGenerator
 
-from .test_golden_seeds import NUM_TASKS, dvfs_config
-from ..service.test_parity import _config
+from .test_golden_seeds import ARRIVAL_PERIOD, NUM_TASKS, dvfs_config
 
 TASK_FLOATS = (
     "size_mi",
@@ -81,7 +81,14 @@ def _assert_python_scalars(env, tasks, processors, clock_types) -> None:
 
 
 def test_batch_run_keeps_python_scalars(clock_types):
-    result = run_experiment(_config("adaptive-rl", 11))
+    result = run_experiment(
+        ExperimentConfig(
+            scheduler="adaptive-rl",
+            seed=11,
+            num_tasks=NUM_TASKS,
+            arrival_period=ARRIVAL_PERIOD,
+        )
+    )
     sched = result.scheduler
     assert len(sched.completed) == NUM_TASKS
     _assert_python_scalars(
