@@ -19,16 +19,16 @@ are *armed* (scheduled into the environment, at their exact absolute
 epoch via :meth:`~repro.sim.core.Environment.schedule_at`) only up to
 the injector's **frontier**:
 
-- The batch runner knows its horizon up front and advances the frontier
-  to it at construction (``until=time_cap``) — every lifecycle then
-  self-arms its successor transition as it fires.
-- The streaming service has no horizon while the stream is open; the
-  :class:`~repro.service.engine.SliceEngine` advances the frontier
-  alongside its admission frontier before every kernel step, so no
-  transition is ever scheduled past simulated time the stream has
-  settled.  At drain, :meth:`close` fixes the horizon (the same
-  ``time_cap`` the batch runner uses) and the clamp semantics below
-  apply.
+- A :class:`~repro.experiments.runner.Run` builds its injector with
+  ``defer_arming=True``.  A batch run knows its horizon once the whole
+  workload is admitted, so :meth:`close` fixes it (``time_cap``) before
+  the kernel starts — every lifecycle then self-arms its successor
+  transition as it fires.
+- A streaming service has no horizon while the stream is open; the run
+  advances the frontier alongside the admission frontier before every
+  kernel step, so no transition is ever scheduled past simulated time
+  the stream has settled.  At drain, :meth:`close` fixes the horizon
+  (the same ``time_cap``) and the clamp semantics below apply.
 
 Because per-node draws are horizon-independent and transitions fire at
 bit-exact precomputed epochs, a sliced service run and a one-shot batch
@@ -121,15 +121,15 @@ class FailureInjector:
     start_after:
         No failure before this simulated time.
     until:
-        Optional injection horizon.  When given (the batch runner's
-        fixed ``time_cap``), the frontier opens to it immediately and
-        the clamp semantics apply from the start.  ``None`` injects
-        without bound (standalone/benchmark use).
+        Optional injection horizon.  When given, the frontier opens to
+        it immediately and the clamp semantics apply from the start.
+        ``None`` injects without bound (standalone/benchmark use).
     defer_arming:
-        Streaming-service mode (requires ``until=None``): start with a
-        closed frontier and arm nothing — the caller advances the
-        frontier incrementally with :meth:`advance_frontier` and fixes
-        the horizon at drain with :meth:`close`.
+        The mode a :class:`~repro.experiments.runner.Run` uses (requires
+        ``until=None``): start with a closed frontier and arm nothing —
+        the caller advances the frontier incrementally with
+        :meth:`advance_frontier` and fixes the horizon with
+        :meth:`close`.
     """
 
     def __init__(
@@ -191,7 +191,7 @@ class FailureInjector:
         """Allow transitions up to *time*; arm every pending one ≤ it.
 
         Monotone and idempotent.  The caller guarantees the simulation
-        clock has not yet passed *time* (the service engine calls this
+        clock has not yet passed *time* (``Run.advance`` calls this
         immediately before each ``env.run(until=time)``); arming a
         transition the clock already passed raises, because it would
         mean a fail/repair was silently lost.
@@ -206,13 +206,15 @@ class FailureInjector:
                 self._arm(lc)
 
     def close(self, horizon: float) -> None:
-        """Fix the injection horizon at drain time (streaming service).
+        """Fix the injection horizon once the last arrival is known.
 
         Applies the clamp semantics to every pending transition —
         repairs past the horizon reschedule *at* it, fails past it
-        retire — then opens the frontier to the horizon so the endgame
-        (run-to-last-completion) sees exactly the failure schedule a
-        batch run constructed with ``until=horizon`` would inject.
+        retire — then opens the frontier to the horizon, arming exactly
+        the transitions an injector constructed with ``until=horizon``
+        would arm, in the same order.  Whether a run closes before the
+        kernel starts (batch) or at drain (service), the endgame sees
+        the same failure schedule.
         """
         if self.until is not None:
             raise RuntimeError("injection horizon is already fixed")

@@ -24,7 +24,7 @@ from .persistence import (
     save_figure,
 )
 from .reporting import ShapeCheck, render_figure, shape_checks
-from .runner import RunResult, SimulationStalled, run_experiment
+from .runner import Run, RunResult, SimulationStalled, run_experiment
 from .schedulers import (
     PAPER_COMPARISON,
     SCHEDULER_NAMES,
@@ -37,6 +37,7 @@ from .sweeps import SweepPoint, ablation_table, sweep
 __all__ = [
     "ExperimentConfig",
     "default_platform",
+    "Run",
     "RunResult",
     "run_experiment",
     "SimulationStalled",

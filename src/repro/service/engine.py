@@ -1,60 +1,41 @@
-"""Incremental simulation driver: the batch run, sliced.
+"""Incremental simulation driver: a
+:class:`~repro.experiments.runner.Run`, sliced.
 
-The batch harness (:func:`repro.experiments.runner.run_experiment`)
-builds the platform, submits a pre-generated workload through an
-arrival process, and runs the kernel to completion in one call.  The
-:class:`SliceEngine` is the same run decomposed into bounded steps so a
-*service* can interleave simulation with admission: each
-:meth:`advance` call pops admitted tasks from the ingress up to a
-slice target, injects them as arrival-time submissions, and moves the
-kernel forward — never past the *admission frontier* (the largest
-admitted arrival time) while the stream is open, because simulated
-time beyond the frontier could be invalidated by a later admission.
+The batch harness admits a whole workload into a :class:`Run` and
+drains it in one call.  The :class:`SliceEngine` drives the same
+:class:`Run` in bounded steps so a *service* can interleave simulation
+with admission: each :meth:`~SliceEngine.advance` pops admitted tasks
+from the ingress up to a slice target, injects each at its arrival
+epoch, and moves the kernel forward — never past the *admission
+frontier* (the largest admitted arrival time) while the stream is open,
+because simulated time beyond it could be invalidated by a later
+admission.  The run's failure injector arms transitions under the same
+frontier.
 
 Determinism contract (pinned by ``tests/service/test_parity.py``): for
-a fixed admitted task sequence, the sliced run visits the same
-trajectory as the batch run — same completions, same energy, same
-golden digest — regardless of how the slices are cut.  The mechanism:
-``env.run(until=t)`` stops *before* any event scheduled at ``t``, so
-injecting a task at its exact arrival epoch is indistinguishable from
-the batch arrival process waking at that epoch; slice boundaries add
-stop-sentinels that consume event ids uniformly without processing
-anything.
-
-Failure injection follows the same frontier rule: the
-:class:`~repro.cluster.failures.FailureInjector` draws each node's
-fail/repair lifecycle from a per-node RNG substream and only *arms*
-transitions up to the engine's kernel cap — the injector's frontier is
-advanced immediately before every ``env.run`` call, so no fault is
-ever scheduled past simulated time the stream has settled.  At drain
-the injector's horizon is fixed to the batch runner's ``time_cap`` and
-the clamp semantics apply, making the sliced failure schedule — and
-hence crash-resubmission accounting — bitwise identical to a batch run
-reaching the same final horizon.
+a fixed admitted task sequence, the sliced run visits the batch run's
+trajectory — same completions, energy, golden digest and
+flight-recorder samples — however the slices are cut.
+``env.run(until=t)`` stops *before* any event at ``t``, so injecting a
+task at its arrival epoch is indistinguishable from the batch arrival
+process waking there; slice boundaries add stop-sentinels that consume
+event ids uniformly without processing anything.
 """
 
 from __future__ import annotations
 
 import time as _time
-from typing import List, Optional
+from typing import Optional
 
-from ..cluster.failures import FailureInjector, FailureModel
-from ..cluster.system import System, build_system
-from ..core.base import Scheduler
+# Unused here: the end-to-end benchmark's tracer wraps these two names
+# in this module, and fails when they are missing.  The calls themselves
+# happen in ``Run`` (``repro.experiments.runner``), where the tracer's
+# wrappers count them for batch and service runs alike.
+from ..cluster.system import build_system  # noqa: F401
 from ..experiments.config import ExperimentConfig
-from ..experiments.schedulers import make_scheduler
-from ..metrics.collector import RunMetrics, collect_metrics
-from ..obs import (
-    CAT_RUN,
-    CAT_TASK,
-    Telemetry,
-    get_telemetry,
-    make_run_probes,
-)
-from ..sim.core import Environment
-from ..sim.events import AnyOf
-from ..sim.rng import RandomStreams
-from ..validate import AuditReport, InvariantAuditor, strict_mode_enabled
+from ..experiments.runner import Run, SimulationStalled
+from ..metrics.collector import RunMetrics, collect_metrics  # noqa: F401
+from ..obs import Telemetry
 from ..workload.generator import WorkloadSpec
 from ..workload.task import Task
 from .errors import ServiceError, ServiceStalled
@@ -64,8 +45,7 @@ __all__ = ["SliceEngine", "DEFAULT_SLICE"]
 
 #: Default slice length in simulated time units — a compromise between
 #: injection latency (shorter = admitted tasks enter the kernel sooner)
-#: and per-slice overhead (each slice costs one stop-sentinel and one
-#: ops sample).
+#: and per-slice overhead (each slice costs one stop-sentinel).
 DEFAULT_SLICE = 25.0
 
 #: Wall-clock slice-duration histogram buckets (seconds): service
@@ -77,13 +57,8 @@ _SLICE_BUCKETS = (
 
 
 class SliceEngine:
-    """Drives one scheduler run in bounded increments.
-
-    Construction mirrors the batch runner exactly — environment, RNG
-    streams, platform, scheduler attach, meter/trace wiring — so that
-    the physics downstream of admission is shared code, not a parallel
-    implementation.
-    """
+    """Drives one :class:`~repro.experiments.runner.Run` in bounded
+    increments, injecting the tasks an ingress admits."""
 
     def __init__(
         self,
@@ -91,116 +66,52 @@ class SliceEngine:
         telemetry: Optional[Telemetry] = None,
         strict: Optional[bool] = None,
     ) -> None:
+        run = self.run = Run(config, telemetry=telemetry, strict=strict)
         self.config = config
-        tel = telemetry if telemetry is not None else get_telemetry()
-        self.telemetry = tel
-        self.env = Environment(telemetry=tel)
-        self.streams = RandomStreams(seed=config.seed)
-        self.system: System = build_system(self.env, config.platform, self.streams)
-        if tel.tracing:
-            for proc in self.system.processors:
-                proc.meter.bind_telemetry(tel, proc.pid)
-            tel.emit(
-                CAT_RUN,
-                "start",
-                self.env.now,
-                scheduler=config.scheduler,
-                num_tasks=config.num_tasks,
-                seed=config.seed,
-            )
-        self.reference_speed = (
-            config.reference_speed_mips
-            if config.reference_speed_mips is not None
-            else self.system.slowest_speed_mips
-        )
-        self.scheduler: Scheduler = make_scheduler(
-            config.scheduler, **dict(config.scheduler_kwargs)
-        )
-        self.scheduler.attach(self.env, self.system, self.streams)
-        #: Frontier-following failure injector, None when the config
-        #: carries no failure model.  Its horizon stays open while the
-        #: stream is live; :meth:`drain` fixes it to the batch cap.
-        self._failures: Optional[FailureInjector] = None
-        if config.failure_mtbf is not None:
-            self._failures = FailureInjector(
-                self.env,
-                self.system.nodes,
-                FailureModel(config.failure_mtbf, config.failure_mttr),
-                self.streams,
-                defer_arming=True,
-            )
-        strict_on = strict if strict is not None else strict_mode_enabled()
-        self.auditor: Optional[InvariantAuditor] = (
-            InvariantAuditor(self.env, self.system, self.scheduler)
-            if strict_on
-            else None
-        )
-        #: The auditor's findings; set by :meth:`drain` under strict mode.
-        self.audit: Optional[AuditReport] = None
+        self.env = run.env
+        self.system = run.system
+        self.scheduler = run.scheduler
         #: Tasks injected into the kernel, in injection (= arrival) order.
-        self.injected: List[Task] = []
-        #: Final metrics; set by :meth:`drain`, None until then (and
-        #: forever when nothing was ever injected).
-        self.metrics: Optional[RunMetrics] = None
-        self._drained = False
-        self._probes = (
-            make_run_probes(self.system, self.scheduler, self.env)
-            if tel.sampling
-            else []
-        )
-        self._last_sample = float("-inf")
+        self.injected = run.injected
+        tel = run.telemetry
         self._h_slice = (
             tel.metrics.histogram("service.slice_seconds", _SLICE_BUCKETS)
             if tel.metering
             else None
         )
 
-    # -- workload plumbing ----------------------------------------------
     def workload_spec(self) -> WorkloadSpec:
-        """The spec a live producer should generate against.
-
-        Built exactly as the batch runner builds it (same reference
-        speed, same overrides), so a service fed by
-        ``WorkloadGenerator(engine.workload_spec(), RandomStreams(seed))``
-        sees the batch run's task sequence bit for bit.
-        """
-        config = self.config
-        return WorkloadSpec(
-            num_tasks=config.num_tasks,
-            mean_interarrival=config.effective_mean_interarrival,
-            size_range_mi=config.size_range_mi,
-            priority_mix=config.priority_mix,
-            reference_speed_mips=self.reference_speed,
-            **dict(config.workload_overrides),
-        )
+        """The spec a live producer should generate against (see
+        :meth:`Run.workload_spec <repro.experiments.runner.Run.workload_spec>`)."""
+        return self.run.workload_spec()
 
     # -- introspection ---------------------------------------------------
+    @property
+    def audit(self):
+        """The auditor's findings; set by :meth:`drain` under strict mode."""
+        return self.run.audit
+
+    @property
+    def metrics(self) -> Optional[RunMetrics]:
+        """Final metrics; None until :meth:`drain` (and forever when
+        nothing was ever injected)."""
+        return self.run.metrics
+
     @property
     def now(self) -> float:
         return self.env.now
 
     @property
     def completed(self) -> int:
-        return len(self.scheduler.completed)
-
-    @property
-    def drained(self) -> bool:
-        return self._drained
-
-    @property
-    def tasks_injected(self) -> int:
-        """Tasks that entered the kernel (distinct from fault counts)."""
-        return len(self.injected)
+        return self.run.completed
 
     @property
     def failures_injected(self) -> int:
-        """Node faults injected so far (0 without a failure model)."""
-        return self._failures.failures_injected if self._failures else 0
+        return self.run.failures_injected
 
     @property
     def repairs_completed(self) -> int:
-        """Node repairs completed so far (0 without a failure model)."""
-        return self._failures.repairs_completed if self._failures else 0
+        return self.run.repairs_completed
 
     # -- stepping --------------------------------------------------------
     def advance(self, ingress: IngressQueue, slice_len: float = DEFAULT_SLICE) -> int:
@@ -212,7 +123,7 @@ class SliceEngine:
         since time beyond the last admitted arrival is not yet settled
         while the stream remains open.
         """
-        if self._drained:
+        if self.run.drained:
             raise ServiceError("engine already drained")
         if slice_len <= 0:
             raise ValueError("slice_len must be positive")
@@ -227,139 +138,41 @@ class SliceEngine:
             injected += 1
         if ingress.head_arrival() is not None:
             # Tasks queued beyond the target pin the frontier past it.
-            cap = target
+            self.run.advance(target)
         else:
-            cap = min(target, ingress.frontier)
-        if cap > self.env.now:
-            if self._failures is not None:
-                self._failures.advance_frontier(cap)
-            self.env.run(until=cap)
+            self.run.advance(min(target, ingress.frontier))
         if self._h_slice is not None:
             self._h_slice.observe(_time.perf_counter() - wall0)
-        self._sample()
         return injected
 
     def _inject(self, task: Task) -> None:
-        arrival = task.arrival_time
-        if arrival < self.env.now:
+        if task.arrival_time < self.env.now:
             raise ServiceError(
-                f"task {task.tid} arrives at {arrival:.6g}, before the "
-                f"kernel clock {self.env.now:.6g} — the ingress frontier "
+                f"task {task.tid} arrives at {task.arrival_time:.6g}, before "
+                f"the kernel clock {self.env.now:.6g} — the ingress frontier "
                 "invariant was violated"
             )
-        if arrival > self.env.now:
-            if self._failures is not None:
-                self._failures.advance_frontier(arrival)
-            # run(until=t) stops before any event at t, exactly where the
-            # batch arrival process would wake to submit this task.
-            self.env.run(until=arrival)
-        tel = self.telemetry
-        if tel.tracing:
-            tel.emit(
-                CAT_TASK,
-                "submit",
-                self.env.now,
-                task=task.tid,
-                size_mi=task.size_mi,
-                deadline=task.deadline,
-                priority=task.priority.label,
-            )
-        self.scheduler.submit(task)
-        self.injected.append(task)
-
-    def _sample(self) -> None:
-        """Record the flight-recorder probes at the current slice edge.
-
-        The batch runner samples with a kernel-level
-        :class:`~repro.obs.PeriodicSampler`; the engine instead samples
-        from *outside* the kernel at slice boundaries, keeping the
-        event stream identical to an unsampled batch run.
-        """
-        if not self._probes:
-            return
-        now = self.env.now
-        if now <= self._last_sample:
-            return
-        self._last_sample = now
-        bank = self.telemetry.series
-        for probe in self._probes:
-            probe(bank, now)
+        self.run.inject(task)
 
     # -- drain -----------------------------------------------------------
     def drain(self, ingress: IngressQueue) -> Optional[RunMetrics]:
         """Inject everything still queued and run to the last completion.
 
-        Mirrors the batch endgame: wait on ``scheduler.expect(n)``
-        against a simulated-time wall of ``max(arrival_span, 1) *
-        sim_time_factor`` (the batch cap, so a stalled scheduler raises
-        :class:`ServiceStalled` instead of spinning forever), then
-        freeze the energy meters at the exact drain instant.  Returns
-        the collected :class:`RunMetrics`, or None when no task was
-        ever injected.
+        The endgame is the run's own (:meth:`Run.drain
+        <repro.experiments.runner.Run.drain>`): a stalled scheduler
+        raises :class:`ServiceStalled` at the batch time cap instead of
+        spinning forever.  Returns the collected :class:`RunMetrics`,
+        or None when no task was ever injected.
         """
-        if self._drained:
+        if self.run.drained:
             raise ServiceError("engine already drained")
         while True:
             task = ingress.pop_next(float("inf"))
             if task is None:
                 break
             self._inject(task)
-        n = len(self.injected)
-        if n == 0:
-            self._finalize()
-            return None
-        done = self.scheduler.expect(n)
-        if len(self.scheduler.completed) < n:
-            arrival_span = self.injected[-1].arrival_time
-            time_cap = max(arrival_span, 1.0) * self.config.sim_time_factor
-            if self._failures is not None:
-                # The stream is settled: fix the injection horizon to
-                # the batch cap, so the endgame sees exactly the clamped
-                # failure schedule a batch run would have armed up front.
-                self._failures.close(time_cap)
-            cap_event = self.env.timeout(max(time_cap - self.env.now, 0.0))
-            self.env.run(until=AnyOf(self.env, [done, cap_event]))
-            if not done.triggered:
-                raise ServiceStalled(
-                    f"{self.scheduler.name}: only "
-                    f"{len(self.scheduler.completed)}/{n} tasks completed "
-                    f"within t={time_cap:.0f}"
-                )
-        self._sample()
-        self._finalize()
-        self.metrics = collect_metrics(self.scheduler, self.system, self.injected)
-        return self.metrics
-
-    def _finalize(self) -> None:
-        now = self.env.now
-        for proc in self.system.processors:
-            proc.meter.finalize(now)
-        self._drained = True
-        if self.auditor is not None:
-            self.audit = self.auditor.finalize()
-        tel = self.telemetry
-        if tel.metering:
-            registry = tel.metrics
-            joules = {"busy": 0.0, "idle": 0.0, "sleep": 0.0}
-            seconds = {"busy": 0.0, "idle": 0.0, "sleep": 0.0}
-            for proc in self.system.processors:
-                breakdown = proc.meter.snapshot()
-                joules["busy"] += breakdown.busy_energy
-                joules["idle"] += breakdown.idle_energy
-                joules["sleep"] += breakdown.sleep_energy
-                seconds["busy"] += breakdown.busy_time
-                seconds["idle"] += breakdown.idle_time
-                seconds["sleep"] += breakdown.sleep_time
-            for state in ("busy", "idle", "sleep"):
-                registry.counter(f"energy.joules.{state}").inc(joules[state])
-                registry.counter(f"energy.seconds.{state}").inc(seconds[state])
-        if tel.tracing:
-            tel.emit(
-                CAT_RUN,
-                "end",
-                now,
-                scheduler=self.scheduler.name,
-                completed=len(self.scheduler.completed),
-                tasks_injected=len(self.injected),
-                failures_injected=self.failures_injected,
-            )
+        try:
+            result = self.run.drain()
+        except SimulationStalled as exc:
+            raise ServiceStalled(str(exc)) from exc
+        return None if result is None else result.metrics

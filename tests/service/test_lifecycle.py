@@ -231,6 +231,44 @@ class TestResume:
         assert report.completed == 40
 
 
+class TestStall:
+    """A scheduler that never places a task stalls the drain at the
+    batch time cap, in the service as in the batch runner."""
+
+    @pytest.fixture
+    def staller(self):
+        from repro.baselines import FCFSScheduler
+        from repro.experiments import register_scheduler, unregister_scheduler
+
+        class StallingScheduler(FCFSScheduler):
+            name = "staller"
+
+            def _scheduling_pass(self):
+                pass  # never places anything
+
+        register_scheduler("staller", StallingScheduler)
+        try:
+            yield small_config(scheduler="staller", sim_time_factor=2.0)
+        finally:
+            unregister_scheduler("staller")
+
+    def test_service_raises_service_stalled_at_the_cap(self, staller):
+        from repro.service import ServiceStalled
+
+        service = SchedulerService(staller, producer)
+        with pytest.raises(ServiceStalled, match="0/40 tasks completed"):
+            service.run()
+        assert service.state is ServiceState.FAILED
+        last_arrival = service.engine.injected[-1].arrival_time
+        assert service.engine.now == max(last_arrival, 1.0) * 2.0
+
+    def test_batch_raises_simulation_stalled(self, staller):
+        from repro.experiments import SimulationStalled, run_experiment
+
+        with pytest.raises(SimulationStalled, match="0/40 tasks completed"):
+            run_experiment(staller)
+
+
 class TestOrderingGuard:
     def test_engine_refuses_time_travel(self):
         """A task arriving before the kernel clock is an invariant break."""

@@ -14,6 +14,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
+from repro.obs import capture
 from repro.service import SchedulerService, SliceEngine
 from repro.sim.rng import RandomStreams
 from repro.workload.generator import WorkloadGenerator
@@ -268,3 +269,86 @@ def test_parity_survives_crash_resume(tmp_path) -> None:
     assert report.resumed
     assert report.completed == NUM_TASKS
     assert _digest(report.metrics) == GOLDEN_DIGESTS["fcfs/seed11"]
+
+
+#: Configs whose batch and sliced service runs are compared end to end:
+#: an RL scheduler, a baseline, and DVFS with failure injection.
+PARITY_CONFIGS = {
+    "adaptive-rl/seed11": lambda: _config("adaptive-rl", 11),
+    "fcfs/seed23": lambda: _config("fcfs", 23),
+    "dvfs+failures/seed23": lambda: dvfs_config(23, failures=True),
+}
+
+
+def _both_drivers(config: ExperimentConfig, **telemetry):
+    """Run *config* in batch and as a sliced service, each observed by
+    a fresh ``capture(**telemetry)``; returns both metrics and
+    telemetries."""
+    batch_tel = capture(**telemetry)
+    batch = run_experiment(config, telemetry=batch_tel).metrics
+    served_tel = capture(**telemetry)
+    served = SchedulerService(
+        config, _producer, max_queue=19, slice_len=13.7, telemetry=served_tel
+    ).run().metrics
+    return (batch, batch_tel), (served, served_tel)
+
+
+@pytest.mark.parametrize("key", ["adaptive-rl/seed11", "fcfs/seed23"])
+def test_both_drivers_end_the_run_identically(key: str) -> None:
+    """One endgame: the energy counters agree bit for bit, the seconds
+    are the collected metrics' state times, and ``run.end`` matches."""
+    (batch, batch_tel), (served, served_tel) = _both_drivers(
+        PARITY_CONFIGS[key]()
+    )
+    names = [n for n in batch_tel.metrics.names() if n.startswith("energy.")]
+    assert names == [
+        n for n in served_tel.metrics.names() if n.startswith("energy.")
+    ]
+    assert len(names) == 6
+    for name in names:
+        assert (
+            served_tel.metrics.counter(name).value.hex()
+            == batch_tel.metrics.counter(name).value.hex()
+        ), name
+    for metrics, tel in ((batch, batch_tel), (served, served_tel)):
+        for state in ("busy", "idle", "sleep"):
+            seconds = tel.metrics.counter(f"energy.seconds.{state}").value
+            assert seconds == getattr(metrics.energy, f"{state}_time")
+    (batch_end,) = batch_tel.trace.filter(category="run", name="end")
+    (served_end,) = served_tel.trace.filter(category="run", name="end")
+    assert served_end.t == batch_end.t
+    assert served_end.fields == batch_end.fields
+
+
+@pytest.mark.parametrize("key", sorted(PARITY_CONFIGS))
+def test_flight_recorder_matches_batch(key: str) -> None:
+    """The service records the batch run's samples, value for value.
+
+    ``sim.events`` also counts the slices' stop-sentinels, and
+    ``sim.events_per_sec`` is wall-clock, so those two are excluded.
+    """
+    (_, batch_tel), (_, served_tel) = _both_drivers(
+        PARITY_CONFIGS[key](),
+        trace=False, metrics=False, series=True, sample_every=50.0,
+    )
+    skipped = {"sim.events", "sim.events_per_sec"}
+    names = [n for n in batch_tel.series.names() if n not in skipped]
+    assert "power.system" in names
+    for name in names:
+        ours, theirs = served_tel.series.get(name), batch_tel.series.get(name)
+        assert ours.times().tolist() == theirs.times().tolist(), name
+        assert ours.values().tolist() == theirs.values().tolist(), name
+
+
+def test_service_sample_count_follows_the_cadence() -> None:
+    config = PARITY_CONFIGS["fcfs/seed23"]()
+    counts = []
+    for every in (50.0, 500.0):
+        tel = capture(trace=False, metrics=False, series=True, sample_every=every)
+        SchedulerService(
+            config, _producer, max_queue=19, slice_len=13.7, telemetry=tel
+        ).run()
+        times = tel.series.get("power.system").times().tolist()
+        assert times == [every * (i + 1) for i in range(len(times))]
+        counts.append(len(times))
+    assert counts[0] > counts[1] > 0
