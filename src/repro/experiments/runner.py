@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..cluster.failures import FailureInjector, FailureModel
 from ..cluster.system import System, build_system
@@ -186,10 +186,6 @@ class Run:
 
     # -- introspection ----------------------------------------------------
     @property
-    def now(self) -> float:
-        return self.env.now
-
-    @property
     def completed(self) -> int:
         return len(self.scheduler.completed)
 
@@ -218,11 +214,11 @@ class Run:
                 "needs at least one task"
             )
         if self.injected:
-            raise RuntimeError("admit() takes the whole workload at once")
+            raise RuntimeError("tasks were already admitted to this run")
         self.injected.extend(tasks)
         if self._failures is not None:
             self._failures.close(self._time_cap())
-        self.env.process(self._arrivals(self.injected))
+        self.env.process(self._arrivals())
 
     def inject(self, task: Task) -> None:
         """Service path: run the kernel to *task*'s arrival and submit it.
@@ -254,9 +250,9 @@ class Run:
             self._failures.advance_frontier(until)
         self.env.run(until=until)
 
-    def _arrivals(self, tasks: Iterable[Task]):
+    def _arrivals(self):
         env = self.env
-        for task in tasks:
+        for task in self.injected:
             if env.now < task.arrival_time:
                 yield env.timeout(task.arrival_time - env.now)
             self._submit(task)

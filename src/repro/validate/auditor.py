@@ -904,8 +904,14 @@ class InvariantAuditor:
                     held=len(ring),
                     cap=memory.cycles_per_agent,
                 )
-        # Indexed best-experience answers vs the reference scan.
-        if memory.indexed:
+        # Indexed best-experience answers vs the reference scan.  The
+        # public query counts itself in the memory's hit-rate tallies,
+        # which the flight recorder samples; restore them, so a sweep
+        # leaves the series as an unaudited run records them.
+        if not memory.indexed:
+            return
+        tallies = memory.queries, memory.state_hits
+        try:
             indexed = memory.best_experience()
             scanned = memory.scan_best_experience()
             if indexed is not scanned:
@@ -926,6 +932,8 @@ class InvariantAuditor:
                         "indexed per-state best experience differs from "
                         "the reference scan",
                     )
+        finally:
+            memory.queries, memory.state_hits = tallies
 
     def _sweep_qtables(self) -> None:
         rep = self.report

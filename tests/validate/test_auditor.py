@@ -135,6 +135,16 @@ class TestCleanRuns:
         assert plain.metrics.ecs == audited.metrics.ecs
         assert plain.metrics.makespan == audited.metrics.makespan
 
+    def test_audit_leaves_memory_hit_tallies_alone(self):
+        """Memory sweeps query the index but restore its hit-rate
+        tallies, which the flight recorder samples."""
+        tallies = []
+        for strict in (False, True):
+            memory = run_experiment(small_config(), strict=strict).scheduler.memory
+            tallies.append((memory.queries, memory.state_hits))
+        assert tallies[0] == tallies[1]
+        assert tallies[0][0] > 0
+
 
 class TestStrictModeToggle:
     def test_default_is_off(self, monkeypatch):
