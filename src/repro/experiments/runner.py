@@ -3,7 +3,7 @@
 A :class:`Run` builds everything one run of an :class:`ExperimentConfig`
 needs — platform, scheduler, failure injector, auditor, flight recorder
 — admits its tasks, and drains into a :class:`RunResult`.  Batch and
-service are two drivers of it: :func:`run_experiment` synthesizes the
+service both run through it: :func:`run_experiment` synthesizes the
 workload against the platform's slowest processor (the paper's ``ACT``
 reference), or loads a frozen trace, admits it whole and drains;
 :class:`~repro.service.engine.SliceEngine` injects tasks as an ingress

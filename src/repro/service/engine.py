@@ -1,4 +1,4 @@
-"""Incremental simulation driver: a
+"""Incremental simulation engine: a
 :class:`~repro.experiments.runner.Run`, sliced.
 
 The batch harness admits a whole workload into a :class:`Run` and

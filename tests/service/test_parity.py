@@ -280,7 +280,7 @@ PARITY_CONFIGS = {
 }
 
 
-def _both_drivers(config: ExperimentConfig, **telemetry):
+def _batch_and_service(config: ExperimentConfig, **telemetry):
     """Run *config* in batch and as a sliced service, each observed by
     a fresh ``capture(**telemetry)``; returns both metrics and
     telemetries."""
@@ -294,10 +294,10 @@ def _both_drivers(config: ExperimentConfig, **telemetry):
 
 
 @pytest.mark.parametrize("key", ["adaptive-rl/seed11", "fcfs/seed23"])
-def test_both_drivers_end_the_run_identically(key: str) -> None:
+def test_batch_and_service_end_the_run_identically(key: str) -> None:
     """One endgame: the energy counters agree bit for bit, the seconds
     are the collected metrics' state times, and ``run.end`` matches."""
-    (batch, batch_tel), (served, served_tel) = _both_drivers(
+    (batch, batch_tel), (served, served_tel) = _batch_and_service(
         PARITY_CONFIGS[key]()
     )
     names = [n for n in batch_tel.metrics.names() if n.startswith("energy.")]
@@ -327,7 +327,7 @@ def test_flight_recorder_matches_batch(key: str) -> None:
     ``sim.events`` also counts the slices' stop-sentinels, and
     ``sim.events_per_sec`` is wall-clock, so those two are excluded.
     """
-    (_, batch_tel), (_, served_tel) = _both_drivers(
+    (_, batch_tel), (_, served_tel) = _batch_and_service(
         PARITY_CONFIGS[key](),
         trace=False, metrics=False, series=True, sample_every=50.0,
     )
