@@ -13,6 +13,7 @@ Usage::
     python examples/failure_resilience.py [num_tasks] [mtbf]
 """
 
+import math
 import sys
 
 from repro.cluster import FailureInjector, FailureModel, PlatformSpec, build_system
@@ -68,6 +69,7 @@ def main() -> None:
     done = scheduler.expect(len(tasks))
     model = FailureModel(mean_time_between_failures=mtbf, mean_time_to_repair=60.0)
     injector = FailureInjector(env, system.nodes, model, streams)
+    injector.advance_frontier(math.inf)  # no horizon: inject without bound
     bank = SeriesBank()
     PeriodicSampler(
         bank,

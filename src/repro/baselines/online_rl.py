@@ -185,8 +185,11 @@ class OnlineRLScheduler(SingletonScheduler):
     def _learn_interval(self) -> None:
         """Score the elapsed interval and update the Q-table."""
         assert self.env is not None and self.system is not None
-        completed = self.completed[self._interval_completed_idx :]
-        self._interval_completed_idx = len(self.completed)
+        # The stream logs each completion's response time, in completion
+        # order, as the task completes.
+        log = self.stream.response_log
+        responses = log[self._interval_completed_idx :]
+        self._interval_completed_idx = len(log)
         if self._last_state is None or self._last_action is None:
             return
         # Instantaneous draw at the interval boundary: attributes power
@@ -194,9 +197,8 @@ class OnlineRLScheduler(SingletonScheduler):
         interval_power = fold_sum(
             p.current_power_w for p in self.system.processors
         )
-        if completed:
-            total_rt = fold_sum(t.response_time for t in completed)
-            mean_rt = total_rt / len(completed)
+        if responses:
+            mean_rt = fold_sum(responses) / len(responses)
         else:
             mean_rt = self._rt_ref
         # Backlog pressure is the leading indicator of an over-tight cap:

@@ -17,18 +17,21 @@ sequence of one node can never perturb another's and — crucially — is
 independent of how far the simulation is allowed to run.  Transitions
 are *armed* (scheduled into the environment, at their exact absolute
 epoch via :meth:`~repro.sim.core.Environment.schedule_at`) only up to
-the injector's **frontier**:
+the injector's **frontier**, which starts closed: a new injector arms
+nothing.
 
-- A :class:`~repro.experiments.runner.Run` builds its injector with
-  ``defer_arming=True``.  A batch run knows its horizon once the whole
-  workload is admitted, so :meth:`close` fixes it (``time_cap``) before
-  the kernel starts — every lifecycle then self-arms its successor
-  transition as it fires.
+- A batch :class:`~repro.experiments.runner.Run` knows its horizon once
+  the whole workload is admitted, so :meth:`close` fixes it
+  (``time_cap``) before the kernel starts — every lifecycle then
+  self-arms its successor transition as it fires.
 - A streaming service has no horizon while the stream is open; the run
   advances the frontier alongside the admission frontier before every
   kernel step, so no transition is ever scheduled past simulated time
   the stream has settled.  At drain, :meth:`close` fixes the horizon
   (the same ``time_cap``) and the clamp semantics below apply.
+- Standalone use without a horizon opens the frontier for good with
+  ``advance_frontier(math.inf)``: every transition then arms as soon as
+  it is drawn.
 
 Because per-node draws are horizon-independent and transitions fire at
 bit-exact precomputed epochs, a sliced service run and a one-shot batch
@@ -120,16 +123,9 @@ class FailureInjector:
         interleaving or horizon.
     start_after:
         No failure before this simulated time.
-    until:
-        Optional injection horizon.  When given, the frontier opens to
-        it immediately and the clamp semantics apply from the start.
-        ``None`` injects without bound (standalone/benchmark use).
-    defer_arming:
-        The mode a :class:`~repro.experiments.runner.Run` uses (requires
-        ``until=None``): start with a closed frontier and arm nothing —
-        the caller advances the frontier incrementally with
-        :meth:`advance_frontier` and fixes the horizon with
-        :meth:`close`.
+
+    The injector arms nothing until the caller opens its frontier with
+    :meth:`advance_frontier` or fixes its horizon with :meth:`close`.
     """
 
     def __init__(
@@ -139,21 +135,11 @@ class FailureInjector:
         model: FailureModel,
         streams: RandomStreams,
         start_after: float = 0.0,
-        until: Optional[float] = None,
-        *,
-        defer_arming: bool = False,
     ) -> None:
         if not nodes:
             raise ValueError("no nodes to inject failures into")
         if start_after < 0:
             raise ValueError("start_after must be non-negative")
-        if until is not None and until < start_after:
-            raise ValueError("until must not precede start_after")
-        if defer_arming and until is not None:
-            raise ValueError(
-                "defer_arming is for open streams; a fixed horizon arms "
-                "eagerly (pass until=None and close() at drain instead)"
-            )
         self.env = env
         self.nodes = list(nodes)
         ids = [node.node_id for node in self.nodes]
@@ -167,7 +153,7 @@ class FailureInjector:
         #: Injection horizon: no fail/repair event is scheduled past
         #: this time, pending repairs clamp to it, pending fails retire.
         #: ``None`` = not fixed yet (open stream).
-        self.until = until
+        self.until: Optional[float] = None
         #: Largest simulated time transitions have been armed up to.
         self.frontier = float("-inf")
         self.failures_injected = 0
@@ -179,12 +165,6 @@ class FailureInjector:
             lc = _Lifecycle(node, streams[f"failures.{node.node_id}"])
             lc.at = start_after + float(lc.rng.exponential(mtbf))
             self._lifecycles.append(lc)
-        if until is not None:
-            self.advance_frontier(until)
-        elif not defer_arming:
-            # Unbounded standalone use: every transition arms as soon
-            # as it is drawn, exactly as if the horizon were infinite.
-            self.advance_frontier(float("inf"))
 
     # -- frontier control ------------------------------------------------
     def advance_frontier(self, time: float) -> None:
@@ -210,19 +190,19 @@ class FailureInjector:
 
         Applies the clamp semantics to every pending transition —
         repairs past the horizon reschedule *at* it, fails past it
-        retire — then opens the frontier to the horizon, arming exactly
-        the transitions an injector constructed with ``until=horizon``
-        would arm, in the same order.  Whether a run closes before the
-        kernel starts (batch) or at drain (service), the endgame sees
-        the same failure schedule.
+        retire — then opens the frontier to the horizon.  Whether a run
+        closes before the kernel starts (batch) or at drain (service),
+        the endgame sees the same failure schedule.
         """
         if self.until is not None:
             raise RuntimeError("injection horizon is already fixed")
         if self.frontier == float("inf"):
             raise RuntimeError(
-                "close() is for defer_arming injectors; an unbounded "
-                "injector has already armed past every finite horizon"
+                "the frontier is open without bound; it has already "
+                "armed past every finite horizon"
             )
+        if horizon < self.start_after:
+            raise ValueError("horizon must not precede start_after")
         if horizon < self.frontier:
             raise ValueError(
                 f"horizon {horizon} precedes the armed frontier "

@@ -11,8 +11,9 @@ that Figures 9–10 are built from.
 from __future__ import annotations
 
 import abc
+from array import array
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..cluster.node import ComputeNode
 from ..cluster.system import System
@@ -23,7 +24,7 @@ from ..sim.events import Event
 from ..sim.rng import RandomStreams
 from ..workload.task import Task
 
-__all__ = ["Scheduler", "CycleSample"]
+__all__ = ["Scheduler", "CycleSample", "CycleLog"]
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,63 @@ class CycleSample:
     completed_tasks: int
     #: Instantaneous fraction of processors busy at the sample point.
     busy_fraction: float
+
+
+class CycleLog(Sequence[CycleSample]):
+    """The scheduler's :class:`CycleSample` log, packed in columns.
+
+    A run takes a sample every learning cycle, about three per task, so
+    the log keeps each sample as a row of six 8-byte array cells rather
+    than as an object.  Indexing rebuilds the :class:`CycleSample`, with
+    the float bits and ints that were appended.
+    """
+
+    __slots__ = (
+        "cycle",
+        "time",
+        "busy_time",
+        "powered_time",
+        "completed_tasks",
+        "busy_fraction",
+    )
+
+    def __init__(self) -> None:
+        self.cycle = array("q")
+        self.time = array("d")
+        self.busy_time = array("d")
+        self.powered_time = array("d")
+        self.completed_tasks = array("q")
+        self.busy_fraction = array("d")
+
+    def append(
+        self,
+        cycle: int,
+        time: float,
+        busy_time: float,
+        powered_time: float,
+        completed_tasks: int,
+        busy_fraction: float,
+    ) -> None:
+        """Log one cycle's sample as a row."""
+        self.cycle.append(cycle)
+        self.time.append(time)
+        self.busy_time.append(busy_time)
+        self.powered_time.append(powered_time)
+        self.completed_tasks.append(completed_tasks)
+        self.busy_fraction.append(busy_fraction)
+
+    def __len__(self) -> int:
+        return len(self.cycle)
+
+    def __getitem__(self, index: int) -> CycleSample:
+        return CycleSample(
+            cycle=self.cycle[index],
+            time=self.time[index],
+            busy_time=self.busy_time[index],
+            powered_time=self.powered_time[index],
+            completed_tasks=self.completed_tasks[index],
+            busy_fraction=self.busy_fraction[index],
+        )
 
 
 class Scheduler(abc.ABC):
@@ -63,7 +121,7 @@ class Scheduler(abc.ABC):
         self.completed: list[Task] = []
         #: Scan-free metric aggregates folded in per completion.
         self.stream = StreamingRunStats()
-        self.cycle_log: list[CycleSample] = []
+        self.cycle_log = CycleLog()
         self.learning_cycles = 0
         #: Tasks re-queued after node failures (failure injection).
         self.tasks_resubmitted = 0
@@ -203,14 +261,12 @@ class Scheduler(abc.ABC):
         # transition and reads the exactly rounded sums over all meters.
         busy, powered = system.usage.times(now)
         self.cycle_log.append(
-            CycleSample(
-                cycle=self.learning_cycles,
-                time=now,
-                busy_time=busy,
-                powered_time=powered,
-                completed_tasks=len(self.completed),
-                busy_fraction=system.usage.busy / system.num_processors,
-            )
+            self.learning_cycles,
+            now,
+            busy,
+            powered,
+            len(self.completed),
+            system.usage.busy / system.num_processors,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -119,9 +119,10 @@ class Run:
         scheduler.attach(env, system, streams)
         self.scheduler = scheduler
         #: The failure injector (None without a failure model).  It arms
-        #: transitions only up to the kernel's next stop, and its
-        #: horizon is fixed to the time cap once the last arrival is
-        #: known: by :meth:`admit`, or by :meth:`drain` after injection.
+        #: nothing when built: :meth:`advance` opens its frontier to the
+        #: kernel's next stop, and its horizon is fixed to the time cap
+        #: once the last arrival is known, by :meth:`admit`, or by
+        #: :meth:`drain` after injection.
         self._failures: Optional[FailureInjector] = None
         if config.failure_mtbf is not None:
             self._failures = FailureInjector(
@@ -129,7 +130,6 @@ class Run:
                 system.nodes,
                 FailureModel(config.failure_mtbf, config.failure_mttr),
                 streams,
-                defer_arming=True,
             )
         strict_on = strict if strict is not None else strict_mode_enabled()
         self._auditor = (

@@ -256,6 +256,14 @@ class Condition(Event):
     The condition triggers as soon as ``evaluate(events, count)`` returns
     True, where *count* is the number of constituent events triggered so
     far.  Failed constituent events fail the condition immediately.
+
+    Once triggered, by success or by failure, the condition removes its
+    check from every direct constituent still waiting to be processed
+    (SimPy's ``_remove_check_callbacks``): a constituent that outlives
+    it, such as a node's policy event that never fires, would otherwise
+    keep every fired condition, and all their values reach, alive.  A
+    nested condition keeps its own checks, so it still fires (and is
+    still counted as an event) after the outer one has fired.
     """
 
     __slots__ = ("_evaluate", "_events", "_count")
@@ -279,11 +287,14 @@ class Condition(Event):
             self.succeed(ConditionValue())
             return
 
+        check = self._check
         for event in self._events:
             if event.callbacks is None:  # already processed
-                self._check(event)
+                check(event)
+                if self.triggered:
+                    break  # triggered while built: subscribe to no more
             else:
-                event.callbacks.append(self._check)
+                event.callbacks.append(check)
 
     def _populate_value(self, value: ConditionValue) -> None:
         for event in self._events:
@@ -310,6 +321,19 @@ class Condition(Event):
 
             assert self.callbacks is not None
             self.callbacks.insert(0, _finalize)
+        else:
+            return
+        self._release()
+
+    def _release(self) -> None:
+        """Remove this condition's check from each constituent still
+        waiting.  One being processed has no list (the kernel took it),
+        and one past a build-time trigger never held the check."""
+        check = self._check
+        for event in self._events:
+            callbacks = event.callbacks
+            if callbacks and check in callbacks:
+                callbacks.remove(check)
 
     @staticmethod
     def all_events(events: list[Event], count: int) -> bool:

@@ -1,5 +1,7 @@
 """Unit tests for crash-stop failure injection."""
 
+import math
+
 import pytest
 
 from repro.cluster import (
@@ -141,6 +143,7 @@ class TestInjector:
         nodes = [make_node(env)]
         model = FailureModel(5.0, 1.0)
         inj = FailureInjector(env, nodes, model, streams)
+        inj.advance_frontier(math.inf)
         env.run(until=100.0)
         assert inj.failures_injected > 5
         assert inj.repairs_completed >= inj.failures_injected - 1
@@ -152,6 +155,7 @@ class TestInjector:
         inj = FailureInjector(
             env, nodes, FailureModel(1.0, 1.0), streams, start_after=50.0
         )
+        inj.advance_frontier(math.inf)
         env.run(until=49.0)
         assert inj.failures_injected == 0
 
@@ -168,24 +172,25 @@ class TestInjector:
             )
 
     def test_until_before_start_after_rejected(self, env, streams):
+        inj = FailureInjector(
+            env,
+            [make_node(env)],
+            FailureModel(1, 1),
+            streams,
+            start_after=10.0,
+        )
         with pytest.raises(ValueError):
-            FailureInjector(
-                env,
-                [make_node(env)],
-                FailureModel(1, 1),
-                streams,
-                start_after=10.0,
-                until=5.0,
-            )
+            inj.close(5.0)
+        assert not inj.closed
 
     def test_until_clamps_lifecycle_to_horizon(self, env, streams):
         """Regression: lifecycles used to schedule fail/repair events past
-        the run horizon; with ``until`` no log entry may exceed it."""
+        the run horizon; once closed, no log entry may exceed it."""
         nodes = [make_node(env, name=f"n{i}") for i in range(4)]
         horizon = 60.0
-        inj = FailureInjector(
-            env, nodes, FailureModel(5.0, 1.0), streams, until=horizon
-        )
+        inj = FailureInjector(env, nodes, FailureModel(5.0, 1.0), streams)
+        inj.close(horizon)
+        assert inj.until == horizon
         env.run(until=1000.0)
         assert inj.log, "expected at least one failure within the horizon"
         assert all(t <= horizon for t, _, _ in inj.log)
@@ -206,9 +211,11 @@ class TestInjector:
             e = Environment()
             s = RandomStreams(seed=1234)
             nodes = [make_node(e, name=f"n{i}") for i in range(3)]
-            inj = FailureInjector(
-                e, nodes, FailureModel(5.0, 1.0), s, until=until
-            )
+            inj = FailureInjector(e, nodes, FailureModel(5.0, 1.0), s)
+            if until is None:
+                inj.advance_frontier(math.inf)
+            else:
+                inj.close(until)
             e.run(until=horizon)
             return inj.log
 
@@ -230,7 +237,11 @@ class TestInjector:
             e = Environment()
             s = RandomStreams(seed=1234)
             nodes = [make_node(e, name=f"n{i}") for i in range(3)]
-            FailureInjector(e, nodes, FailureModel(5.0, 1.0), s, until=until)
+            inj = FailureInjector(e, nodes, FailureModel(5.0, 1.0), s)
+            if until is None:
+                inj.advance_frontier(math.inf)
+            else:
+                inj.close(until)
             e.run(until=horizon)
             return [
                 float(s[f"failures.{n.node_id}"].exponential(1.0))
@@ -241,7 +252,7 @@ class TestInjector:
 
     def test_clamped_run_leaves_all_nodes_up(self):
         """Regression (end-of-horizon asymmetry): a downtime draw landing
-        past ``until`` used to strand the node permanently failed.  The
+        past the horizon used to strand the node permanently failed.  The
         pending repair now fires at the clamp horizon, so once a bounded
         run completes its repairs every node is up again."""
         from repro.sim import Environment, RandomStreams
@@ -252,9 +263,8 @@ class TestInjector:
             e = Environment()
             s = RandomStreams(seed=seed)
             nodes = [make_node(e, name=f"n{i}") for i in range(4)]
-            inj = FailureInjector(
-                e, nodes, FailureModel(10.0, 30.0), s, until=50.0
-            )
+            inj = FailureInjector(e, nodes, FailureModel(10.0, 30.0), s)
+            inj.close(50.0)
             e.run(until=1000.0)
             assert inj.failures_injected > 0
             assert inj.repairs_completed == inj.failures_injected
@@ -263,18 +273,18 @@ class TestInjector:
     def test_deferred_arming_follows_the_frontier(self):
         """Service mode: nothing fires until the frontier is advanced,
         close() fixes the horizon, and the resulting schedule matches an
-        eagerly-armed bounded injector's bit for bit."""
+        injector closed at the horizon before the kernel starts (the
+        batch path) bit for bit."""
         from repro.sim import Environment, RandomStreams
 
         horizon = 60.0
 
-        def eager():
+        def closed_up_front():
             e = Environment()
             s = RandomStreams(seed=99)
             nodes = [make_node(e, name=f"n{i}") for i in range(3)]
-            inj = FailureInjector(
-                e, nodes, FailureModel(5.0, 1.0), s, until=horizon
-            )
+            inj = FailureInjector(e, nodes, FailureModel(5.0, 1.0), s)
+            inj.close(horizon)
             e.run(until=1000.0)
             return inj.log
 
@@ -282,9 +292,7 @@ class TestInjector:
             e = Environment()
             s = RandomStreams(seed=99)
             nodes = [make_node(e, name=f"n{i}") for i in range(3)]
-            inj = FailureInjector(
-                e, nodes, FailureModel(5.0, 1.0), s, defer_arming=True
-            )
+            inj = FailureInjector(e, nodes, FailureModel(5.0, 1.0), s)
             assert inj.log == []
             for cut in cuts:
                 inj.advance_frontier(cut)
@@ -293,7 +301,7 @@ class TestInjector:
             e.run(until=1000.0)
             return inj.log
 
-        want = eager()
+        want = closed_up_front()
         assert want
         assert deferred([10.0, 25.0, 40.0]) == want
         assert deferred([3.0, 55.0]) == want
@@ -307,6 +315,7 @@ class TestInjector:
             s = RandomStreams(seed=777)
             nodes = [make_node(e, name=f"n{i}") for i in range(3)]
             inj = FailureInjector(e, nodes, FailureModel(5.0, 1.0), s)
+            inj.advance_frontier(math.inf)
             e.run(until=200.0)
             return inj.log, inj.failures_injected, inj.repairs_completed
 
@@ -341,7 +350,7 @@ class TestSchedulerResilience:
         done = sched.expect(len(tasks))
         FailureInjector(
             env, system.nodes, FailureModel(200.0, 40.0), streams
-        )
+        ).advance_frontier(math.inf)
 
         def arrivals():
             for t in tasks:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import MetricsRegistry, Telemetry
 from repro.sim import AllOf, AnyOf, Environment, Event, Timeout
 from repro.sim.events import ConditionValue
 
@@ -165,6 +166,55 @@ class TestConditions:
         t3 = env.timeout(1, value="c")
         result = env.run(until=(t1 | t2) & t3)
         assert result[t3] == "c"
+
+
+class TestConditionRelease:
+    """A triggered condition drops its check from the constituents still
+    waiting, so a long-lived event does not keep fired conditions (and
+    what their values reach) alive."""
+
+    def test_fired_condition_leaves_no_check_on_the_others(self, env):
+        fast, slow, never = env.timeout(1), env.timeout(5), Event(env)
+        cond = AnyOf(env, [fast, slow, never])
+        env.run(until=cond)
+        assert cond.ok
+        assert slow.callbacks == [] and never.callbacks == []
+
+    def test_failed_constituent_releases_the_checks(self, env):
+        waiting, bad = Event(env), Event(env)
+        cond = AnyOf(env, [waiting, bad])
+        bad.fail(ValueError("inner"))
+        with pytest.raises(ValueError, match="inner"):
+            env.run(until=cond)
+        assert not cond.ok
+        assert waiting.callbacks == []
+
+    def test_nested_condition_keeps_its_checks(self):
+        env = Environment(telemetry=Telemetry(metrics=MetricsRegistry()))
+        never, late, early = Event(env), env.timeout(5), env.timeout(1)
+        inner = never | late
+        outer = inner | early
+        env.run(until=outer)
+        assert env.now == 1
+        # The outer condition let go of the inner one, which still
+        # waits on its own constituents...
+        assert inner.callbacks == [] and late.callbacks == [inner._check]
+        env.run()
+        # ...and fires when one of them does.
+        assert inner.processed and inner.ok and late in inner.value
+        assert never.callbacks == []
+        # early, outer, late, inner: as many events as before the rule.
+        assert env.events_processed == 4
+
+    def test_condition_over_a_processed_event_subscribes_to_nothing(self, env):
+        done = env.timeout(1)
+        env.run(until=done)
+        before, after = Event(env), env.timeout(3)
+        cond = AnyOf(env, [before, done, after])
+        assert cond.triggered
+        assert before.callbacks == [] and after.callbacks == []
+        env.run()
+        assert done in cond.value
 
 
 class TestConditionValue:
