@@ -21,12 +21,12 @@ Execution model (paper §III.B, §IV.D.2):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..energy.accounting import NodeEnergy, node_energy
 from ..energy.meter import ProcState
 from ..sim.core import Environment
-from ..sim.events import Event
+from ..sim.events import Condition, Event
 from ..sim.exceptions import Interrupt
 from ..sim.fold import fold_sum
 from ..sim.process import Process
@@ -35,7 +35,13 @@ from ..workload.task import Task
 from .processor import Processor
 from .taskgroup import TaskGroup
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .site import ResourceSite
+
 __all__ = ["ComputeNode", "NodeState", "SleepPolicy"]
+
+_BUSY = ProcState.BUSY
+_IDLE = ProcState.IDLE
 
 #: Default number of group slots in a node queue.  The paper only states
 #: the queue "varying in size (length) exists to limit the number of tasks
@@ -161,10 +167,10 @@ class ComputeNode:
         # (admission, completion, failure, power transitions).
         self._work_dirty = True
         self._load_cache = 0.0
-        self._pending_tasks_cache = 0
-        self._pending_size_cache = 0.0
-        #: Pending-task deadlines, built on first read after a refresh
-        #: (only the DVFS governor reads them, so most runs never do).
+        #: Pending-task size and deadlines, built on first read after a
+        #: refresh: observations read only the load, and only the DVFS
+        #: governor reads the deadlines, so most runs never build them.
+        self._pending_size_cache: Optional[float] = None
         self._deadlines_cache: Optional[tuple[float, ...]] = None
         self._power_dirty = True
         self._power_cache: tuple[float, ...] = ()
@@ -172,6 +178,16 @@ class ComputeNode:
         self._sleeping_cache = 0
         for proc in self.processors:
             proc.on_power_change = self._mark_power_dirty
+
+        #: Tasks admitted and not yet completed: an exact count, kept at
+        #: admission, completion and failure.
+        self._pending = 0
+        #: The site whose index counts this node, and the node's
+        #: positions in the site's and the platform's node lists (all
+        #: set by them).
+        self._site: Optional["ResourceSite"] = None
+        self._site_position = 0
+        self._position = 0
 
         self._feeder_proc: Process = env.process(self._feeder())
         self._worker_procs: list[Process] = [
@@ -228,29 +244,35 @@ class ComputeNode:
         uncached ones regardless of admission/completion order.
         """
         self._load_cache = fold_sum(g.pw for g in self._active_groups)
-        self._pending_tasks_cache = sum(
-            g.remaining for g in self._active_groups
-        )
-        self._pending_size_cache = fold_sum(
-            t.size_mi
-            for g in self._active_groups
-            for t in g.tasks
-            if not t.completed
-        )
+        self._pending_size_cache = None
         self._deadlines_cache = None
         self._work_dirty = False
 
     def _refresh_power_caches(self) -> None:
         """Recompute the per-processor power snapshot, its total (the
         same fold as :attr:`NodeState.total_power_w`) and the sleep
-        count."""
-        self._power_cache = tuple(
-            p.current_power_w for p in self.processors
-        )
-        self._total_power_cache = fold_sum(self._power_cache)
-        self._sleeping_cache = sum(
-            1 for p in self.processors if p.state is ProcState.SLEEP
-        )
+        count, reading each processor's meter state once.
+
+        Each draw is what :attr:`Processor.current_power_w` returns, and
+        the total is the same left fold from 0 in processor order.
+        """
+        draws = []
+        total = 0
+        sleeping = 0
+        for p in self.processors:
+            state = p.meter.state
+            if state is _BUSY:
+                draw = p.busy_power_w
+            elif state is _IDLE:
+                draw = p.profile.p_min_w
+            else:
+                draw = p.profile.p_sleep_w
+                sleeping += 1
+            draws.append(draw)
+            total += draw
+        self._power_cache = tuple(draws)
+        self._total_power_cache = total
+        self._sleeping_cache = sleeping
         self._power_dirty = False
 
     def _mark_power_dirty(self) -> None:
@@ -267,9 +289,7 @@ class ComputeNode:
     @property
     def pending_tasks(self) -> int:
         """Tasks admitted to this node and not yet completed."""
-        if self._work_dirty:
-            self._refresh_work_caches()
-        return self._pending_tasks_cache
+        return self._pending
 
     @property
     def pending_deadlines(self) -> tuple[float, ...]:
@@ -296,7 +316,15 @@ class ComputeNode:
         """Total MI of tasks admitted to this node and not yet completed."""
         if self._work_dirty:
             self._refresh_work_caches()
-        return self._pending_size_cache
+        size = self._pending_size_cache
+        if size is None:
+            size = self._pending_size_cache = fold_sum(
+                t.size_mi
+                for g in self._active_groups
+                for t in g.tasks
+                if not t.completed
+            )
+        return size
 
     @property
     def sleeping_processors(self) -> int:
@@ -352,7 +380,10 @@ class ComputeNode:
         group.on_complete(self._group_done)
         self._active_groups.append(group)
         self._work_dirty = True
-        return self.queue.put(group)
+        self._pending += group.remaining
+        put = self.queue.put(group)
+        self._reindex()
+        return put
 
     def try_submit(self, group: TaskGroup) -> bool:
         """Non-blocking :meth:`submit`; False when full or failed."""
@@ -372,7 +403,10 @@ class ComputeNode:
             get_req = None
             put_req = None
             try:
+                # A waiting group leaves the queue when the request is
+                # made, so the slot it frees is counted here.
                 get_req = self.queue.get()
+                self._reindex()
                 group: TaskGroup = yield get_req
                 group.dispatched_at = self.env.now
                 self._notify_slot_freed()
@@ -416,6 +450,8 @@ class ComputeNode:
         env = self.env
         get_ev = self._ready.get()
         while True:
+            # This pass's wait on ``get_ev | policy_changed``, if any.
+            wait: Optional[Condition] = None
             try:
                 policy = self.sleep_policy
                 policy_changed = self._policy_event
@@ -424,7 +460,8 @@ class ComputeNode:
                     # Power-gated: work arrival wakes us; so does a
                     # policy switch to always-awake (e.g. Online RL's
                     # powercap re-admitting this node).
-                    yield get_ev | policy_changed
+                    wait = get_ev | policy_changed
+                    yield wait
                     if not get_ev.triggered:
                         if not self.sleep_policy.allow_sleep:
                             proc.meter.set_state(ProcState.IDLE, env.now)
@@ -451,7 +488,8 @@ class ComputeNode:
                         continue
                     item = get_ev.value
                 else:
-                    yield get_ev | policy_changed
+                    wait = get_ev | policy_changed
+                    yield wait
                     if not get_ev.triggered:
                         continue  # policy changed: re-evaluate
                     item = get_ev.value
@@ -473,6 +511,11 @@ class ComputeNode:
                 self.tasks_completed += 1
                 for cb in self._task_callbacks:
                     cb(task, self)
+                # The count drops with the group's, before the group's
+                # completion callbacks observe the node.
+                if not group.cancelled:
+                    self._pending -= 1
+                    self._reindex()
                 group.task_done()
                 # A callback above may have refreshed the work caches
                 # while the group still counted this task as remaining.
@@ -483,6 +526,13 @@ class ComputeNode:
                 # and reset by fail(); do not touch it here.
                 if not get_ev.triggered:
                     get_ev.cancel()
+                if wait is not None and not wait.triggered:
+                    # With its StoreGet cancelled, only a policy change
+                    # could fire this wait: release it, or the policy
+                    # event keeps it for the rest of the run.  A wait
+                    # that also holds the idle timeout still fires
+                    # through it, and releases itself then.
+                    wait.release()
                 proc.meter.set_state(ProcState.SLEEP, env.now)
                 self._power_dirty = True
                 yield self._repair_event
@@ -522,8 +572,10 @@ class ComputeNode:
                     orphans.append(task)
         self._active_groups.clear()
         self._work_dirty = True
+        self._pending = 0
         self.queue.items.clear()
         self._ready.items.clear()
+        self._reindex()
 
         # Interrupt the executor; handlers park processes until repair.
         active = self.env.active_process
@@ -539,6 +591,7 @@ class ComputeNode:
         if not self.failed:
             return
         self.failed = False
+        self._reindex()
         old, self._repair_event = self._repair_event, Event(self.env)
         if not old.triggered:
             old.succeed()
@@ -550,8 +603,15 @@ class ComputeNode:
         if group in self._active_groups:
             self._active_groups.remove(group)
         self._work_dirty = True
+        self._reindex()
         for cb in self._group_callbacks:
             cb(group, self)
+
+    def _reindex(self) -> None:
+        """Bring the site and platform indexes up to date with this node
+        (called at every transition that can move them)."""
+        if self._site is not None:
+            self._site._reindex(self)
 
     def _notify_slot_freed(self) -> None:
         for cb in self._slot_callbacks:

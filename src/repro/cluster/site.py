@@ -2,18 +2,32 @@
 
 Each site hosts one scheduling agent (attached by the scheduler layer);
 the site object itself only aggregates its nodes' observable state.
+
+The integer aggregates a scheduling decision reads — pending tasks, free
+queue slots, nodes with a free slot, open nodes and open nodes without
+work — are an index kept exact at the node transitions that move them
+(admission, queue pop, task completion, failure and repair), so reading
+one costs O(1) however many nodes the site has.  Float aggregates (load,
+power) are not indexed; they stay left folds over the nodes in order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from bisect import insort
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from ..sim.fold import fold_sum
 from ..workload.task import Task
 from .node import ComputeNode, NodeState
 from .taskgroup import TaskGroup
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .system import System
+
 __all__ = ["ResourceSite"]
+
+_SITE_POSITION = attrgetter("_site_position")
 
 
 class ResourceSite:
@@ -34,6 +48,54 @@ class ResourceSite:
             n.total_speed_mips for n in self.nodes
         )
         self._max_group_size = max(n.max_group_size for n in self.nodes)
+        # Σ PCc in node order, the left fold observe_site computes.
+        capacity = 0.0
+        for n in self.nodes:
+            capacity += n.processing_capacity
+        self._total_capacity = capacity
+
+        # The index.  ``_counted[i]`` is what it last counted for node i:
+        # (pending tasks, free slots, open, has admitted work).
+        self._pending = 0
+        self._free_slots = 0
+        self._slotted = 0
+        self._spare = 0
+        self._open: list[ComputeNode] = []
+        self._counted = [(0, 0, False, False)] * len(self.nodes)
+        #: The platform whose loaded-node list this site keeps current.
+        self._platform: Optional["System"] = None
+        for position, node in enumerate(self.nodes):
+            node._site = self
+            node._site_position = position
+            self._reindex(node)
+
+    def _reindex(self, node: ComputeNode) -> None:
+        """Count one node's transition: exact integer deltas, and the
+        open list kept in node order."""
+        position = node._site_position
+        pending = node._pending
+        free = node.queue_slots - len(node.queue.items)
+        is_open = free > 0 and not node.failed
+        loaded = bool(node._active_groups)
+        counted = (pending, free, is_open, loaded)
+        was = self._counted[position]
+        if counted == was:
+            return
+        self._counted[position] = counted
+        was_pending, was_free, was_open, was_loaded = was
+        self._pending += pending - was_pending
+        self._free_slots += free - was_free
+        self._slotted += (free > 0) - (was_free > 0)
+        self._spare += (is_open and pending == 0) - (
+            was_open and was_pending == 0
+        )
+        if is_open != was_open:
+            if is_open:
+                insort(self._open, node, key=_SITE_POSITION)
+            else:
+                self._open.remove(node)
+        if loaded != was_loaded and self._platform is not None:
+            self._platform._set_loaded(node, loaded)
 
     def __iter__(self):
         return iter(self.nodes)
@@ -54,8 +116,32 @@ class ResourceSite:
         return self._total_speed_mips
 
     @property
+    def total_processing_capacity(self) -> float:
+        """Σ ``PCc`` over the nodes, folded in node order (static)."""
+        return self._total_capacity
+
+    @property
     def total_free_slots(self) -> int:
-        return sum(n.free_slots for n in self.nodes)
+        """Free queue slots over every node, failed ones included."""
+        return self._free_slots
+
+    @property
+    def slotted_nodes(self) -> int:
+        """Nodes with a free queue slot, failed ones included (the
+        observation's ``open_nodes`` term)."""
+        return self._slotted
+
+    @property
+    def open_nodes(self) -> list[ComputeNode]:
+        """Nodes that can admit a group now (up, with a free slot), in
+        node order.  The index's own list: do not mutate it, and read it
+        again after a submission, which may close a node."""
+        return self._open
+
+    @property
+    def spare_nodes(self) -> int:
+        """Open nodes with no pending work."""
+        return self._spare
 
     @property
     def total_load(self) -> float:
@@ -63,7 +149,7 @@ class ResourceSite:
 
     @property
     def pending_tasks(self) -> int:
-        return sum(n.pending_tasks for n in self.nodes)
+        return self._pending
 
     @property
     def max_group_size(self) -> int:

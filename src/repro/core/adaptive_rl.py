@@ -132,6 +132,7 @@ class AdaptiveRLScheduler(Scheduler):
                 memory=self.memory,
                 grouping_enabled=cfg.grouping_enabled,
                 telemetry=self.telemetry,
+                scheduler=self,
             )
             self.agents[site.site_id] = agent
             for node in site.nodes:
@@ -150,12 +151,15 @@ class AdaptiveRLScheduler(Scheduler):
         assert self.env is not None
         now = self.env.now
         backlog_remaining = 0
+        # An agent with an empty backlog has nothing to group or place.
         for agent in self.agents.values():
-            agent.run_pass(now, self.config.backlog_patience)
-            backlog_remaining += len(agent.backlog)
-        if self.governor is not None:
+            if agent.backlog:
+                agent.run_pass(now, self.config.backlog_patience)
+                backlog_remaining += len(agent.backlog)
+        governor = self.governor
+        if governor is not None:
             assert self.system is not None
-            self.governor.apply(self.system.nodes, now)
+            governor.apply(governor.due_nodes(self.system), now)
         if backlog_remaining > 0:
             self._arm_patience_timer()
 

@@ -17,7 +17,7 @@ Each resource site hosts one agent.  Per learning cycle the agent
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..cluster.node import ComputeNode
 from ..cluster.site import ResourceSite
@@ -30,8 +30,11 @@ from .actions import GroupingAction, GroupingMode, action_space
 from .feedback import FeedbackRecord, grouping_error
 from .grouping import Backlog, merge_next_group
 from .shared_memory import Experience, SharedLearningMemory
-from .state import DiscreteState, SiteObservation, discretize, observe_site
+from .state import DiscreteState, SiteObservation, discretize
 from .value_models import ValueModel
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .base import Scheduler
 
 __all__ = ["SiteAgent", "PendingAction"]
 
@@ -67,6 +70,7 @@ class SiteAgent:
         memory: Optional[SharedLearningMemory],
         grouping_enabled: bool = True,
         telemetry: Optional[Telemetry] = None,
+        scheduler: Optional["Scheduler"] = None,
     ) -> None:
         """Create the agent for *site*.
 
@@ -76,8 +80,12 @@ class SiteAgent:
         each group's placement may be a random open node instead of the
         score minimizer.  ε decays once per feedback event (completed
         group), so learning progress spans the run regardless of load.
+
+        ``scheduler`` is the scheduler whose passes drive the agent; its
+        learning-cycle count is the agent's :attr:`cycles`.
         """
         self.site = site
+        self.scheduler = scheduler
         self.agent_id = f"agent.{site.site_id}"
         self.value_model = value_model
         self.exploration = exploration
@@ -93,6 +101,7 @@ class SiteAgent:
             p.profile.p_max_w for n in site.nodes for p in n.processors
         )
         self._total_queue_slots = sum(n.queue_slots for n in site.nodes)
+        self._total_capacity = site.total_processing_capacity
         self._pending: Dict[int, PendingAction] = {}
         self._last_hit_fraction: Optional[float] = None
         self._regressed = False
@@ -100,7 +109,6 @@ class SiteAgent:
         #: "memory-seed" (unseen-state bootstrap), or "memory-override"
         #: (reward-regression rule) — recorded for telemetry.
         self._action_source = "policy"
-        self.cycles = 0
         self.groups_dispatched = 0
         self.feedbacks: int = 0
         #: Cumulative feedback signals, folded in only while telemetry is
@@ -109,10 +117,36 @@ class SiteAgent:
         self.reward_sum: float = 0.0
         self.l_val_sum: float = 0.0
 
+    @property
+    def cycles(self) -> int:
+        """Learning cycles run so far: the scheduler's pass count (0 for
+        an agent without one).  Every pass is a cycle of every agent,
+        whether or not its backlog gave it work."""
+        scheduler = self.scheduler
+        return 0 if scheduler is None else scheduler.learning_cycles
+
     # -- observation -------------------------------------------------------
     def observe(self) -> tuple[DiscreteState, SiteObservation]:
-        obs = observe_site(
-            self.site.nodes, self._max_power_w, self._total_queue_slots
+        """The site's ``Sc(t)``, equal bit for bit to
+        ``observe_site(site.nodes, …)``: the integer terms come from the
+        site's index and the capacity term was folded at construction,
+        so only load and power are folded here, in node order."""
+        site = self.site
+        total_load = 0.0
+        power = 0.0
+        for n in site.nodes:
+            total_load += n.load
+            power += n.total_power_w
+        total_capacity = self._total_capacity
+        obs = SiteObservation(
+            load_ratio=(
+                total_load / total_capacity if total_capacity > 0 else 0.0
+            ),
+            free_slot_fraction=min(
+                site.total_free_slots / self._total_queue_slots, 1.0
+            ),
+            power_fraction=min(power / self._max_power_w, 1.0),
+            open_nodes=site.slotted_nodes,
         )
         return discretize(obs), obs
 
@@ -154,7 +188,6 @@ class SiteAgent:
     # -- scheduling pass ---------------------------------------------------
     def run_pass(self, now: float, backlog_patience: float) -> int:
         """Group and assign backlog tasks; returns groups dispatched."""
-        self.cycles += 1
         if len(self.backlog) == 0:
             return 0
 
@@ -169,13 +202,13 @@ class SiteAgent:
         aged = oldest is not None and (now - oldest) >= backlog_patience
         # With spare nodes standing fully idle there is no reason to hold
         # tasks back for merging — capacity is abundant, dispatch now.
-        spare_capacity = any(
-            n.pending_tasks == 0 and n.available for n in self.site.nodes
-        )
+        site = self.site
+        spare_capacity = site.spare_nodes > 0
 
         profiling = tel.profiling
         while len(self.backlog) > 0:
-            open_nodes = [n for n in self.site.nodes if n.available]
+            # Read per group: the last submission may have closed a node.
+            open_nodes = site.open_nodes
             if not open_nodes:
                 break
             if profiling:

@@ -40,10 +40,10 @@ class LeastLoadedRouting(RoutingPolicy):
 
     Site backlogs change far less often than tasks arrive, so the
     headroom score is cached per site and recomputed — by the identical
-    expression, for identical results — only when the site's (cached,
-    PR-3) pending count has moved.  Ties break to the lexicographically
-    first ``site_id``, as the original ``min`` over ``(score, site_id)``
-    keys did.
+    expression, for identical results — only when the site's pending
+    count, an O(1) read of the site's index, has moved.  Ties break to
+    the lexicographically first ``site_id``, as the original ``min``
+    over ``(score, site_id)`` keys did.
     """
 
     name = "least-loaded"

@@ -21,6 +21,7 @@ from typing import Sequence
 
 from ..cluster.node import ComputeNode
 from ..cluster.processor import MIN_FREQUENCY_SCALE
+from ..cluster.system import System
 from ..obs import CAT_ENERGY, NULL_TELEMETRY
 
 __all__ = ["DVFSGovernor", "energy_optimal_scale"]
@@ -62,6 +63,9 @@ class DVFSGovernor:
     The governor is the only code that rescales processors and sets
     every processor of a node to the same θ, so a node whose target
     equals the θ it last set needs no processor visit.
+
+    A scheduler's pass visits only :meth:`due_nodes`: the platform
+    index's nodes with admitted work, and the nodes left below nominal.
     """
 
     def __init__(self, safety_factor: float = 1.5) -> None:
@@ -139,6 +143,20 @@ class DVFSGovernor:
         )
         total = math.fsum(deadlines)
         return (total - c - _DELTA * (abs(total) + 2.0 * c)) / n
+
+    def due_nodes(self, system: System) -> list[ComputeNode]:
+        """The nodes of *system* a pass must visit, in node order.
+
+        Every other node is idle at nominal frequency, which
+        :meth:`apply` would skip.  A node left below nominal has
+        drained its work only since the last pass, so the second list
+        is short, and usually empty.
+        """
+        loaded = system.loaded_nodes
+        drained = [n for n in self._scaled if not n._active_groups]
+        if not drained:
+            return loaded
+        return sorted(loaded + drained, key=system.position)
 
     def apply(self, nodes: Sequence[ComputeNode], now: float) -> None:
         """Set every node's processors to its target scale."""

@@ -13,11 +13,10 @@ Best-experience queries are served from an incrementally maintained
 index: one maximum-``l_val`` entry per discrete state plus a global
 maximum, both updated on ring insert and rebuilt (with exact scan
 semantics) on the rare evictions that remove an indexed winner.  The
-original full scan is kept as the reference oracle
-(:meth:`SharedLearningMemory.scan_best_experience`, also selectable with
-``indexed=False``); the two answer identically, including the
-"first maximum in agent-creation/ring order wins" tie-break — see
-``tests/core/test_shared_memory.py``.
+full scan, :meth:`SharedLearningMemory.scan_best_experience`, is not a
+query path: it is the reference the strict-mode auditor and the tests
+hold the index to, including the "first maximum in agent-creation/ring
+order wins" tie-break — see ``tests/core/test_shared_memory.py``.
 """
 
 from __future__ import annotations
@@ -52,15 +51,10 @@ class Experience:
 class SharedLearningMemory:
     """Cross-agent experience store with per-agent ring eviction."""
 
-    def __init__(
-        self,
-        cycles_per_agent: int = AGENT_MEMORY_CYCLES,
-        indexed: bool = True,
-    ) -> None:
+    def __init__(self, cycles_per_agent: int = AGENT_MEMORY_CYCLES) -> None:
         if cycles_per_agent <= 0:
             raise ValueError("cycles_per_agent must be positive")
         self.cycles_per_agent = cycles_per_agent
-        self.indexed = indexed
         self._rings: Dict[str, ReplayRing[Experience]] = {}
         #: Agent-creation order; the scan's tie-break ("first maximum in
         #: iteration order wins") reduces to comparing these indices.
@@ -91,8 +85,7 @@ class SharedLearningMemory:
             self._count += 1
         ring.append(experience)
         self.total_records += 1
-        if self.indexed:
-            self._index_insert(experience, evicted)
+        self._index_insert(experience, evicted)
 
     def __len__(self) -> int:
         return self._count
@@ -128,11 +121,6 @@ class SharedLearningMemory:
     ) -> Optional[Experience]:
         """The maximum-``l_val`` experience (state-matching preferred)."""
         self.queries += 1
-        if not self.indexed:
-            best = self.scan_best_experience(state)
-            if state is not None and best is not None and best.state == state:
-                self.state_hits += 1
-            return best
         if state is not None:
             match = self._best_by_state.get(state)
             if match is not None:
@@ -143,7 +131,8 @@ class SharedLearningMemory:
     def scan_best_experience(
         self, state: Optional[DiscreteState] = None
     ) -> Optional[Experience]:
-        """Reference full-scan query the index must agree with."""
+        """Reference full scan the index must agree with (read by the
+        auditor and the tests; queries go through the index)."""
         best_match: Optional[Experience] = None
         best_any: Optional[Experience] = None
         for exp in self:

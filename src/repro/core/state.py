@@ -60,6 +60,10 @@ def observe_site(
 ) -> SiteObservation:
     """Aggregate per-node snapshots into a :class:`SiteObservation`.
 
+    The reference aggregation: :meth:`SiteAgent.observe` returns the
+    same observation bit for bit, reading the integer terms from the
+    site's index instead of scanning.
+
     Parameters
     ----------
     states:

@@ -323,12 +323,18 @@ class Condition(Event):
             self.callbacks.insert(0, _finalize)
         else:
             return
-        self._release()
+        self.release()
 
-    def _release(self) -> None:
+    def release(self) -> None:
         """Remove this condition's check from each constituent still
         waiting.  One being processed has no list (the kernel took it),
-        and one past a build-time trigger never held the check."""
+        and one past a build-time trigger never held the check.
+
+        A triggered condition releases itself.  A waiter that abandons
+        an untriggered one calls this, so a constituent that outlives
+        the wait does not keep the condition alive; the condition can
+        then never trigger.
+        """
         check = self._check
         for event in self._events:
             callbacks = event.callbacks

@@ -29,6 +29,7 @@ from .auditor import (
     INV_CONSERVATION,
     INV_DVFS,
     INV_ENERGY,
+    INV_INDEX,
     INV_MEMORY,
     INV_ORDER,
     INV_PRIORITY,
@@ -57,6 +58,7 @@ __all__ = [
     "INV_DVFS",
     "INV_USAGE",
     "INV_CALENDAR",
+    "INV_INDEX",
 ]
 
 #: Process-wide override; ``None`` defers to the REPRO_STRICT env var.

@@ -41,6 +41,11 @@ usage-tally         the system's running busy/powered time and busy
 calendar-count      the kernel's maintained calendar entry count equals
                     a recount of its buckets (it backs ``queue_size``
                     and the ``sim.queue_depth`` gauge)
+platform-index      each node's pending count, each site's counts and
+                    open-node list, the platform's loaded-node list and
+                    the DVFS governor's node set equal a rescan of the
+                    nodes (routing, observation, the scheduling pass
+                    and the governor read these instead of scanning)
 ==================  ====================================================
 
 Checks are layered for cost: the O(1) clock/dispatch checks run per
@@ -84,6 +89,7 @@ __all__ = [
     "INV_DVFS",
     "INV_USAGE",
     "INV_CALENDAR",
+    "INV_INDEX",
 ]
 
 INV_CLOCK = "clock-monotonic"
@@ -97,6 +103,7 @@ INV_QPARITY = "qtable-parity"
 INV_DVFS = "dvfs-skip"
 INV_USAGE = "usage-tally"
 INV_CALENDAR = "calendar-count"
+INV_INDEX = "platform-index"
 
 
 def _close(a: float, b: float, tol: float) -> bool:
@@ -581,6 +588,8 @@ class InvariantAuditor:
         self._events_at_last_sweep = self.report.events_audited
         self._sweep_calendar()
         self._sweep_nodes()
+        if self.system is not None:
+            self._sweep_index()
         if self._governor is not None:
             self._sweep_governor()
         self._sweep_energy()
@@ -652,17 +661,12 @@ class InvariantAuditor:
             # a clean cache must equal the full rescan bit-for-bit.
             if not node._work_dirty:
                 load = fold_sum(g.pw for g in node._active_groups)
-                pending = sum(g.remaining for g in node._active_groups)
-                if (
-                    node._load_cache != load
-                    or node._pending_tasks_cache != pending
-                ):
+                if node._load_cache != load:
                     self._violate(
                         INV_QUEUE,
                         node.node_id,
-                        f"clean work cache (load={node._load_cache!r}, "
-                        f"pending={node._pending_tasks_cache}) != rescan "
-                        f"(load={load!r}, pending={pending})",
+                        f"clean load cache {node._load_cache!r} != rescan "
+                        f"{load!r}",
                         cached_load=node._load_cache,
                         fresh_load=load,
                     )
@@ -673,8 +677,9 @@ class InvariantAuditor:
                     if not t.completed
                 ]
                 size = fold_sum(t.size_mi for t in live)
+                cached_size = node._pending_size_cache
                 deadlines = node._deadlines_cache
-                if node._pending_size_cache != size or (
+                if (cached_size is not None and cached_size != size) or (
                     deadlines is not None
                     and deadlines != tuple(t.deadline for t in live)
                 ):
@@ -688,15 +693,102 @@ class InvariantAuditor:
                     )
             if not node._power_dirty:
                 power = tuple(p.current_power_w for p in node.processors)
-                if node._power_cache != power or (
-                    node._total_power_cache != fold_sum(power)
+                sleeping = sum(
+                    1 for p in node.processors if p.state is ProcState.SLEEP
+                )
+                if (
+                    node._power_cache != power
+                    or node._total_power_cache != fold_sum(power)
+                    or node._sleeping_cache != sleeping
                 ):
                     self._violate(
                         INV_QUEUE,
                         node.node_id,
                         "clean power cache does not match the processors' "
-                        "current draw",
+                        "current draw and states",
                     )
+
+    def _sweep_index(self) -> None:
+        """The platform index equals a rescan of the nodes.
+
+        Pending counts are recounted from the active groups and free
+        slots from the queues, so a count that drifted from the nodes'
+        real state is caught, not one derived from another count.
+        """
+        system = self.system
+        for site in system.sites:
+            self.report.count(INV_INDEX)
+            pending = free = slotted = spare = 0
+            open_nodes = []
+            for node in site.nodes:
+                remaining = sum(g.remaining for g in node._active_groups)
+                if node._pending != remaining:
+                    self._violate(
+                        INV_INDEX,
+                        node.node_id,
+                        f"pending count {node._pending} but its active "
+                        f"groups hold {remaining} tasks",
+                        index="node-pending",
+                        counted=node._pending,
+                        rescanned=remaining,
+                    )
+                node_free = node.queue_slots - len(node.queue.items)
+                pending += remaining
+                free += node_free
+                if node_free > 0:
+                    slotted += 1
+                    if not node.failed:
+                        open_nodes.append(node)
+                        spare += remaining == 0
+            for name, counted, rescanned in (
+                ("pending", site.pending_tasks, pending),
+                ("free-slots", site.total_free_slots, free),
+                ("slotted", site.slotted_nodes, slotted),
+                ("spare", site.spare_nodes, spare),
+            ):
+                if counted != rescanned:
+                    self._violate(
+                        INV_INDEX,
+                        site.site_id,
+                        f"{name} count {counted} but a rescan of the "
+                        f"site's nodes gives {rescanned}",
+                        index=name,
+                        counted=counted,
+                        rescanned=rescanned,
+                    )
+            if site.open_nodes != open_nodes:
+                self._violate(
+                    INV_INDEX,
+                    site.site_id,
+                    f"open nodes {[n.node_id for n in site.open_nodes]} but "
+                    f"a rescan gives {[n.node_id for n in open_nodes]}",
+                    index="open",
+                )
+        self.report.count(INV_INDEX)
+        loaded = [n for n in system.nodes if n._active_groups]
+        if system.loaded_nodes != loaded:
+            self._violate(
+                INV_INDEX,
+                "system",
+                f"loaded nodes {[n.node_id for n in system.loaded_nodes]} "
+                f"but a rescan gives {[n.node_id for n in loaded]}",
+                index="loaded",
+            )
+        gov = self._governor
+        if gov is not None:
+            due = gov.due_nodes(system)
+            needed = [
+                n for n in system.nodes if n._active_groups or n in gov._scaled
+            ]
+            if due != needed:
+                self._violate(
+                    INV_INDEX,
+                    "governor",
+                    f"a pass would visit {[n.node_id for n in due]}, but "
+                    f"the nodes with work or a recorded θ < 1 are "
+                    f"{[n.node_id for n in needed]}",
+                    index="governor",
+                )
 
     def _sweep_governor(self) -> None:
         """The DVFS governor's skips are safe.
@@ -908,8 +1000,6 @@ class InvariantAuditor:
         # public query counts itself in the memory's hit-rate tallies,
         # which the flight recorder samples; restore them, so a sweep
         # leaves the series as an unaudited run records them.
-        if not memory.indexed:
-            return
         tallies = memory.queries, memory.state_hits
         try:
             indexed = memory.best_experience()

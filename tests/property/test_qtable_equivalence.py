@@ -8,7 +8,7 @@ to their dict/scan references:
   arbitrary interleavings of updates and queries;
 - :class:`DenseMultiRateQTable` vs :class:`MultiRateQTable` — the Q+
   baseline's multi-rate neighbor refresh over either store;
-- indexed vs full-scan ``SharedLearningMemory.best_experience`` —
+- indexed ``SharedLearningMemory.best_experience`` vs its full scan —
   including the tie-break "first maximum in agent-creation/ring
   iteration order wins" and index rebuilds after ring evictions.
 
@@ -178,30 +178,31 @@ class TestSharedMemoryIndexEquivalence:
     @settings(max_examples=80, deadline=None)
     def test_indexed_matches_scan(self, records, cycles):
         mem_states = [(i, i) for i in range(3)]
-        indexed = SharedLearningMemory(cycles_per_agent=cycles, indexed=True)
-        scan = SharedLearningMemory(cycles_per_agent=cycles, indexed=False)
+        memory = SharedLearningMemory(cycles_per_agent=cycles)
         for k, (agent_i, state_i, l_val) in enumerate(records):
-            exp = Experience(
-                agent_id=f"agent{agent_i}",
-                cycle=k,
-                state=mem_states[state_i],
-                action=GroupingAction(GroupingMode.MIXED, 1 + k % 6),
-                l_val=float(l_val),
-                reward=k % 5,
-                error=0.0,
-                time=float(k),
+            memory.record(
+                Experience(
+                    agent_id=f"agent{agent_i}",
+                    cycle=k,
+                    state=mem_states[state_i],
+                    action=GroupingAction(GroupingMode.MIXED, 1 + k % 6),
+                    l_val=float(l_val),
+                    reward=k % 5,
+                    error=0.0,
+                    time=float(k),
+                )
             )
-            indexed.record(exp)
-            scan.record(exp)
             for state in mem_states + [None, (9, 9)]:
+                scanned = memory.scan_best_experience(state)
+                hits = memory.state_hits
                 # `is`, not `==`: the same stored object must win, so the
                 # returned *action* (what agents consume) matches too.
-                assert indexed.best_experience(state) is scan.best_experience(
-                    state
+                assert memory.best_experience(state) is scanned
+                # A hit is an answer recorded in the queried state.
+                assert memory.state_hits - hits == (
+                    scanned is not None and scanned.state == state
                 )
-                assert indexed.best_action(state) == scan.best_action(state)
-            assert len(indexed) == len(scan) == sum(1 for _ in scan)
-            # The indexed store keeps the scan available as its oracle.
-            assert indexed.scan_best_experience(None) is scan.best_experience(
-                None
-            )
+                assert memory.best_action(state) == (
+                    None if scanned is None else scanned.action
+                )
+            assert len(memory) == sum(1 for _ in memory)

@@ -25,10 +25,7 @@ PACKAGES = ("cluster", "core", "energy", "metrics", "baselines")
 #: always allowed.
 INTEGER_SUMS = {
     ("baselines/online_rl.py", "n.pending_tasks"),
-    ("cluster/node.py", "g.remaining"),
-    ("cluster/site.py", "n.free_slots"),
     ("cluster/site.py", "n.num_processors"),
-    ("cluster/site.py", "n.pending_tasks"),
     ("cluster/system.py", "counts"),
     ("cluster/system.py", "n.num_processors"),
     ("cluster/system.py", "sum(counts)"),

@@ -13,7 +13,8 @@ import pytest
 
 from repro.cluster import PlatformSpec, TaskGroup, build_system
 from repro.core import AdaptiveRLConfig, AdaptiveRLScheduler
-from repro.core.shared_memory import SharedLearningMemory
+from repro.core.actions import GroupingAction, GroupingMode
+from repro.core.shared_memory import Experience, SharedLearningMemory
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.rl.dense import DenseQTable
@@ -24,6 +25,7 @@ from repro.validate import (
     INV_CLOCK,
     INV_DVFS,
     INV_ENERGY,
+    INV_INDEX,
     INV_MEMORY,
     INV_ORDER,
     INV_PRIORITY,
@@ -342,10 +344,21 @@ class TestCorruptionDetection:
     def test_memory_cap_breach_detected(self):
         env = Environment()
         auditor = InvariantAuditor(env, on_violation="collect")
-        memory = SharedLearningMemory(cycles_per_agent=2, indexed=False)
+        memory = SharedLearningMemory(cycles_per_agent=2)
         ring = ReplayRing(10)  # roomier than the cap, to fake a breach
         for i in range(3):
-            ring.append(object())
+            ring.append(
+                Experience(
+                    agent_id="agent0",
+                    cycle=i,
+                    state=(0, 0, 0),
+                    action=GroupingAction(GroupingMode.MIXED, 1),
+                    l_val=float(i),
+                    reward=0,
+                    error=0.0,
+                    time=float(i),
+                )
+            )
         memory._rings["agent0"] = ring
         auditor._memory = memory
         auditor.sweep()
@@ -467,6 +480,99 @@ class TestCorruptionDetection:
         kinds = {v.invariant for v in auditor.report.violations}
         assert {INV_ENERGY, INV_QUEUE} <= kinds
         assert not auditor.report.ok
+
+
+class TestPlatformIndex:
+    """Each index that routing, observation, the scheduling pass and
+    the DVFS governor read instead of scanning is held to a rescan."""
+
+    @staticmethod
+    def index_violations(auditor):
+        auditor.sweep()
+        return [
+            (v.subject, v.details["index"])
+            for v in auditor.report.violations
+            if v.invariant == INV_INDEX
+        ]
+
+    def test_clean_cluster_is_checked(self):
+        env, system, auditor = make_audited_cluster()
+        system.nodes[0].submit(slack_rich_group())
+        auditor.sweep()
+        assert auditor.report.ok
+        # One check per site, and one for the platform.
+        assert auditor.report.checks[INV_INDEX] == len(system.sites) + 1
+
+    def test_node_pending_count(self):
+        env, system, auditor = make_audited_cluster()
+        node = system.nodes[0]
+        node.submit(slack_rich_group())
+        node._pending += 1
+        assert self.index_violations(auditor) == [(node.node_id, "node-pending")]
+
+    @pytest.mark.parametrize(
+        "attr,index",
+        [
+            ("_pending", "pending"),
+            ("_free_slots", "free-slots"),
+            ("_slotted", "slotted"),
+            ("_spare", "spare"),
+        ],
+    )
+    def test_site_count(self, attr, index):
+        env, system, auditor = make_audited_cluster()
+        site = system.sites[1]
+        setattr(site, attr, getattr(site, attr) - 1)
+        assert self.index_violations(auditor) == [(site.site_id, index)]
+
+    def test_open_node_missing(self):
+        env, system, auditor = make_audited_cluster()
+        site = system.sites[0]
+        site._open.pop()
+        assert self.index_violations(auditor) == [(site.site_id, "open")]
+
+    def test_open_nodes_out_of_node_order(self):
+        env, system, auditor = make_audited_cluster()
+        site = system.sites[0]
+        assert len(site.open_nodes) >= 2
+        site._open.reverse()
+        assert self.index_violations(auditor) == [(site.site_id, "open")]
+
+    def test_loaded_node_missing(self):
+        system, governor, auditor = make_governed_cluster()
+        node = system.nodes[2]
+        node.submit(slack_rich_group())
+        assert system.loaded_nodes == [node]
+        system._loaded.clear()
+        # The governor's pass reads the same list, so it misses the node.
+        assert self.index_violations(auditor) == [
+            ("system", "loaded"),
+            ("governor", "governor"),
+        ]
+
+    def test_governor_forgets_a_drained_scaled_node(self, monkeypatch):
+        system, governor, auditor = make_governed_cluster()
+        node = system.nodes[0]
+        node.submit(slack_rich_group())
+        governor.apply(governor.due_nodes(system), 0.0)
+        assert governor._scaled[node] < 1.0
+        node.fail()  # drains the node; it still runs below nominal
+        assert governor.due_nodes(system) == [node]
+        assert self.index_violations(auditor) == []
+        # A pass that visits only loaded nodes would leave it scaled.
+        monkeypatch.setattr(
+            governor, "due_nodes", lambda system: system.loaded_nodes
+        )
+        assert self.index_violations(auditor) == [("governor", "governor")]
+
+    def test_raises_in_strict_mode(self):
+        env = Environment()
+        system = build_system(env, SMALL_PLATFORM, RandomStreams(seed=7))
+        auditor = InvariantAuditor(env, system)
+        system.sites[0]._pending += 1
+        with pytest.raises(InvariantViolationError) as info:
+            auditor.sweep()
+        assert info.value.violation.invariant == INV_INDEX
 
 
 class TestReportSurface:
