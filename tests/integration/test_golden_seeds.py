@@ -4,7 +4,8 @@ Perf refactors of a stochastic simulator are only safe when paired with
 a regression oracle: these tests pin per-seed sha256 digests of the
 headline metrics (AveRT, total system energy ``ECS``, success rate) for
 3 seeds × all seven registered schedulers, plus one paper-scale
-Adaptive-RL run, Adaptive-RL under DVFS and under four platform or
+Adaptive-RL run, Adaptive-RL under DVFS (on the default platform and on
+the ``large-dvfs`` benchmark's 150 nodes) and under four platform or
 workload scenarios, and the kernel's event counts in each of its
 instrumentation modes, captured before the code under them changed.  Any
 change that alters event ordering, float accumulation order, or RNG
@@ -13,7 +14,8 @@ stream consumption shifts at least one digest and fails loudly.
 The digests hash the exact IEEE-754 bit patterns (``float.hex``), so
 "close enough" does not pass — results must be bit-identical.
 
-Refreshing (only after an *intentional* behaviour change):
+Refreshing (only after an *intentional* behaviour change) prints every
+pinned value:
 
     PYTHONPATH=src python tests/integration/test_golden_seeds.py
 """
@@ -99,6 +101,15 @@ DVFS_GOLDEN = {
 #: (15,486 before the governor settled floor-pinned nodes).
 DVFS_EVALUATIONS = 6141
 
+#: Adaptive-RL + DVFS on the ``large-dvfs`` benchmark's platform (10
+#: sites of 15 nodes) at the pinned task count and the default arrival
+#: process: ``(digest, adjustments, target_scale calls)``.  Keys are
+#: ``"large-dvfs/seed<seed>"`` and ``"large-dvfs+failures/seed<seed>"``.
+LARGE_DVFS_GOLDEN = {
+    "large-dvfs/seed11": ("9d12a1d12ac42f0a", 11620, 3032),
+    "large-dvfs+failures/seed11": ("5428457b52df51e6", 27738, 6652),
+}
+
 
 #: Adaptive-RL at the pinned shape under one changed platform or
 #: workload axis each.  None of them draws on BLAS or array powers,
@@ -162,6 +173,18 @@ def dvfs_config(seed: int, failures: bool = False) -> ExperimentConfig:
     )
 
 
+def large_dvfs_config(seed: int, failures: bool = False) -> ExperimentConfig:
+    """The pinned ``large-dvfs`` configuration."""
+    return ExperimentConfig(
+        scheduler="adaptive-rl",
+        seed=seed,
+        num_tasks=NUM_TASKS,
+        scheduler_kwargs={"dvfs_enabled": True},
+        platform=default_platform(num_sites=10, nodes_per_site=(15, 15)),
+        **(DVFS_FAILURES if failures else {}),
+    )
+
+
 def _digest_payload(metrics) -> tuple[str, str]:
     """(digest, readable payload) of a run's headline metrics."""
     payload = "|".join(
@@ -212,6 +235,26 @@ def _run_dvfs(seed: int, failures: bool) -> tuple[str, str, int]:
     return digest, payload, result.scheduler.governor.adjustments
 
 
+def _run_counted(config: ExperimentConfig) -> tuple[str, str, int, int]:
+    """Run a DVFS config unaudited (the auditor evaluates targets too);
+    return (digest, payload, adjustments, ``target_scale`` calls)."""
+    calls = 0
+    target_scale = DVFSGovernor.target_scale
+
+    def counted(governor, node, now):
+        nonlocal calls
+        calls += 1
+        return target_scale(governor, node, now)
+
+    DVFSGovernor.target_scale = counted
+    try:
+        result = run_experiment(config, strict=False)
+    finally:
+        DVFSGovernor.target_scale = target_scale
+    digest, payload = _digest_payload(result.metrics)
+    return digest, payload, result.scheduler.governor.adjustments, calls
+
+
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_golden_seed_digest(scheduler: str, seed: int) -> None:
@@ -258,6 +301,38 @@ def _kernel_config() -> ExperimentConfig:
     )
 
 
+def _kernel_metered() -> tuple[str, int, tuple[int, int]]:
+    """The metered run: (digest, events processed, the
+    ``sim.queue_depth`` gauge's (last value, high))."""
+    tel = Telemetry(metrics=MetricsRegistry())
+    result = run_experiment(_kernel_config(), telemetry=tel)
+    gauge = tel.metrics.gauge("sim.queue_depth")
+    return (
+        _digest_payload(result.metrics)[0],
+        tel.metrics.counter("sim.events_processed").value,
+        (gauge.value, gauge.high),
+    )
+
+
+def _kernel_sampled() -> tuple[str, tuple[int, int]]:
+    """The flight recorder alone, which meters nothing: (digest,
+    (``power.system`` samples, last ``sim.events`` sample))."""
+    tel = Telemetry(series=SeriesBank(), sample_every=50.0)
+    result = run_experiment(_kernel_config(), telemetry=tel)
+    assert not tel.metering
+    return _digest_payload(result.metrics)[0], (
+        len(tel.series.get("power.system")),
+        tel.series.get("sim.events").last(),
+    )
+
+
+def _kernel_strict() -> tuple[str, int]:
+    """The audited run, which must stay clean: (digest, events audited)."""
+    result = run_experiment(_kernel_config(), strict=True)
+    assert result.audit.ok
+    return _digest_payload(result.metrics)[0], result.audit.events_audited
+
+
 class TestKernelModes:
     """Each instrumentation mode of the kernel's run loop counts the
     same events and leaves the pinned digest unchanged."""
@@ -265,30 +340,17 @@ class TestKernelModes:
     expected = GOLDEN_DIGESTS["adaptive-rl/seed11"]
 
     def test_metered(self) -> None:
-        tel = Telemetry(metrics=MetricsRegistry())
-        result = run_experiment(_kernel_config(), telemetry=tel)
-        assert _digest_payload(result.metrics)[0] == self.expected
-        assert tel.metrics.counter("sim.events_processed").value == (
-            KERNEL_EVENTS
+        assert _kernel_metered() == (
+            self.expected,
+            KERNEL_EVENTS,
+            KERNEL_QUEUE_DEPTH,
         )
-        gauge = tel.metrics.gauge("sim.queue_depth")
-        assert (gauge.value, gauge.high) == KERNEL_QUEUE_DEPTH
 
     def test_flight_recorder_only(self) -> None:
-        tel = Telemetry(series=SeriesBank(), sample_every=50.0)
-        result = run_experiment(_kernel_config(), telemetry=tel)
-        assert not tel.metering
-        assert _digest_payload(result.metrics)[0] == self.expected
-        assert (
-            len(tel.series.get("power.system")),
-            tel.series.get("sim.events").last(),
-        ) == KERNEL_SAMPLED
+        assert _kernel_sampled() == (self.expected, KERNEL_SAMPLED)
 
     def test_strict(self) -> None:
-        result = run_experiment(_kernel_config(), strict=True)
-        assert _digest_payload(result.metrics)[0] == self.expected
-        assert result.audit.ok
-        assert result.audit.events_audited == KERNEL_EVENTS
+        assert _kernel_strict() == (self.expected, KERNEL_EVENTS)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -329,21 +391,26 @@ def test_dvfs_golden_digest(seed: int, failures: bool) -> None:
     )
 
 
-def test_dvfs_governor_evaluations(monkeypatch) -> None:
+def test_dvfs_governor_evaluations() -> None:
     """The governor's skip rules are pinned too: a change that drops a
     skip keeps every digest but fails here."""
-    calls = 0
-    target_scale = DVFSGovernor.target_scale
+    assert _run_counted(dvfs_config(11))[3] == DVFS_EVALUATIONS
 
-    def counted(governor, node, now):
-        nonlocal calls
-        calls += 1
-        return target_scale(governor, node, now)
 
-    monkeypatch.setattr(DVFSGovernor, "target_scale", counted)
-    # Not strict: the auditor evaluates the governor's targets too.
-    run_experiment(dvfs_config(11), strict=False)
-    assert calls == DVFS_EVALUATIONS
+@pytest.mark.parametrize("key", sorted(LARGE_DVFS_GOLDEN))
+def test_large_dvfs_digest(key: str) -> None:
+    """The ``large-dvfs`` platform: digest, adjustments and the number
+    of targets the governor evaluates are pinned."""
+    variant, seed = key.split("/")
+    digest, payload, adjustments, evaluations = _run_counted(
+        large_dvfs_config(int(seed[len("seed"):]), variant.endswith("failures"))
+    )
+    assert (digest, adjustments, evaluations) == LARGE_DVFS_GOLDEN[key], (
+        f"{key}: (digest, adjustments, evaluations) = ({digest}, "
+        f"{adjustments}, {evaluations}) != pinned {LARGE_DVFS_GOLDEN[key]} "
+        f"(AveRT|ECS|success = {payload}); the DVFS governor's decisions "
+        "or skips have changed"
+    )
 
 
 def test_golden_table_is_complete() -> None:
@@ -360,6 +427,10 @@ def test_golden_table_is_complete() -> None:
     }
     assert set(SCENARIO_GOLDEN) == {
         f"{scenario}/seed{d}" for scenario in SCENARIOS for d in SEEDS
+    }
+    assert set(LARGE_DVFS_GOLDEN) == {
+        "large-dvfs/seed11",
+        "large-dvfs+failures/seed11",
     }
 
 
@@ -381,3 +452,20 @@ if __name__ == "__main__":  # pragma: no cover - digest refresh helper
             dig, pay, adj = _run_dvfs(seed_value, with_failures)
             variant = "dvfs+failures" if with_failures else "dvfs"
             print(f'    "{variant}/seed{seed_value}": ("{dig}", {adj}),  # {pay}')
+    print(f"DVFS_EVALUATIONS = {_run_counted(dvfs_config(11))[3]}")
+    for key_value in sorted(LARGE_DVFS_GOLDEN):
+        variant, seed_text = key_value.split("/")
+        dig, pay, adj, evals = _run_counted(
+            large_dvfs_config(
+                int(seed_text[len("seed"):]), variant.endswith("failures")
+            )
+        )
+        print(f'    "{key_value}": ("{dig}", {adj}, {evals}),  # {pay}')
+    metered = _kernel_metered()
+    print(f"KERNEL_EVENTS = {metered[1]:g}  # metered; digest {metered[0]}")
+    print(f"KERNEL_QUEUE_DEPTH = {metered[2]}")
+    sampled = _kernel_sampled()
+    samples, last_events = sampled[1]
+    print(f"KERNEL_SAMPLED = ({samples}, {last_events:g})  # digest {sampled[0]}")
+    audited = _kernel_strict()
+    print(f"# strict: {audited[1]} events audited; digest {audited[0]}")
