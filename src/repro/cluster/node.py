@@ -166,6 +166,9 @@ class ComputeNode:
         # bit-identical; the flags are raised at every mutation point
         # (admission, completion, failure, power transitions).
         self._work_dirty = True
+        #: Called with the node at each work change (:meth:`_work_changed`);
+        #: the DVFS governor watching the node installs it.
+        self._work_watcher: Optional[Callable[["ComputeNode"], None]] = None
         self._load_cache = 0.0
         #: Pending-task size and deadlines, built on first read after a
         #: refresh: observations read only the load, and only the DVFS
@@ -183,11 +186,9 @@ class ComputeNode:
         #: admission, completion and failure.
         self._pending = 0
         #: The site whose index counts this node, and the node's
-        #: positions in the site's and the platform's node lists (all
-        #: set by them).
+        #: position in the site's node list (both set by the site).
         self._site: Optional["ResourceSite"] = None
         self._site_position = 0
-        self._position = 0
 
         self._feeder_proc: Process = env.process(self._feeder())
         self._worker_procs: list[Process] = [
@@ -235,6 +236,13 @@ class ComputeNode:
     def available(self) -> bool:
         """True when the node is online and has a free queue slot."""
         return not self.failed and self.free_slots > 0
+
+    def _work_changed(self) -> None:
+        """The admitted work changed: mark its aggregates stale and tell
+        the node's watcher, if any."""
+        self._work_dirty = True
+        if self._work_watcher is not None:
+            self._work_watcher(self)
 
     def _refresh_work_caches(self) -> None:
         """Recompute the admitted-work aggregates from scratch.
@@ -293,12 +301,8 @@ class ComputeNode:
 
     @property
     def pending_deadlines(self) -> tuple[float, ...]:
-        """Deadlines of the pending tasks, in the order their sizes are summed.
-
-        Built lazily and kept until the next work-cache refresh, so the
-        tuple object identifies one work epoch: while it is the same
-        object, the node's pending work has not changed.
-        """
+        """Deadlines of the pending tasks, in the order their sizes are
+        summed; built lazily and kept until the next work-cache refresh."""
         if self._work_dirty:
             self._refresh_work_caches()
         deadlines = self._deadlines_cache
@@ -379,7 +383,7 @@ class ComputeNode:
         group.completion = Event(self.env)
         group.on_complete(self._group_done)
         self._active_groups.append(group)
-        self._work_dirty = True
+        self._work_changed()
         self._pending += group.remaining
         put = self.queue.put(group)
         self._reindex()
@@ -506,7 +510,7 @@ class ComputeNode:
                 task.mark_finished(env.now)
                 proc.meter.set_state(ProcState.IDLE, env.now)
                 self._power_dirty = True
-                self._work_dirty = True
+                self._work_changed()
                 proc.tasks_completed += 1
                 self.tasks_completed += 1
                 for cb in self._task_callbacks:
@@ -519,7 +523,7 @@ class ComputeNode:
                 group.task_done()
                 # A callback above may have refreshed the work caches
                 # while the group still counted this task as remaining.
-                self._work_dirty = True
+                self._work_changed()
                 get_ev = self._ready.get()
             except Interrupt:
                 # Node failure.  Any in-flight task was already orphaned
@@ -571,7 +575,7 @@ class ComputeNode:
                         task.reset_execution()
                     orphans.append(task)
         self._active_groups.clear()
-        self._work_dirty = True
+        self._work_changed()
         self._pending = 0
         self.queue.items.clear()
         self._ready.items.clear()
@@ -602,14 +606,14 @@ class ComputeNode:
         self.groups_completed += 1
         if group in self._active_groups:
             self._active_groups.remove(group)
-        self._work_dirty = True
+        self._work_changed()
         self._reindex()
         for cb in self._group_callbacks:
             cb(group, self)
 
     def _reindex(self) -> None:
-        """Bring the site and platform indexes up to date with this node
-        (called at every transition that can move them)."""
+        """Bring the site's index up to date with this node (called at
+        every transition that can move it)."""
         if self._site is not None:
             self._site._reindex(self)
 

@@ -60,9 +60,12 @@ class Processor:
 
     def set_frequency_scale(self, theta: float) -> None:
         """Set the DVFS scale; clamped to [MIN_FREQUENCY_SCALE, 1]."""
-        if theta <= 0:
+        if MIN_FREQUENCY_SCALE <= theta <= 1.0:
+            self._freq_scale = theta
+        elif not theta > 0:
             raise ValueError("frequency scale must be positive")
-        self._freq_scale = min(max(theta, MIN_FREQUENCY_SCALE), 1.0)
+        else:
+            self._freq_scale = min(max(theta, MIN_FREQUENCY_SCALE), 1.0)
         if self.on_power_change is not None:
             self.on_power_change()
 

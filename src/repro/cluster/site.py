@@ -15,15 +15,12 @@ from __future__ import annotations
 
 from bisect import insort
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import Callable, Sequence
 
 from ..sim.fold import fold_sum
 from ..workload.task import Task
 from .node import ComputeNode, NodeState
 from .taskgroup import TaskGroup
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .system import System
 
 __all__ = ["ResourceSite"]
 
@@ -55,15 +52,13 @@ class ResourceSite:
         self._total_capacity = capacity
 
         # The index.  ``_counted[i]`` is what it last counted for node i:
-        # (pending tasks, free slots, open, has admitted work).
+        # (pending tasks, free slots, open).
         self._pending = 0
         self._free_slots = 0
         self._slotted = 0
         self._spare = 0
         self._open: list[ComputeNode] = []
-        self._counted = [(0, 0, False, False)] * len(self.nodes)
-        #: The platform whose loaded-node list this site keeps current.
-        self._platform: Optional["System"] = None
+        self._counted = [(0, 0, False)] * len(self.nodes)
         for position, node in enumerate(self.nodes):
             node._site = self
             node._site_position = position
@@ -76,13 +71,12 @@ class ResourceSite:
         pending = node._pending
         free = node.queue_slots - len(node.queue.items)
         is_open = free > 0 and not node.failed
-        loaded = bool(node._active_groups)
-        counted = (pending, free, is_open, loaded)
+        counted = (pending, free, is_open)
         was = self._counted[position]
         if counted == was:
             return
         self._counted[position] = counted
-        was_pending, was_free, was_open, was_loaded = was
+        was_pending, was_free, was_open = was
         self._pending += pending - was_pending
         self._free_slots += free - was_free
         self._slotted += (free > 0) - (was_free > 0)
@@ -94,8 +88,6 @@ class ResourceSite:
                 insort(self._open, node, key=_SITE_POSITION)
             else:
                 self._open.remove(node)
-        if loaded != was_loaded and self._platform is not None:
-            self._platform._set_loaded(node, loaded)
 
     def __iter__(self):
         return iter(self.nodes)

@@ -9,9 +9,7 @@ streams so that every experiment is reproducible.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,8 +29,6 @@ from .processor import SPEED_RANGE_MIPS, Processor
 from .site import ResourceSite
 
 __all__ = ["PlatformSpec", "System", "build_system"]
-
-_POSITION = attrgetter("_position")
 
 
 @dataclass(frozen=True)
@@ -137,13 +133,6 @@ class System:
         self.usage = UsageTally()
         for p in self._processors:
             self.usage.add(p.meter)
-        # The platform index: nodes with admitted work, in node order,
-        # kept by the sites at the transitions that add or drain work.
-        for position, node in enumerate(self._nodes):
-            node._position = position
-        self._loaded = [n for n in self._nodes if n._active_groups]
-        for site in self.sites:
-            site._platform = self
 
     def __iter__(self):
         return iter(self.sites)
@@ -163,23 +152,6 @@ class System:
     def processors(self) -> list[Processor]:
         """All processors in topology order (shared list — do not mutate)."""
         return self._processors
-
-    @property
-    def loaded_nodes(self) -> list[ComputeNode]:
-        """Nodes with admitted, not yet completed work, in node order
-        (the index's own list — do not mutate)."""
-        return self._loaded
-
-    def _set_loaded(self, node: ComputeNode, loaded: bool) -> None:
-        """A site saw *node* gain its first or drain its last work."""
-        if loaded:
-            insort(self._loaded, node, key=_POSITION)
-        else:
-            self._loaded.remove(node)
-
-    def position(self, node: ComputeNode) -> int:
-        """*node*'s index in :attr:`nodes`."""
-        return node._position
 
     @property
     def num_processors(self) -> int:

@@ -63,7 +63,7 @@ class AdaptiveRLConfig:
             raise ValueError("memory_cycles must be positive")
         if self.backlog_patience < 0:
             raise ValueError("backlog_patience must be non-negative")
-        if self.dvfs_safety_factor < 1.0:
+        if not self.dvfs_safety_factor >= 1.0:
             raise ValueError("dvfs_safety_factor must be at least 1")
 
 
@@ -93,6 +93,7 @@ class AdaptiveRLScheduler(Scheduler):
         cfg = self.config
         if self.governor is not None:
             self.governor.telemetry = self.telemetry
+            self.governor.watch(self.system.nodes)
         if cfg.shared_memory_enabled:
             self.memory = SharedLearningMemory(cfg.memory_cycles)
         self._routing = make_routing(
@@ -156,10 +157,8 @@ class AdaptiveRLScheduler(Scheduler):
             if agent.backlog:
                 agent.run_pass(now, self.config.backlog_patience)
                 backlog_remaining += len(agent.backlog)
-        governor = self.governor
-        if governor is not None:
-            assert self.system is not None
-            governor.apply(governor.due_nodes(self.system), now)
+        if self.governor is not None:
+            self.governor.apply(now)
         if backlog_remaining > 0:
             self._arm_patience_timer()
 

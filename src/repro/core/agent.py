@@ -102,6 +102,17 @@ class SiteAgent:
         )
         self._total_queue_slots = sum(n.queue_slots for n in site.nodes)
         self._total_capacity = site.total_processing_capacity
+        #: Each node's weighted energy term of the placement score: its
+        #: marginal ECS relative to a reference node (750 MIPS
+        #: processors, 5 of them).  Static, like the processor set.
+        self._energy_term = {
+            n: W_ENERGY
+            * (
+                (750.0 / (n.total_speed_mips / n.num_processors))
+                * (5.0 / n.num_processors)
+            )
+            for n in site.nodes
+        }
         self._pending: Dict[int, PendingAction] = {}
         self._last_hit_fraction: Optional[float] = None
         self._regressed = False
@@ -330,20 +341,19 @@ class SiteAgent:
         window = max(
             fold_sum(t.deadline - now for t in group.tasks) / len(group), 1e-6
         )
+        size_mi = group.size_mi
+        pw = group.pw
+        energy_term = self._energy_term
 
         def score(node: ComputeNode) -> tuple[float, str]:
-            est_wait = node.pending_size_mi / node.total_speed_mips
-            est_exec = group.size_mi / node.total_speed_mips
-            err = grouping_error(group.pw, node.processing_capacity)
-            m = node.num_processors
-            mean_speed = node.total_speed_mips / m
-            # Marginal ECS of running this group here, relative to a
-            # reference node (750 MIPS processors, 5 of them).
-            energy_factor = (750.0 / mean_speed) * (5.0 / m)
-            sleeping_frac = node.sleeping_processors / m
+            speed = node.total_speed_mips
+            est_wait = node.pending_size_mi / speed
+            est_exec = size_mi / speed
+            err = grouping_error(pw, node.processing_capacity)
+            sleeping_frac = node.sleeping_processors / node.num_processors
             value = (
                 W_TIME * (est_wait + est_exec) / window
-                + W_ENERGY * energy_factor
+                + energy_term[node]
                 + W_ERROR * err / (1.0 + err)
                 + W_WAKE * sleeping_frac
             )

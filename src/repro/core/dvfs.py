@@ -17,11 +17,11 @@ static energy, so the governor never goes below it.
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 from typing import Sequence
 
 from ..cluster.node import ComputeNode
 from ..cluster.processor import MIN_FREQUENCY_SCALE
-from ..cluster.system import System
 from ..obs import CAT_ENERGY, NULL_TELEMETRY
 
 __all__ = ["DVFSGovernor", "energy_optimal_scale"]
@@ -45,31 +45,29 @@ def energy_optimal_scale(p_min_w: float, p_max_w: float) -> float:
 class DVFSGovernor:
     """Per-node frequency governor driven by deadline slack.
 
-    A pass evaluates only the nodes whose target can differ from the θ
-    they run at.  An idle node at nominal frequency is skipped (its
-    target is θ = 1.0).  After evaluating a busy node, the governor
-    *settles* it: it records the node's work epoch (the
-    ``pending_deadlines`` tuple object) and a time until which the
-    target provably stays at the θ just set, and skips the node while
-    both hold:
+    A pass evaluates only its *wake set*, in node order: the nodes whose
+    target can differ from the θ they run at.  :meth:`watch` puts every
+    node in it and has each node rejoin it whenever its admitted work
+    changes.  An evaluation decides how long the node may sleep:
 
-    - θ = 1.0 settles for the rest of the epoch.  Within an epoch only
-      ``now`` varies; each window term ``max(d - now, ε)`` is
+    - θ = 1.0 takes the node out until its work changes.  Until then
+      only ``now`` varies; each window term ``max(d - now, ε)`` is
       non-increasing in it, and rounded IEEE operations are monotone in
       each operand, so the target never drops.
-    - θ = floor settles until the horizon of :meth:`_floor_horizon`,
-      computed from the epoch's deadlines.
+    - θ = floor takes the node out until its work changes or the
+      horizon of :meth:`_floor_horizon` passes; a calendar keyed by
+      horizon wakes it then.
+    - Any other θ leaves it in, since the target moves with the clock.
 
-    The governor is the only code that rescales processors and sets
-    every processor of a node to the same θ, so a node whose target
-    equals the θ it last set needs no processor visit.
-
-    A scheduler's pass visits only :meth:`due_nodes`: the platform
-    index's nodes with admitted work, and the nodes left below nominal.
+    A woken node idle at nominal frequency leaves unevaluated: its
+    target is θ = 1.0.  The governor is the only code that rescales
+    processors and sets every processor of a node to the same θ, so a
+    node whose target is unchanged needs no processor visit, and one
+    whose target moved needs each processor set once.
     """
 
     def __init__(self, safety_factor: float = 1.5) -> None:
-        if safety_factor < 1.0:
+        if not safety_factor >= 1.0:
             raise ValueError("safety_factor must be at least 1")
         self.safety_factor = safety_factor
         self.adjustments = 0
@@ -77,12 +75,30 @@ class DVFSGovernor:
         self.telemetry = NULL_TELEMETRY
         #: Nodes the governor left below nominal frequency -> their θ.
         self._scaled: dict[ComputeNode, float] = {}
-        #: Settled nodes -> (work epoch, time until which the target
-        #: stays at the θ they run at).
-        self._settled: dict[ComputeNode, tuple[tuple[float, ...], float]] = {}
         #: Per-node (mean processor speed, θ floor); a node's processor
         #: set never changes.
         self._constants: dict[ComputeNode, tuple[float, float]] = {}
+        #: The watched nodes, and each one's index among them.
+        self._nodes: list[ComputeNode] = []
+        self._order: dict[ComputeNode, int] = {}
+        #: Nodes the next pass must evaluate.
+        self._wake: set[ComputeNode] = set()
+        #: Nodes asleep at their floor -> the horizon of their live
+        #: calendar entry.
+        self._asleep: dict[ComputeNode, float] = {}
+        #: Heap of (horizon, node index); an entry whose node has been
+        #: evaluated since is stale and wakes nothing.
+        self._calendar: list[tuple[float, int]] = []
+
+    def watch(self, nodes: Sequence[ComputeNode]) -> None:
+        """Govern *nodes*, evaluated in this order; each rejoins the
+        wake set whenever its admitted work changes."""
+        self._nodes = list(nodes)
+        self._order = {node: i for i, node in enumerate(self._nodes)}
+        wake = self._wake
+        for node in self._nodes:
+            node._work_watcher = wake.add
+        wake.update(self._nodes)
 
     def _node_constants(self, node: ComputeNode) -> tuple[float, float]:
         """The node's (mean processor speed, θ floor), computed once."""
@@ -118,10 +134,9 @@ class DVFSGovernor:
         needed = self.safety_factor * per_proc_demand / mean_speed
         return min(max(needed, floor), 1.0)
 
-    def _floor_horizon(
-        self, node: ComputeNode, deadlines: tuple[float, ...]
-    ) -> float:
-        """A time up to which the epoch's target provably is the floor.
+    def _floor_horizon(self, node: ComputeNode) -> float:
+        """A time up to which the target provably is the floor, while
+        the node's work stays as it is.
 
         With ``n`` deadlines, ``k = min(n, m)``, pending size ``S`` and
         floor ``f``, :meth:`target_scale` returns ``f`` while the window
@@ -133,6 +148,7 @@ class DVFSGovernor:
         relative error and the rounding of ``c``, and ``δ·|Σd|`` the
         rounding of the exact sum and of the horizon's own arithmetic.
         """
+        deadlines = node.pending_deadlines
         n = len(deadlines)
         mean_speed, floor = self._node_constants(node)
         c = (
@@ -144,69 +160,70 @@ class DVFSGovernor:
         total = math.fsum(deadlines)
         return (total - c - _DELTA * (abs(total) + 2.0 * c)) / n
 
-    def due_nodes(self, system: System) -> list[ComputeNode]:
-        """The nodes of *system* a pass must visit, in node order.
+    def _due(self, nodes) -> list[ComputeNode]:
+        """*nodes* that have work or run below nominal, in node order."""
+        scaled = self._scaled
+        return sorted(
+            (n for n in nodes if n._active_groups or n in scaled),
+            key=self._order.__getitem__,
+        )
 
-        Every other node is idle at nominal frequency, which
-        :meth:`apply` would skip.  A node left below nominal has
-        drained its work only since the last pass, so the second list
-        is short, and usually empty.
-        """
-        loaded = system.loaded_nodes
-        drained = [n for n in self._scaled if not n._active_groups]
-        if not drained:
-            return loaded
-        return sorted(loaded + drained, key=system.position)
+    def due_nodes(self, now: float) -> list[ComputeNode]:
+        """The nodes :meth:`apply` at *now* would evaluate, in node order
+        (read-only: the calendar is not advanced)."""
+        woken = [n for n, horizon in self._asleep.items() if horizon < now]
+        return self._due(self._wake.union(woken))
 
-    def apply(self, nodes: Sequence[ComputeNode], now: float) -> None:
-        """Set every node's processors to its target scale."""
+    def apply(self, now: float) -> None:
+        """Wake the floor sleepers whose horizon has passed, evaluate the
+        wake set and rescale every node whose target moved."""
+        wake = self._wake
+        asleep = self._asleep
+        calendar = self._calendar
+        while calendar and calendar[0][0] < now:
+            horizon, index = heappop(calendar)
+            node = self._nodes[index]
+            if asleep.get(node) == horizon:
+                del asleep[node]
+                wake.add(node)
+        if not wake:
+            return
+        due = self._due(wake)
+        wake.clear()
         tel = self.telemetry
         scaled = self._scaled
-        settled = self._settled
-        for node in nodes:
-            if not node._active_groups and node not in scaled:
-                continue
-            deadlines = node.pending_deadlines
-            settle = settled.get(node)
-            if (
-                settle is not None
-                and settle[0] is deadlines
-                and now <= settle[1]
-            ):
-                continue
+        for node in due:
+            asleep.pop(node, None)
             theta = self.target_scale(node, now)
-            # ``()`` is a shared singleton, never an epoch.
-            if deadlines:
-                if theta == 1.0:
-                    settled[node] = (deadlines, math.inf)
-                elif theta == self._constants[node][1]:
-                    settled[node] = (
-                        deadlines,
-                        self._floor_horizon(node, deadlines),
-                    )
-            if theta == scaled.get(node, 1.0):
+            if theta != 1.0:
+                if theta == self._constants[node][1]:
+                    horizon = self._floor_horizon(node)
+                    asleep[node] = horizon
+                    heappush(calendar, (horizon, self._order[node]))
+                else:
+                    wake.add(node)
+            previous = scaled.get(node, 1.0)
+            if theta == previous:
                 continue
             if theta < 1.0:
                 scaled[node] = theta
             else:
                 del scaled[node]
-            changed = 0
-            for proc in node.processors:
-                previous = proc.frequency_scale
-                if previous != theta:
-                    proc.set_frequency_scale(theta)
-                    changed += 1
-                    if tel.tracing:
-                        tel.emit(
-                            CAT_ENERGY,
-                            "dvfs",
-                            now,
-                            proc=proc.pid,
-                            node=node.node_id,
-                            scale=proc.frequency_scale,
-                            previous=previous,
-                        )
-            if changed:
-                self.adjustments += changed
-                if tel.metering:
-                    tel.metrics.counter("energy.dvfs_adjustments").inc(changed)
+            # Every processor runs at ``previous``, so each one changes.
+            procs = node.processors
+            for proc in procs:
+                proc.set_frequency_scale(theta)
+            self.adjustments += len(procs)
+            if tel.tracing:
+                for proc in procs:
+                    tel.emit(
+                        CAT_ENERGY,
+                        "dvfs",
+                        now,
+                        proc=proc.pid,
+                        node=node.node_id,
+                        scale=proc.frequency_scale,
+                        previous=previous,
+                    )
+            if tel.metering:
+                tel.metrics.counter("energy.dvfs_adjustments").inc(len(procs))

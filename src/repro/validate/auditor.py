@@ -32,20 +32,19 @@ qtable-parity       the dense Q backend stays bit-identical to a
                     shadow dict ``QTable`` fed the same updates, and its
                     maintained per-row argmax matches a fresh rescan
 dvfs-skip           every processor runs at the θ the DVFS governor
-                    recorded for its node, and every node it has
-                    settled (at θ = 1.0 for the work epoch, or at its
-                    floor until a horizon) still has that θ as target
+                    recorded for its node, and every node with work or
+                    θ < 1 that its next pass would not evaluate still
+                    has that θ as target
 usage-tally         the system's running busy/powered time and busy
                     count equal an exact rescan of its meters, bit for
                     bit (``MeterBank.sample_cycle``)
 calendar-count      the kernel's maintained calendar entry count equals
                     a recount of its buckets (it backs ``queue_size``
                     and the ``sim.queue_depth`` gauge)
-platform-index      each node's pending count, each site's counts and
-                    open-node list, the platform's loaded-node list and
-                    the DVFS governor's node set equal a rescan of the
-                    nodes (routing, observation, the scheduling pass
-                    and the governor read these instead of scanning)
+platform-index      each node's pending count and each site's counts
+                    and open-node list equal a rescan of the nodes
+                    (routing, observation and the scheduling pass read
+                    these instead of scanning)
 ==================  ====================================================
 
 Checks are layered for cost: the O(1) clock/dispatch checks run per
@@ -715,8 +714,7 @@ class InvariantAuditor:
         slots from the queues, so a count that drifted from the nodes'
         real state is caught, not one derived from another count.
         """
-        system = self.system
-        for site in system.sites:
+        for site in self.system.sites:
             self.report.count(INV_INDEX)
             pending = free = slotted = spare = 0
             open_nodes = []
@@ -764,43 +762,18 @@ class InvariantAuditor:
                     f"a rescan gives {[n.node_id for n in open_nodes]}",
                     index="open",
                 )
-        self.report.count(INV_INDEX)
-        loaded = [n for n in system.nodes if n._active_groups]
-        if system.loaded_nodes != loaded:
-            self._violate(
-                INV_INDEX,
-                "system",
-                f"loaded nodes {[n.node_id for n in system.loaded_nodes]} "
-                f"but a rescan gives {[n.node_id for n in loaded]}",
-                index="loaded",
-            )
-        gov = self._governor
-        if gov is not None:
-            due = gov.due_nodes(system)
-            needed = [
-                n for n in system.nodes if n._active_groups or n in gov._scaled
-            ]
-            if due != needed:
-                self._violate(
-                    INV_INDEX,
-                    "governor",
-                    f"a pass would visit {[n.node_id for n in due]}, but "
-                    f"the nodes with work or a recorded θ < 1 are "
-                    f"{[n.node_id for n in needed]}",
-                    index="governor",
-                )
 
     def _sweep_governor(self) -> None:
         """The DVFS governor's skips are safe.
 
         Every processor must run at the θ the governor recorded for its
-        node (an unchanged target then needs no processor visit), and a
-        node the governor would skip as settled — at θ = 1.0 for the
-        rest of its work epoch, or at its floor until a horizon — must
-        still have that θ as its target now.
+        node (a rescale then sets each processor once, without reading
+        it), and every node with work or a recorded θ < 1 that the next
+        pass would not evaluate must still have that θ as its target.
         """
         gov = self._governor
         now = self.env.now
+        due = set(gov.due_nodes(now))
         for node in self._nodes:
             self.report.count(INV_DVFS)
             recorded = gov._scaled.get(node, 1.0)
@@ -815,26 +788,17 @@ class InvariantAuditor:
                     f"recorded θ {recorded!r}",
                     recorded=recorded,
                 )
-            epoch = node._deadlines_cache
-            settle = gov._settled.get(node)
-            if (
-                epoch
-                and not node._work_dirty
-                and settle is not None
-                and settle[0] is epoch
-                and now <= settle[1]
-            ):
-                theta = gov.target_scale(node, now)
-                if theta != recorded:
-                    self._violate(
-                        INV_DVFS,
-                        node.node_id,
-                        f"settled at θ {recorded!r} until t={settle[1]!r} "
-                        f"but its target is {theta!r}",
-                        target=theta,
-                        recorded=recorded,
-                        until=settle[1],
-                    )
+            if node in due or (recorded == 1.0 and not node._active_groups):
+                continue
+            theta = gov.target_scale(node, now)
+            if theta != recorded:
+                self._violate(
+                    INV_DVFS,
+                    node.node_id,
+                    f"skipped at θ {recorded!r} but its target is {theta!r}",
+                    target=theta,
+                    recorded=recorded,
+                )
 
     def _sweep_energy(self) -> None:
         rep = self.report

@@ -1,5 +1,6 @@
 """Unit tests for the DVFS extension (processor scaling + governor)."""
 
+import json
 import math
 
 import numpy as np
@@ -53,6 +54,11 @@ class TestProcessorScaling:
     def test_invalid_scale(self, proc):
         with pytest.raises(ValueError):
             proc.set_frequency_scale(0)
+
+    def test_nan_scale_is_rejected(self, proc):
+        with pytest.raises(ValueError):
+            proc.set_frequency_scale(float("nan"))
+        assert proc.frequency_scale == 1.0
 
     def test_execution_charges_scaled_power(self, env):
         proc = Processor("p", 1000.0, constant_power_profile())
@@ -133,7 +139,8 @@ class TestGovernor:
         node = self.make_node(env)
         node.submit(TaskGroup([make_task(1, size=100.0, window=1e6)], 0.0))
         gov = DVFSGovernor()
-        gov.apply([node], now=0.0)
+        gov.watch([node])
+        gov.apply(now=0.0)
         scales = {p.frequency_scale for p in node.processors}
         assert len(scales) == 1
         assert scales.pop() < 1.0
@@ -143,15 +150,21 @@ class TestGovernor:
         with pytest.raises(ValueError):
             DVFSGovernor(safety_factor=0.5)
 
+    def test_nan_safety_factor_is_rejected(self):
+        with pytest.raises(ValueError):
+            DVFSGovernor(safety_factor=float("nan"))
+
     def test_idle_nominal_node_is_never_evaluated(self, env):
         nodes = [self.make_node(env, node_id=f"n{i}") for i in range(3)]
         gov = DVFSGovernor()
+        gov.watch(nodes)
         evaluated = self.count_evaluations(gov)
         for now in (0.0, 1.0, 2.0):
-            gov.apply(nodes, now)
+            gov.apply(now)
         assert evaluated == []
         nodes[1].submit(TaskGroup([make_task(1, size=100.0, window=1e6)], 2.0))
-        gov.apply(nodes, 3.0)
+        assert gov.due_nodes(3.0) == [nodes[1]]
+        gov.apply(3.0)
         assert evaluated == ["n1"]
         assert gov.adjustments == 2
 
@@ -160,14 +173,15 @@ class TestGovernor:
         node.submit(TaskGroup([make_task(1, size=100.0, window=1e6)], 0.0))
         gov = DVFSGovernor()
         gov.telemetry = capture(trace=True, metrics=False)
-        gov.apply([node], 0.0)
+        gov.watch([node])
+        gov.apply(0.0)
         theta = node.processors[0].frequency_scale
         assert theta < 1.0
         env.run()
         assert node.pending_tasks == 0
         evaluated = self.count_evaluations(gov)
         for now in (env.now, env.now + 1.0, env.now + 2.0):
-            gov.apply([node], now)
+            gov.apply(now)
         assert evaluated == ["n"]  # once, then skipped as idle at θ = 1
         assert [p.frequency_scale for p in node.processors] == [1.0, 1.0]
         assert gov.adjustments == 4
@@ -183,10 +197,11 @@ class TestGovernor:
         node = self.make_node(env)
         node.submit(TaskGroup([make_task(1, size=100.0, window=1e6)], 0.0))
         gov = DVFSGovernor()
-        gov.apply([node], 0.0)
+        gov.watch([node])
+        gov.apply(0.0)
         assert all(p.frequency_scale < 1.0 for p in node.processors)
         node.fail()
-        gov.apply([node], 0.0)
+        gov.apply(0.0)
         assert [p.frequency_scale for p in node.processors] == [1.0, 1.0]
         assert gov.adjustments == 4
 
@@ -196,14 +211,17 @@ class TestGovernor:
         node = self.make_node(env, speed=500.0)
         node.submit(TaskGroup([make_task(1, size=5000.0, window=10.5)], 0.0))
         gov = DVFSGovernor()
+        gov.watch([node])
         evaluated = self.count_evaluations(gov)
-        gov.apply([node], 0.0)
-        gov.apply([node], 1.0)
+        gov.apply(0.0)
+        assert gov.due_nodes(1.0) == []
+        gov.apply(1.0)
         assert evaluated == ["n"]
         assert gov.adjustments == 0
         node.submit(TaskGroup([make_task(2, size=100.0, window=1e6)], 1.0))
-        gov.apply([node], 2.0)
-        assert evaluated == ["n", "n"]  # new work epoch
+        assert gov.due_nodes(2.0) == [node]  # the work changed
+        gov.apply(2.0)
+        assert evaluated == ["n", "n"]
 
     def test_floor_settled_node_waits_for_its_horizon(self, env):
         # 1,000 MI due at t = 100 on 1,000 MIPS processors: the target
@@ -212,17 +230,19 @@ class TestGovernor:
         node = self.make_node(env)
         node.submit(TaskGroup([make_task(1, size=1000.0, window=100.0)], 0.0))
         gov = DVFSGovernor()
+        gov.watch([node])
         evaluated = self.count_evaluations(gov)
         floor = energy_optimal_scale(48.0, 95.0)
-        gov.apply([node], 0.0)
+        gov.apply(0.0)
         assert [p.frequency_scale for p in node.processors] == [floor, floor]
-        horizon = gov._settled[node][1]
+        horizon = gov._asleep[node]
         assert 98.0 < horizon < 100.0 - 1.5 / floor
         assert horizon == pytest.approx(100.0 - 1.5 / floor)
         for now in (50.0, 98.0, horizon):
-            gov.apply([node], now)
+            gov.apply(now)
         assert evaluated == ["n"]
-        gov.apply([node], 98.2)  # the first pass after the horizon
+        assert gov.due_nodes(98.2) == [node]
+        gov.apply(98.2)  # the first pass after the horizon
         assert evaluated == ["n", "n"]
         theta = node.processors[0].frequency_scale
         assert theta == pytest.approx(1.5 / (100.0 - 98.2))
@@ -272,7 +292,7 @@ class TestFloorHorizon:
         ]
         node.submit(TaskGroup(group, origin))
         gov = DVFSGovernor(safety_factor)
-        horizon = gov._floor_horizon(node, node.pending_deadlines)
+        horizon = gov._floor_horizon(node)
         floor = max(energy_optimal_scale(48.0, 95.0), MIN_FREQUENCY_SCALE)
         for t in (horizon, math.nextafter(horizon, -math.inf), horizon - back):
             assert gov.target_scale(node, t) == floor
@@ -286,6 +306,10 @@ class FullScanGovernor:
         self.safety_factor = safety_factor
         self.adjustments = 0
         self.telemetry = NULL_TELEMETRY
+        self.nodes = []
+
+    def watch(self, nodes):
+        self.nodes = list(nodes)
 
     def target_scale(self, node, now):
         pending = [
@@ -306,13 +330,68 @@ class FullScanGovernor:
         floor = max(energy_optimal_scale(profile.p_min_w, profile.p_max_w), 0.5)
         return min(max(needed, floor), 1.0)
 
-    def apply(self, nodes, now):
+    def apply(self, now):
         tel = self.telemetry
-        for node in nodes:
+        for node in self.nodes:
             theta = self.target_scale(node, now)
             for proc in node.processors:
                 if proc.frequency_scale != theta:
                     previous = proc.frequency_scale
+                    proc.set_frequency_scale(theta)
+                    self.adjustments += 1
+                    tel.emit(
+                        CAT_ENERGY,
+                        "dvfs",
+                        now,
+                        proc=proc.pid,
+                        node=node.node_id,
+                        scale=proc.frequency_scale,
+                        previous=previous,
+                    )
+
+
+class SettleRuleGovernor(DVFSGovernor):
+    """Reference for which nodes a pass evaluates: every pass scans
+    every node and skips an idle node at nominal and a node with a live
+    *settle*.  A settle records the node's work epoch, the
+    ``pending_deadlines`` tuple object (the node builds a new one after
+    each work change), and a time until which the target stays at the
+    θ just set: ∞ for θ = 1.0, the floor horizon for the floor."""
+
+    def watch(self, nodes):
+        self._nodes = list(nodes)
+        self._settled = {}
+
+    def apply(self, now):
+        tel = self.telemetry
+        scaled = self._scaled
+        settled = self._settled
+        for node in self._nodes:
+            if not node._active_groups and node not in scaled:
+                continue
+            deadlines = node.pending_deadlines
+            settle = settled.get(node)
+            if (
+                settle is not None
+                and settle[0] is deadlines
+                and now <= settle[1]
+            ):
+                continue
+            theta = self.target_scale(node, now)
+            if deadlines:
+                if theta == 1.0:
+                    settled[node] = (deadlines, math.inf)
+                elif theta == self._constants[node][1]:
+                    settled[node] = (deadlines, self._floor_horizon(node))
+            if theta == scaled.get(node, 1.0):
+                continue
+            if theta < 1.0:
+                scaled[node] = theta
+            else:
+                del scaled[node]
+            for proc in node.processors:
+                previous = proc.frequency_scale
+                if previous != theta:
                     proc.set_frequency_scale(theta)
                     self.adjustments += 1
                     tel.emit(
@@ -350,7 +429,9 @@ STEPS = st.tuples(
 
 
 class GovernedWorld:
-    """A 3-node platform driven by one governor, recording its trace."""
+    """A 3-node platform driven by one governor through its own pass
+    path (``watch``, then ``apply(now)``), recording its trace and the
+    nodes each pass evaluates."""
 
     def __init__(self, governor, speeds):
         self.env = Environment()
@@ -368,8 +449,27 @@ class GovernedWorld:
         ]
         self.governor = governor
         governor.telemetry = capture(trace=True, metrics=False)
+        governor.watch(self.nodes)
+        #: Per pass: the node ids ``target_scale`` was called for, and,
+        #: for the wake-set governor, what ``due_nodes`` announced.
+        self.evaluated = []
+        self.due = []
+        target_scale = governor.target_scale
+
+        def counted(node, now):
+            self.evaluated[-1].append(node.node_id)
+            return target_scale(node, now)
+
+        governor.target_scale = counted
         self.next_tid = 0
         self.env.run(until=1.0)  # start every node's executor
+
+    def run_pass(self):
+        now = self.env.now
+        if type(self.governor) is DVFSGovernor:
+            self.due.append([n.node_id for n in self.governor.due_nodes(now)])
+        self.evaluated.append([])
+        self.governor.apply(now)
 
     def step(self, step):
         (kind, index, *args), dt = step
@@ -393,9 +493,9 @@ class GovernedWorld:
             node.fail()
         elif kind == "repair":
             node.repair()
-        self.governor.apply(self.nodes, env.now)
+        self.run_pass()
         env.run(until=env.now + dt)
-        self.governor.apply(self.nodes, env.now)
+        self.run_pass()
 
     def observed(self):
         """θ per processor, adjustment count, and the dvfs events."""
@@ -421,12 +521,19 @@ class TestGovernorMatchesFullScan:
     @settings(max_examples=60, deadline=None)
     def test_same_scales_adjustments_and_events(self, speeds, steps):
         fast = GovernedWorld(DVFSGovernor(), speeds)
+        settle = GovernedWorld(SettleRuleGovernor(), speeds)
         reference = GovernedWorld(FullScanGovernor(), speeds)
         for step in steps:
             fast.step(step)
+            settle.step(step)
             reference.step(step)
             assert fast.observed() == reference.observed()
+            assert settle.observed() == reference.observed()
             assert fast.env.now == reference.env.now
+            # The wake set evaluates exactly the nodes the settle rule
+            # does, in the same order, and announces them beforehand.
+            assert fast.evaluated == settle.evaluated
+            assert fast.due == fast.evaluated
 
 
 class TestSchedulerIntegration:
@@ -435,6 +542,27 @@ class TestSchedulerIntegration:
 
         with pytest.raises(ValueError):
             AdaptiveRLConfig(dvfs_safety_factor=0.9)
+
+    def test_nan_safety_factor_is_rejected_before_the_run(self):
+        # A NaN survives the config's JSON round trip; it must stop the
+        # run at scheduler construction, not crash it mid-simulation.
+        from repro.experiments import ExperimentConfig, run_experiment
+
+        config = ExperimentConfig(
+            scheduler="adaptive-rl",
+            num_tasks=50,
+            seed=3,
+            scheduler_kwargs={
+                "dvfs_enabled": True,
+                "dvfs_safety_factor": float("nan"),
+            },
+        )
+        decoded = ExperimentConfig.from_dict(
+            json.loads(json.dumps(config.to_dict()))
+        )
+        assert math.isnan(decoded.scheduler_kwargs["dvfs_safety_factor"])
+        with pytest.raises(ValueError, match="safety_factor"):
+            run_experiment(decoded)
 
     def test_dvfs_run_saves_energy_at_light_load(self):
         from repro.experiments import ExperimentConfig, run_experiment

@@ -7,7 +7,6 @@ structured, attributable violation.
 """
 
 import heapq
-import math
 
 import pytest
 
@@ -78,6 +77,12 @@ def slack_rich_group(tid=0):
         tid=tid, size_mi=100.0, arrival_time=0.0, act=0.2, deadline=1e6
     )
     return TaskGroup([task], created_at=0.0)
+
+
+def skip_violations(auditor):
+    """Sweep; the ``dvfs-skip`` violations reported so far."""
+    auditor.sweep()
+    return [v for v in auditor.report.violations if v.invariant == INV_DVFS]
 
 
 class TestCleanRuns:
@@ -435,13 +440,16 @@ class TestCorruptionDetection:
         system, governor, auditor = make_governed_cluster()
         node = system.nodes[0]
         node.submit(slack_rich_group())
-        # Settle the node's slack-rich work epoch at θ = 1.0 for good:
-        # the governor would skip a node whose target is below 1.
-        governor._settled[node] = (node.pending_deadlines, math.inf)
-        auditor.sweep()
-        bad = [v for v in auditor.report.violations if v.invariant == INV_DVFS]
-        assert [v.subject for v in bad] == [node.node_id]
-        assert bad[0].details["target"] < 1.0
+        assert governor.due_nodes(0.0) == [node]
+        assert skip_violations(auditor) == []
+        # Take the node out of the wake set as if asleep at θ = 1.0 for
+        # its slack-rich work: the governor would skip a node whose
+        # target is below 1.
+        governor._wake.discard(node)
+        (bad,) = skip_violations(auditor)
+        assert bad.subject == node.node_id
+        assert bad.details["target"] < 1.0
+        assert bad.details["recorded"] == 1.0
 
     def test_floor_settle_past_the_crossing(self):
         system, governor, auditor = make_governed_cluster()
@@ -452,22 +460,22 @@ class TestCorruptionDetection:
             tid=0, size_mi=20000.0, arrival_time=0.0, act=40.0, deadline=60.0
         )
         node.submit(TaskGroup([task], created_at=0.0))
-        governor.apply(system.nodes, 0.0)
+        governor.apply(0.0)
         floor = governor._scaled[node]
-        epoch, horizon = governor._settled[node]
+        horizon = governor._asleep[node]
         assert 0.0 < horizon < 20.0
+        assert governor.due_nodes(horizon) == []
         auditor.env.run(until=horizon + 5.0)
-        assert node.pending_deadlines is epoch
-        auditor.sweep()
-        assert auditor.report.ok  # the settle has expired
-        # A horizon past the crossing would skip a node whose target
-        # has left the floor.
-        governor._settled[node] = (epoch, horizon + 10.0)
-        auditor.sweep()
-        bad = [v for v in auditor.report.violations if v.invariant == INV_DVFS]
-        assert [v.subject for v in bad] == [node.node_id]
-        assert bad[0].details["target"] > floor
-        assert bad[0].details["recorded"] == floor
+        assert node.pending_tasks == 1 and governor._asleep[node] == horizon
+        assert governor.due_nodes(horizon + 5.0) == [node]
+        assert skip_violations(auditor) == []  # the horizon has passed
+        # A horizon pushed past the crossing would skip a node whose
+        # target has left the floor.
+        governor._asleep[node] = horizon + 10.0
+        (bad,) = skip_violations(auditor)
+        assert bad.subject == node.node_id
+        assert bad.details["target"] > floor
+        assert bad.details["recorded"] == floor
 
     def test_collect_mode_keeps_running(self):
         env, system, auditor = make_audited_cluster()
@@ -483,8 +491,11 @@ class TestCorruptionDetection:
 
 
 class TestPlatformIndex:
-    """Each index that routing, observation, the scheduling pass and
-    the DVFS governor read instead of scanning is held to a rescan."""
+    """Each index that routing, observation and the scheduling pass
+    read instead of scanning is held to a rescan.  The DVFS governor's
+    wake set, which replaced the platform's loaded-node list, is held
+    to the ``dvfs-skip`` check: a node it leaves out must not need a
+    new θ."""
 
     @staticmethod
     def index_violations(auditor):
@@ -500,8 +511,8 @@ class TestPlatformIndex:
         system.nodes[0].submit(slack_rich_group())
         auditor.sweep()
         assert auditor.report.ok
-        # One check per site, and one for the platform.
-        assert auditor.report.checks[INV_INDEX] == len(system.sites) + 1
+        # One check per site.
+        assert auditor.report.checks[INV_INDEX] == len(system.sites)
 
     def test_node_pending_count(self):
         env, system, auditor = make_audited_cluster()
@@ -542,28 +553,35 @@ class TestPlatformIndex:
         system, governor, auditor = make_governed_cluster()
         node = system.nodes[2]
         node.submit(slack_rich_group())
-        assert system.loaded_nodes == [node]
-        system._loaded.clear()
-        # The governor's pass reads the same list, so it misses the node.
-        assert self.index_violations(auditor) == [
-            ("system", "loaded"),
-            ("governor", "governor"),
-        ]
+        governor.apply(0.0)
+        assert governor._asleep[node] > 1e5  # at its floor until then
+        # Urgent work arrives: the node rejoins the wake set.
+        urgent = Task(
+            tid=1, size_mi=1e9, arrival_time=0.0, act=5.0, deadline=10.0
+        )
+        node.submit(TaskGroup([urgent], created_at=0.0))
+        assert governor.due_nodes(0.0) == [node]
+        assert skip_violations(auditor) == []
+        # A governor that missed the work change would sleep on.
+        governor._wake.discard(node)
+        (bad,) = skip_violations(auditor)
+        assert bad.subject == node.node_id
+        assert bad.details["target"] == 1.0
 
-    def test_governor_forgets_a_drained_scaled_node(self, monkeypatch):
+    def test_governor_forgets_a_drained_scaled_node(self):
         system, governor, auditor = make_governed_cluster()
         node = system.nodes[0]
         node.submit(slack_rich_group())
-        governor.apply(governor.due_nodes(system), 0.0)
+        governor.apply(0.0)
         assert governor._scaled[node] < 1.0
         node.fail()  # drains the node; it still runs below nominal
-        assert governor.due_nodes(system) == [node]
-        assert self.index_violations(auditor) == []
+        assert governor.due_nodes(0.0) == [node]
+        assert skip_violations(auditor) == []
         # A pass that visits only loaded nodes would leave it scaled.
-        monkeypatch.setattr(
-            governor, "due_nodes", lambda system: system.loaded_nodes
-        )
-        assert self.index_violations(auditor) == [("governor", "governor")]
+        governor._wake.discard(node)
+        (bad,) = skip_violations(auditor)
+        assert bad.subject == node.node_id
+        assert bad.details["target"] == 1.0
 
     def test_raises_in_strict_mode(self):
         env = Environment()
