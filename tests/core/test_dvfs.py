@@ -250,6 +250,27 @@ class TestGovernor:
         assert [p.frequency_scale for p in node.processors] == [theta, theta]
         assert gov.adjustments == 4
 
+    def test_stale_floor_horizon_wakes_nothing(self, env):
+        # The node sleeps at its floor until about t = 98.1 (above), then
+        # urgent work pins it at θ = 1.0 until its work changes again.
+        node = self.make_node(env)
+        node.submit(TaskGroup([make_task(1, size=1000.0, window=100.0)], 0.0))
+        gov = DVFSGovernor()
+        gov.watch([node])
+        evaluated = self.count_evaluations(gov)
+        gov.apply(0.0)
+        horizon = gov._asleep[node]
+        urgent = Task(
+            tid=2, size_mi=5e5, arrival_time=1.0, act=5.0, deadline=11.0
+        )
+        node.submit(TaskGroup([urgent], 1.0))
+        gov.apply(1.0)
+        assert [p.frequency_scale for p in node.processors] == [1.0, 1.0]
+        # The calendar still holds the floor's entry; it wakes nothing.
+        assert gov.due_nodes(horizon + 1.0) == []
+        gov.apply(horizon + 1.0)
+        assert evaluated == ["n", "n"]
+
 
 class TestFloorHorizon:
     @given(
