@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..cluster.node import ComputeNode
 from ..cluster.processor import MIN_FREQUENCY_SCALE
@@ -160,7 +160,7 @@ class DVFSGovernor:
         total = math.fsum(deadlines)
         return (total - c - _DELTA * (abs(total) + 2.0 * c)) / n
 
-    def _due(self, nodes) -> list[ComputeNode]:
+    def _due(self, nodes: Iterable[ComputeNode]) -> list[ComputeNode]:
         """*nodes* that have work or run below nominal, in node order."""
         scaled = self._scaled
         return sorted(
