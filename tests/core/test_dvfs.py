@@ -435,7 +435,11 @@ STEPS = st.tuples(
             st.integers(0, 2),
             st.lists(
                 st.tuples(
-                    st.floats(100.0, 20000.0),
+                    # Sizes: short tasks, or long ones that hold a
+                    # node's work unchanged across a floor horizon.
+                    st.one_of(
+                        st.floats(100.0, 20000.0), st.floats(2e4, 2e5)
+                    ),
                     # Deadline windows: urgent (θ = 1.0) or slack-rich.
                     st.one_of(st.floats(0.5, 60.0), st.floats(60.0, 3000.0)),
                 ),
