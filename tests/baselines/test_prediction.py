@@ -1,5 +1,6 @@
 """Unit tests for the prediction-based baseline [13]."""
 
+import numpy as np
 import pytest
 
 from repro.baselines import PredictionBasedScheduler, ResponseTimePredictor
@@ -54,6 +55,27 @@ class TestPredictor:
         for i in range(50):
             p.observe([1.0, float(i), 0.0], float(i))
         assert len(p._x) == 10
+
+    @pytest.mark.parametrize("observations", [23, 40, 41, 97])
+    def test_refit_uses_the_last_max_history_rows(self, observations):
+        # Past max_history observations the model must fit exactly the
+        # coefficients lstsq gives over the last max_history rows, built
+        # from lists as the rows arrived; both fits run on this host.
+        rng = np.random.default_rng(observations)
+        p = ResponseTimePredictor(min_samples=3, max_history=10)
+        rows, outcomes = [], []
+        for _ in range(observations):
+            size, queue = rng.uniform(0.1, 50.0, size=2).tolist()
+            row = [1.0, size, queue]
+            outcome = 2.0 * size + 0.5 * queue + rng.normal()
+            rows.append(row)
+            outcomes.append(outcome)
+            p.observe(list(row), outcome)
+        assert p.refit()
+        expected, *_ = np.linalg.lstsq(
+            np.asarray(rows[-10:]), np.asarray(outcomes[-10:]), rcond=None
+        )
+        assert p._coef.tobytes() == expected.tobytes()
 
     def test_invalid_min_samples(self):
         with pytest.raises(ValueError):

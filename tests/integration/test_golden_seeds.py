@@ -3,8 +3,8 @@
 Perf refactors of a stochastic simulator are only safe when paired with
 a regression oracle: these tests pin per-seed sha256 digests of the
 headline metrics (AveRT, total system energy ``ECS``, success rate) for
-3 seeds × all seven registered schedulers, plus one paper-scale
-Adaptive-RL run, Adaptive-RL under DVFS (on the default platform and on
+3 seeds × all seven registered schedulers, plus paper-scale runs of
+Adaptive-RL and the three learning baselines, Adaptive-RL under DVFS (on the default platform and on
 the ``large-dvfs`` benchmark's 150 nodes) and under four platform or
 workload scenarios, and the kernel's event counts in each of its
 instrumentation modes, captured before the code under them changed.  Any
@@ -76,10 +76,17 @@ GOLDEN_DIGESTS = {
 }
 
 #: Paper-scale pins: the paper's 3,000-task point at the default
-#: arrival period.  Keys are ``"<scheduler>/<tasks>/seed<seed>"``.
+#: arrival period.  Keys are ``"<scheduler>/<tasks>/seed<seed>"``.  The
+#: three learning baselines run here past the 2,000-row history the
+#: Prediction model keeps, which the 300-task pins never reach.
 PAPER_SCALE_TASKS = 3000
 PAPER_SCALE_GOLDEN = {
     "adaptive-rl/3000/seed11": "b5541c930221d950",
+    "online-rl/3000/seed11": "f183cc05b1173e54",
+    "qplus/3000/seed11": "1652f6343a9cf618",
+    # Like the 300-task Prediction pins, this one runs BLAS: the
+    # model's ``np.dot`` predictions and ``lstsq`` refits.
+    "prediction/3000/seed11": "b43779623ecbebd7",
 }
 
 
@@ -423,7 +430,8 @@ def test_golden_table_is_complete() -> None:
     }
     assert set(DVFS_GOLDEN) == dvfs_keys
     assert set(PAPER_SCALE_GOLDEN) == {
-        f"adaptive-rl/{PAPER_SCALE_TASKS}/seed11"
+        f"{s}/{PAPER_SCALE_TASKS}/seed11"
+        for s in ("adaptive-rl", "online-rl", "qplus", "prediction")
     }
     assert set(SCENARIO_GOLDEN) == {
         f"{scenario}/seed{d}" for scenario in SCENARIOS for d in SEEDS
