@@ -180,7 +180,7 @@ class ComputeNode:
         self._total_power_cache = 0.0
         self._sleeping_cache = 0
         for proc in self.processors:
-            proc.on_power_change = self._mark_power_dirty
+            proc.node = self
 
         #: Tasks admitted and not yet completed: an exact count, kept at
         #: admission, completion and failure.

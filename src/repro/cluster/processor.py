@@ -8,10 +8,13 @@ energy is integrated by an attached
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..energy.meter import ProcessorEnergyMeter, ProcState
 from ..energy.power_model import PowerProfile
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .node import ComputeNode
 
 __all__ = ["Processor", "SPEED_RANGE_MIPS", "MIN_FREQUENCY_SCALE"]
 
@@ -48,9 +51,9 @@ class Processor:
         #: Count of tasks this processor has completed.
         self.tasks_completed = 0
         self._freq_scale = 1.0
-        #: Invalidation hook the owning node installs so cached power
-        #: snapshots track DVFS changes (frequency affects busy power).
-        self.on_power_change: Optional[Callable[[], None]] = None
+        #: The owning node, set by it: a rescale marks the node's cached
+        #: power snapshot stale (frequency sets busy power).
+        self.node: Optional["ComputeNode"] = None
 
     # -- DVFS -----------------------------------------------------------
     @property
@@ -59,15 +62,20 @@ class Processor:
         return self._freq_scale
 
     def set_frequency_scale(self, theta: float) -> None:
-        """Set the DVFS scale; clamped to [MIN_FREQUENCY_SCALE, 1]."""
+        """Set the DVFS scale; clamped to [MIN_FREQUENCY_SCALE, 1].
+
+        Marks the owning node's power snapshot stale unless it already
+        is, so rescaling a node's m processors marks the node once.
+        """
         if MIN_FREQUENCY_SCALE <= theta <= 1.0:
             self._freq_scale = theta
         elif not theta > 0:
             raise ValueError("frequency scale must be positive")
         else:
             self._freq_scale = min(max(theta, MIN_FREQUENCY_SCALE), 1.0)
-        if self.on_power_change is not None:
-            self.on_power_change()
+        node = self.node
+        if node is not None and not node._power_dirty:
+            node._mark_power_dirty()
 
     @property
     def effective_speed_mips(self) -> float:

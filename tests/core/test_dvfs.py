@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.cluster import ComputeNode, Processor, SleepPolicy, TaskGroup
 from repro.cluster.processor import MIN_FREQUENCY_SCALE
 from repro.core.dvfs import DVFSGovernor, energy_optimal_scale
-from repro.energy import constant_power_profile
+from repro.energy import ProcState, constant_power_profile
 from repro.obs import CAT_ENERGY, NULL_TELEMETRY, capture
 from repro.sim import Environment
 from repro.workload import Task
@@ -59,6 +59,36 @@ class TestProcessorScaling:
         with pytest.raises(ValueError):
             proc.set_frequency_scale(float("nan"))
         assert proc.frequency_scale == 1.0
+
+    @staticmethod
+    def busy_node(env):
+        """A node whose first processor is busy, its power cache clean."""
+        procs = [
+            Processor(f"p{i}", 1000.0, constant_power_profile())
+            for i in range(4)
+        ]
+        node = ComputeNode(env, "n", "s", procs)
+        procs[0].meter.set_state(ProcState.BUSY, 0.0)
+        node._power_dirty = True  # the worker marks each state change
+        assert node.total_power_w == 95.0 + 3 * 48.0
+        return node
+
+    def test_rescale_marks_its_node_once(self, env, monkeypatch):
+        node = self.busy_node(env)
+        marks = []
+        mark = node._mark_power_dirty
+        monkeypatch.setattr(node, "_mark_power_dirty", lambda: marks.append(mark()))
+        for proc in node.processors:  # a governor rescale
+            proc.set_frequency_scale(0.8)
+        assert len(marks) == 1
+        assert node.total_power_w == (48 + 47 * 0.8**3) + 3 * 48.0
+
+    def test_direct_rescale_invalidates_the_power_cache(self, env):
+        node = self.busy_node(env)
+        node.processors[0].set_frequency_scale(0.5)
+        assert node.state().processor_power_w[0] == 48 + 47 * 0.5**3
+        node.processors[0].set_frequency_scale(1.0)
+        assert node.state().processor_power_w[0] == 95.0
 
     def test_execution_charges_scaled_power(self, env):
         proc = Processor("p", 1000.0, constant_power_profile())
