@@ -9,7 +9,7 @@ is the contribution under test); they differ only in their decision core.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from ..cluster.node import ComputeNode
 from ..cluster.taskgroup import TaskGroup
@@ -20,16 +20,30 @@ __all__ = ["SingletonScheduler", "shortest_queue_node"]
 
 
 def shortest_queue_node(
-    nodes: Sequence[ComputeNode],
+    nodes: Iterable[ComputeNode],
 ) -> Optional[ComputeNode]:
-    """Free-slot node with the least pending work per unit speed."""
-    candidates = [n for n in nodes if n.available]
-    if not candidates:
-        return None
-    return min(
-        candidates,
-        key=lambda n: ((n.pending_tasks + 1) / n.total_speed_mips, n.node_id),
-    )
+    """Free-slot node with the least pending work per unit speed.
+
+    The available node minimizing ``((pending + 1) / speed, node_id)``,
+    found in one pass; on a tie in both, the first of *nodes*.  It runs
+    for every task placed, so it reads the fields behind
+    :attr:`~ComputeNode.available`, :attr:`~ComputeNode.pending_tasks`
+    and :attr:`~ComputeNode.total_speed_mips` directly.
+    """
+    best: Optional[ComputeNode] = None
+    best_load = 0.0
+    for node in nodes:
+        if node.failed or len(node.queue.items) >= node.queue_slots:
+            continue
+        load = (node._pending + 1) / node._total_speed_mips
+        if (
+            best is None
+            or load < best_load
+            or (load == best_load and node.node_id < best.node_id)
+        ):
+            best = node
+            best_load = load
+    return best
 
 
 class SingletonScheduler(Scheduler):

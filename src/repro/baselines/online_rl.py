@@ -61,6 +61,8 @@ class OnlineRLScheduler(SingletonScheduler):
         self._walk: Optional[RandomWalk] = None
         self._rng = None
         self._eligible: list[ComputeNode] = []
+        #: The platform's nodes sorted by id (the positional blade order).
+        self._by_id: list[ComputeNode] = []
         # Interval accounting.
         self._interval_completed_idx = 0
         self._last_energy = 0.0
@@ -91,6 +93,9 @@ class OnlineRLScheduler(SingletonScheduler):
         self._power_ref = fold_sum(
             p.profile.p_min_w for p in self.system.processors
         )
+        # The original manages a homogeneous blade cluster: the eligible
+        # subset is positional, not speed-sorted.
+        self._by_id = sorted(self.system.nodes, key=lambda n: n.node_id)
         self._apply_cap(1.0)
         self.env.process(self._decision_loop())
 
@@ -108,9 +113,7 @@ class OnlineRLScheduler(SingletonScheduler):
         from ..cluster.node import SleepPolicy
 
         self.cap = cap
-        # The original manages a homogeneous blade cluster: the eligible
-        # subset is positional, not speed-sorted.
-        nodes = sorted(self.system.nodes, key=lambda n: n.node_id)
+        nodes = self._by_id
         k = max(1, math.ceil(cap * len(nodes)))
         self._eligible = nodes[:k]
         eligible_ids = {n.node_id for n in self._eligible}
@@ -131,7 +134,7 @@ class OnlineRLScheduler(SingletonScheduler):
     def _observe(self) -> tuple:
         assert self.system is not None
         backlog = len(self.backlog)
-        pending = sum(n.pending_tasks for n in self.system.nodes)
+        pending = self.system.pending_tasks
         busy = self.system.busy_processors() / self.system.num_processors
         load_level = 0 if pending + backlog < 10 else (1 if pending + backlog < 40 else 2)
         busy_level = 0 if busy < 0.25 else (1 if busy < 0.6 else 2)
@@ -157,9 +160,7 @@ class OnlineRLScheduler(SingletonScheduler):
             yield self.env.timeout(self.decision_interval)
             self._learn_interval()
             state = self._observe()
-            waiting = len(self.backlog) + sum(
-                n.pending_tasks for n in self.system.nodes
-            )
+            waiting = len(self.backlog) + self.system.pending_tasks
             if waiting > 1.5 * self.system.num_processors:
                 # Performance constraint: the controller never lets the
                 # powercap bind while the SLA is collapsing ([11]'s
@@ -193,9 +194,10 @@ class OnlineRLScheduler(SingletonScheduler):
         if self._last_state is None or self._last_action is None:
             return
         # Instantaneous draw at the interval boundary: attributes power
-        # cleanly to the cap that was in force.
+        # cleanly to the cap that was in force.  Folded over every
+        # processor in platform order, from the nodes' cached draws.
         interval_power = fold_sum(
-            p.current_power_w for p in self.system.processors
+            w for node in self.system.nodes for w in node.processor_power_w
         )
         if responses:
             mean_rt = fold_sum(responses) / len(responses)
@@ -204,9 +206,7 @@ class OnlineRLScheduler(SingletonScheduler):
         # Backlog pressure is the leading indicator of an over-tight cap:
         # response times of *completed* tasks lag the damage by a full
         # queueing delay, so the perf term takes whichever is worse.
-        waiting = len(self.backlog) + sum(
-            n.pending_tasks for n in self.system.nodes
-        )
+        waiting = len(self.backlog) + self.system.pending_tasks
         queue_factor = waiting / self.system.num_processors
         perf_norm = max(mean_rt / self._rt_ref, queue_factor)
         reward = -0.5 * (perf_norm + interval_power / self._power_ref)

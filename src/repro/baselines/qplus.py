@@ -17,7 +17,7 @@ nodes.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..cluster.node import ComputeNode
 from ..rl.dense import DenseMultiRateQTable
@@ -31,11 +31,18 @@ ACTIONS = ("go_active", "go_sleep")
 
 
 class _NodeAgent:
-    """Per-node active/sleep power manager."""
+    """Per-node active/sleep power manager; *on_toggle* is called each
+    time the agent switches between active and sleeping."""
 
-    def __init__(self, node: ComputeNode, table: DenseMultiRateQTable) -> None:
+    def __init__(
+        self,
+        node: ComputeNode,
+        table: DenseMultiRateQTable,
+        on_toggle: Callable[[], None],
+    ) -> None:
         self.node = node
         self.table = table
+        self._on_toggle = on_toggle
         self._active_policy = node.sleep_policy
         self.active = True
         self._last_energy = 0.0
@@ -54,7 +61,7 @@ class _NodeAgent:
 
     def score_interval(self, now: float, interval: float, rt_ref: float) -> float:
         """Cost of the elapsed interval: power × delay (minimized)."""
-        energy = self.node.energy(now).total_processor_energy
+        energy = self.node.processor_energy(now)
         interval_energy = energy - self._last_energy
         self._last_energy = energy
         power = interval_energy / interval
@@ -85,15 +92,18 @@ class _NodeAgent:
         """Apply the chosen power state to the node (go_active/go_sleep)."""
         from ..cluster.node import SleepPolicy
 
-        if active and not self.active:
+        if active == self.active:
+            return
+        if active:
             self.node.set_sleep_policy(self._active_policy)
-        elif not active and self.active:
+        else:
             # go_sleep: gate idle processors immediately; queued work
             # still drains (the original never drops accepted jobs).
             self.node.set_sleep_policy(
                 SleepPolicy(allow_sleep=True, idle_timeout=0.0, wake_latency=2.0)
             )
         self.active = active
+        self._on_toggle()
 
     def learn(self, cost: float, next_state: tuple) -> None:
         if self._last_state is None or self._last_action is None:
@@ -132,6 +142,8 @@ class QPlusLearningScheduler(SingletonScheduler):
         self._gamma = gamma
         self._neighbor_rate = neighbor_rate
         self.node_agents: Dict[str, _NodeAgent] = {}
+        #: The active agents' nodes in node order; None after a toggle.
+        self._awake: Optional[list[ComputeNode]] = None
         self._rng = None
         self._mean_speed = 750.0
         self._size_sum = 0.0
@@ -154,6 +166,7 @@ class QPlusLearningScheduler(SingletonScheduler):
                     gamma=self._gamma,
                     neighbor_rate=self._neighbor_rate,
                 ),
+                self._agent_toggled,
             )
         self.env.process(self._decision_loop())
 
@@ -198,11 +211,16 @@ class QPlusLearningScheduler(SingletonScheduler):
     def _order_backlog(self) -> None:
         self.backlog.sort(key=lambda t: t.deadline)
 
+    def _agent_toggled(self) -> None:
+        self._awake = None
+
     def _pick_node(self, task: Task) -> Optional[ComputeNode]:
-        active_nodes = [
-            a.node for a in self.node_agents.values() if a.active
-        ]
-        return shortest_queue_node(active_nodes)
+        awake = self._awake
+        if awake is None:
+            awake = self._awake = [
+                a.node for a in self.node_agents.values() if a.active
+            ]
+        return shortest_queue_node(awake)
 
     @property
     def active_nodes(self) -> int:

@@ -167,7 +167,8 @@ class ComputeNode:
         # (admission, completion, failure, power transitions).
         self._work_dirty = True
         #: Called with the node at each work change (:meth:`_work_changed`);
-        #: the DVFS governor watching the node installs it.
+        #: the DVFS governor or Prediction's consolidation order watching
+        #: the node installs it.
         self._work_watcher: Optional[Callable[["ComputeNode"], None]] = None
         self._load_cache = 0.0
         #: Pending-task size and deadlines, built on first read after a
@@ -235,7 +236,7 @@ class ComputeNode:
     @property
     def available(self) -> bool:
         """True when the node is online and has a free queue slot."""
-        return not self.failed and self.free_slots > 0
+        return not self.failed and len(self.queue.items) < self.queue_slots
 
     def _work_changed(self) -> None:
         """The admitted work changed: mark its aggregates stale and tell
@@ -344,19 +345,25 @@ class ComputeNode:
             self._refresh_power_caches()
         return self._total_power_cache
 
+    @property
+    def processor_power_w(self) -> tuple[float, ...]:
+        """Each processor's :attr:`Processor.current_power_w`, in
+        processor order (the cached snapshot ``{PP1..m}``)."""
+        if self._power_dirty:
+            self._refresh_power_caches()
+        return self._power_cache
+
     def state(self) -> NodeState:
         """Snapshot ``Sc(t)`` for the site agent (§IV.B).
 
         Site agents observe the node itself (it exposes the same
         fields); a frozen snapshot is for callers that keep one.
         """
-        if self._power_dirty:
-            self._refresh_power_caches()
         return NodeState(
             node_id=self.node_id,
             load=self.load,
             free_slots=self.free_slots,
-            processor_power_w=self._power_cache,
+            processor_power_w=self.processor_power_w,
             processing_capacity=self._processing_capacity,
         )
 
@@ -628,6 +635,15 @@ class ComputeNode:
         return node_energy(
             self.node_id, [p.meter.snapshot(at) for p in self.processors]
         )
+
+    def processor_energy(self, now: float) -> float:
+        """``Σ PPj`` as of *now*: ``energy(now).total_processor_energy``
+        bit for bit (the same left fold from 0 in processor order),
+        building no objects."""
+        total = 0
+        for p in self.processors:
+            total += p.meter.energy_at(now)
+        return total
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -171,6 +171,15 @@ class System:
         """Number of processors currently executing a task."""
         return self.usage.busy
 
+    @property
+    def pending_tasks(self) -> int:
+        """Tasks admitted to a node and not yet completed, read from
+        the site indexes."""
+        pending = 0
+        for site in self.sites:
+            pending += site.pending_tasks
+        return pending
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<System sites={len(self.sites)} nodes={len(self.nodes)} "

@@ -529,3 +529,26 @@ class ProcessorEnergyMeter:
             idle_energy=idle_energy,
             sleep_energy=sleep_energy,
         )
+
+    def energy_at(self, now: float) -> float:
+        """``PPj`` as of *now*: ``snapshot(now).total_energy`` bit for
+        bit, from the same additions in the same order, building no
+        breakdown."""
+        bank, row = self._bank, self._row
+        busy = bank.busy_energy[row]
+        idle = bank.idle_energy[row]
+        sleep = bank.sleep_energy[row]
+        finalized = bank.finalized_at[row]
+        if finalized != finalized:
+            since = bank.since[row]
+            if now < since:
+                raise ValueError("snapshot time precedes last transition")
+            accrued = (now - since) * self._current_power()
+            code = bank.state[row]
+            if code == BUSY_CODE:
+                busy += accrued
+            elif code == IDLE_CODE:
+                idle += accrued
+            else:
+                sleep += accrued
+        return busy + idle + sleep

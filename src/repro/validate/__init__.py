@@ -5,7 +5,8 @@ to an experiment before it runs and independently re-checks the physics
 the paper defines — clock/dispatch order, the Eq. 2 queue bound, task
 conservation, Eq. 5 energy closure, Eq. 1 priority classes, the
 15-cycle shared-memory cap, dense-vs-dict Q-table parity, the DVFS
-governor's skip rules, and the exact running usage tally.  See
+governor's skip rules, the exact running usage tally, the platform
+index and Prediction's consolidation order.  See
 ``docs/architecture.md`` ("Strict mode") for the full catalogue.
 
 Three ways to turn it on:
@@ -27,6 +28,7 @@ from .auditor import (
     INV_CALENDAR,
     INV_CLOCK,
     INV_CONSERVATION,
+    INV_CONSOLIDATION,
     INV_DVFS,
     INV_ENERGY,
     INV_INDEX,
@@ -59,6 +61,7 @@ __all__ = [
     "INV_USAGE",
     "INV_CALENDAR",
     "INV_INDEX",
+    "INV_CONSOLIDATION",
 ]
 
 #: Process-wide override; ``None`` defers to the REPRO_STRICT env var.

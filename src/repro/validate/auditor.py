@@ -5,47 +5,49 @@
 physics the paper defines, flagging any disagreement with the
 simulator's own bookkeeping:
 
-==================  ====================================================
-invariant           meaning
-==================  ====================================================
-clock-monotonic     the simulated clock never moves backwards
-dispatch-order      every dispatched event is the minimum of the pending
-                    set under the total ``(time, priority, seq)`` order
-queue-bound         node queue occupancy never exceeds ``qc`` and the
-                    frozen Eq. 2 ``PCc``/dirty-flag caches match fresh
-                    recomputation
-task-conservation   ``arrived == completed + in-flight`` at all times
-                    (rejected/failed tasks are resubmitted, so they stay
-                    in flight until they complete), completions are
-                    unique, and resubmission counts agree
-energy-closure      every meter's accumulators equal an independently
-                    integrated shadow (including DVFS power overrides),
-                    per-state time sums close against the clock, and —
-                    when a state only ever drew one power level — the
-                    literal Eq. 5 ``PPj = p·Σt`` holds within 1e-9
-priority-class      Eq. 1: each submitted task's priority equals
-                    ``classify_slack(task.slack_fraction)``
-memory-cap          no agent ever holds more than the 15-cycle
-                    `SharedLearningMemory` budget, and the indexed
-                    best-experience answers match the reference scan
-qtable-parity       the dense Q backend stays bit-identical to a
-                    shadow dict ``QTable`` fed the same updates, and its
-                    maintained per-row argmax matches a fresh rescan
-dvfs-skip           every processor runs at the θ the DVFS governor
-                    recorded for its node, and every node with work or
-                    θ < 1 that its next pass would not evaluate still
-                    has that θ as target
-usage-tally         the system's running busy/powered time and busy
-                    count equal an exact rescan of its meters, bit for
-                    bit (``MeterBank.sample_cycle``)
-calendar-count      the kernel's maintained calendar entry count equals
-                    a recount of its buckets (it backs ``queue_size``
-                    and the ``sim.queue_depth`` gauge)
-platform-index      each node's pending count and each site's counts
-                    and open-node list equal a rescan of the nodes
-                    (routing, observation and the scheduling pass read
-                    these instead of scanning)
-==================  ====================================================
+=====================  ====================================================
+invariant              meaning
+=====================  ====================================================
+clock-monotonic        the simulated clock never moves backwards
+dispatch-order         every dispatched event is the minimum of the pending
+                       set under the total ``(time, priority, seq)`` order
+queue-bound            node queue occupancy never exceeds ``qc`` and the
+                       frozen Eq. 2 ``PCc``/dirty-flag caches match fresh
+                       recomputation
+task-conservation      ``arrived == completed + in-flight`` at all times
+                       (rejected/failed tasks are resubmitted, so they stay
+                       in flight until they complete), completions are
+                       unique, and resubmission counts agree
+energy-closure         every meter's accumulators equal an independently
+                       integrated shadow (including DVFS power overrides),
+                       per-state time sums close against the clock, and —
+                       when a state only ever drew one power level — the
+                       literal Eq. 5 ``PPj = p·Σt`` holds within 1e-9
+priority-class         Eq. 1: each submitted task's priority equals
+                       ``classify_slack(task.slack_fraction)``
+memory-cap             no agent ever holds more than the 15-cycle
+                       `SharedLearningMemory` budget, and the indexed
+                       best-experience answers match the reference scan
+qtable-parity          the dense Q backend stays bit-identical to a
+                       shadow dict ``QTable`` fed the same updates, and its
+                       maintained per-row argmax matches a fresh rescan
+dvfs-skip              every processor runs at the θ the DVFS governor
+                       recorded for its node, and every node with work or
+                       θ < 1 that its next pass would not evaluate still
+                       has that θ as target
+usage-tally            the system's running busy/powered time and busy
+                       count equal an exact rescan of its meters, bit for
+                       bit (``MeterBank.sample_cycle``)
+calendar-count         the kernel's maintained calendar entry count equals
+                       a recount of its buckets (it backs ``queue_size``
+                       and the ``sim.queue_depth`` gauge)
+platform-index         each node's pending count and each site's counts
+                       and open-node list equal a rescan of the nodes
+                       (routing, observation and the scheduling pass read
+                       these instead of scanning)
+consolidation-order    Prediction's consolidation index lists the nodes as
+                       a fresh sort of them by ``consolidation_key`` does
+=====================  ====================================================
 
 Checks are layered for cost: the O(1) clock/dispatch checks run per
 event through :attr:`Environment._audit_hook`; structural sweeps run per
@@ -66,6 +68,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+from ..baselines.prediction import consolidation_key
 from ..energy.meter import BANK, ProcessorEnergyMeter, ProcState
 from ..obs import CAT_AUDIT, NULL_TELEMETRY
 from ..rl.dense import DenseQTable
@@ -89,6 +92,7 @@ __all__ = [
     "INV_USAGE",
     "INV_CALENDAR",
     "INV_INDEX",
+    "INV_CONSOLIDATION",
 ]
 
 INV_CLOCK = "clock-monotonic"
@@ -103,6 +107,7 @@ INV_DVFS = "dvfs-skip"
 INV_USAGE = "usage-tally"
 INV_CALENDAR = "calendar-count"
 INV_INDEX = "platform-index"
+INV_CONSOLIDATION = "consolidation-order"
 
 
 def _close(a: float, b: float, tol: float) -> bool:
@@ -257,6 +262,8 @@ class InvariantAuditor:
         self._memory = None
         #: The scheduler's DVFS governor, when it has one.
         self._governor = None
+        #: Prediction's consolidation index, when the scheduler has one.
+        self._consolidation = None
         #: (label, dense table, shadow dict table) triples.
         self._qmirrors: list[tuple[str, DenseQTable, QTable]] = []
 
@@ -428,6 +435,7 @@ class InvariantAuditor:
         scheduler._sample_cycle = _sample_cycle  # type: ignore[method-assign]
 
         self._governor = getattr(scheduler, "governor", None)
+        self._consolidation = getattr(scheduler, "consolidation", None)
         memory = getattr(scheduler, "memory", None)
         if memory is not None:
             self._wrap_memory(memory)
@@ -591,6 +599,8 @@ class InvariantAuditor:
             self._sweep_index()
         if self._governor is not None:
             self._sweep_governor()
+        if self._consolidation is not None:
+            self._sweep_consolidation()
         self._sweep_energy()
         if self.system is not None:
             self._sweep_usage()
@@ -799,6 +809,24 @@ class InvariantAuditor:
                     target=theta,
                     recorded=recorded,
                 )
+
+    def _sweep_consolidation(self) -> None:
+        """Prediction's consolidation index equals a fresh sort.
+
+        Reading the index re-keys the nodes whose work changed since its
+        last read, which moves no result: its order is a function of the
+        nodes' keys alone.
+        """
+        self.report.count(INV_CONSOLIDATION)
+        indexed = self._consolidation.nodes()
+        fresh = sorted(self.system.nodes, key=consolidation_key)
+        if indexed != fresh:
+            self._violate(
+                INV_CONSOLIDATION,
+                "scheduler",
+                f"consolidation index {[n.node_id for n in indexed]} but a "
+                f"fresh sort gives {[n.node_id for n in fresh]}",
+            )
 
     def _sweep_energy(self) -> None:
         rep = self.report

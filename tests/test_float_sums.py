@@ -24,7 +24,6 @@ PACKAGES = ("cluster", "core", "energy", "metrics", "baselines")
 #: ``sum()`` is exact on every version.  ``sum(1 for …)`` counts are
 #: always allowed.
 INTEGER_SUMS = {
-    ("baselines/online_rl.py", "n.pending_tasks"),
     ("cluster/site.py", "n.num_processors"),
     ("cluster/system.py", "counts"),
     ("cluster/system.py", "n.num_processors"),

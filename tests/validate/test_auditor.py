@@ -10,6 +10,7 @@ import heapq
 
 import pytest
 
+from repro.baselines import PredictionBasedScheduler
 from repro.cluster import PlatformSpec, TaskGroup, build_system
 from repro.core import AdaptiveRLConfig, AdaptiveRLScheduler
 from repro.core.actions import GroupingAction, GroupingMode
@@ -22,6 +23,7 @@ from repro.sim import Environment, RandomStreams
 from repro.validate import (
     INV_CALENDAR,
     INV_CLOCK,
+    INV_CONSOLIDATION,
     INV_DVFS,
     INV_ENERGY,
     INV_INDEX,
@@ -591,6 +593,67 @@ class TestPlatformIndex:
         with pytest.raises(InvariantViolationError) as info:
             auditor.sweep()
         assert info.value.violation.invariant == INV_INDEX
+
+
+class TestConsolidationOrder:
+    """Prediction's consolidation index is held to a fresh sort of the
+    platform's nodes by ``consolidation_key``."""
+
+    @staticmethod
+    def make_prediction_cluster():
+        env = Environment()
+        streams = RandomStreams(seed=7)
+        system = build_system(env, SMALL_PLATFORM, streams)
+        scheduler = PredictionBasedScheduler()
+        scheduler.attach(env, system, streams)
+        auditor = InvariantAuditor(
+            env, system, scheduler, on_violation="collect"
+        )
+        return system, scheduler.consolidation, auditor
+
+    @staticmethod
+    def order_violations(auditor):
+        auditor.sweep()
+        return [
+            v for v in auditor.report.violations
+            if v.invariant == INV_CONSOLIDATION
+        ]
+
+    def test_clean_index_is_checked(self):
+        system, index, auditor = self.make_prediction_cluster()
+        system.nodes[3].submit(slack_rich_group())
+        system.nodes[1].submit(slack_rich_group(tid=1))
+        system.nodes[1].submit(slack_rich_group(tid=2))
+        assert self.order_violations(auditor) == []
+        assert auditor.report.checks[INV_CONSOLIDATION] == 1
+        assert index.nodes()[:2] == [system.nodes[1], system.nodes[3]]
+
+    def test_misplaced_node(self):
+        system, index, auditor = self.make_prediction_cluster()
+        system.nodes[2].submit(slack_rich_group())
+        assert self.order_violations(auditor) == []
+        # Move the loaded node, first in the order, to the back.
+        index._entries.append(index._entries.pop(0))
+        (bad,) = self.order_violations(auditor)
+        assert bad.subject == "scheduler"
+
+    def test_missed_work_change(self):
+        system, index, auditor = self.make_prediction_cluster()
+        node = index.nodes()[-1]  # the slowest idle node
+        # An index that misses a node's work change keeps its old key.
+        node._work_watcher = None
+        node.submit(slack_rich_group())
+        (bad,) = self.order_violations(auditor)
+        assert bad.subject == "scheduler"
+
+    def test_strict_prediction_run_is_clean(self):
+        result = run_experiment(
+            small_config(scheduler="prediction", failure_mtbf=400.0,
+                         failure_mttr=40.0),
+            strict=True,
+        )
+        assert result.audit.ok, result.audit.summary()
+        assert result.audit.checks.get(INV_CONSOLIDATION, 0) > 0
 
 
 class TestReportSurface:
