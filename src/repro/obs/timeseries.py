@@ -264,21 +264,25 @@ class _SystemProbe:
         self._last_wall = _time.perf_counter()
 
     def __call__(self, bank: SeriesBank, now: float) -> None:
+        # Imported here: repro.sim imports repro.obs.
+        from ..sim.fold import fold_sum
+
         system = self._system
         total_power = 0.0
-        for site in system.sites:
-            site_power = sum(n.total_power_w for n in site.nodes)
-            bank.record(f"power.site.{site.site_id}", now, site_power)
-            total_power += site_power
-        bank.record("power.system", now, total_power)
-
         pending = 0
         free_slots = 0
+        for site in system.sites:
+            site_power = fold_sum(n.total_power_w for n in site.nodes)
+            bank.record(f"power.site.{site.site_id}", now, site_power)
+            total_power += site_power
+            # The site index's exact counts, not a scan of its nodes.
+            pending += site.pending_tasks
+            free_slots += site.total_free_slots
+        bank.record("power.system", now, total_power)
+
         sleeping = 0
         failed = 0
         for node in system.nodes:
-            pending += node.pending_tasks
-            free_slots += node.free_slots
             sleeping += node.sleeping_processors
             if node.failed:
                 failed += 1

@@ -18,7 +18,7 @@ import pytest
 from repro.sim.fold import fold_sum
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-PACKAGES = ("cluster", "core", "energy", "metrics", "baselines")
+PACKAGES = ("cluster", "core", "energy", "metrics", "baselines", "obs")
 
 #: ``(module, summed expression)`` pairs whose terms are integers, so
 #: ``sum()`` is exact on every version.  ``sum(1 for …)`` counts are
