@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.cluster import TaskGroup
+from repro.cluster import PlatformSpec, TaskGroup
+from repro.experiments import ExperimentConfig
+from repro.experiments.runner import Run
 from repro.obs import PeriodicSampler, SeriesBank, TimeSeries, make_run_probes
 from repro.sim import Environment
-from repro.workload import Task
+from repro.workload import Task, WorkloadGenerator
 
 
 class TestTimeSeries:
@@ -182,3 +184,56 @@ class TestRunProbes:
         assert bank.get("queue.pending_tasks").values()[0] >= 1
         power = bank.get("power.system").values()
         assert power[0] > power[-1] > 0
+
+    @pytest.mark.parametrize("scheduler", ["qplus", "adaptive-rl"])
+    def test_queue_gauges_equal_a_scan_of_the_nodes(self, scheduler):
+        """The pending and free-slot gauges add the site index's counts;
+        at every sample they equal the sums over the nodes, failed ones
+        included."""
+        config = ExperimentConfig(
+            scheduler=scheduler,
+            seed=5,
+            num_tasks=150,
+            arrival_period=300.0,
+            failure_mtbf=200.0,
+            failure_mttr=40.0,
+            platform=PlatformSpec(
+                num_sites=2, nodes_per_site=(2, 3), procs_per_node=(2, 4)
+            ),
+        )
+        run = Run(config, strict=False)
+        scanned = []
+
+        def scan(bank, now):
+            nodes = run.system.nodes
+            scanned.append(
+                (
+                    sum(n.pending_tasks for n in nodes),
+                    sum(n.free_slots for n in nodes),
+                    sum(n.failed for n in nodes),
+                )
+            )
+
+        bank = SeriesBank()
+        probes = make_run_probes(run.system, run.scheduler, run.env)
+        PeriodicSampler(
+            bank, every=2.0, until=1e9, probes=[probes[0], scan]
+        ).attach(run.env)
+        run.admit(WorkloadGenerator(run.workload_spec(), run.streams).generate())
+        run.drain()
+        recorded = list(
+            zip(
+                *(
+                    bank.get(name).values().tolist()
+                    for name in (
+                        "queue.pending_tasks",
+                        "queue.free_slots",
+                        "nodes.failed",
+                    )
+                )
+            )
+        )
+        assert recorded == scanned
+        assert len(scanned) > 50
+        assert any(failed for *_, failed in scanned)
+        assert len({pending for pending, *_ in scanned}) > 3
