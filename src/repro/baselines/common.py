@@ -14,6 +14,7 @@ from typing import Iterable, Optional
 from ..cluster.node import ComputeNode
 from ..cluster.taskgroup import TaskGroup
 from ..core.base import Scheduler
+from ..core.feedback import grouping_error
 from ..workload.task import Task
 
 __all__ = ["SingletonScheduler", "shortest_queue_node"]
@@ -95,8 +96,6 @@ class SingletonScheduler(Scheduler):
             task.site_id = node.site_id
             # Record the Eq. 9 error for parity in diagnostics even
             # though baselines do not learn from it.
-            from ..core.feedback import grouping_error
-
             group.error = grouping_error(group.pw, node.processing_capacity)
             submitted = node.try_submit(group)
             if not submitted:
