@@ -5,8 +5,8 @@ of exact ``float`` terms, so ``sum([1e16, 1.0, -1e16, 1.0])`` is 2.0
 there and 1.0 on 3.11; a sum of ``numpy.float64`` terms (a ``float``
 subclass) is never compensated.  The simulation's pinned results assume
 one rounded IEEE add per term, left to right, so every float sum in
-``cluster``, ``core``, ``energy``, ``metrics`` and ``baselines`` is a
-:func:`fold_sum`.  Integer counts keep ``sum()``, which is exact; a
+``cluster``, ``core``, ``energy``, ``metrics``, ``baselines`` and ``obs``
+is a :func:`fold_sum`.  Integer counts keep ``sum()``, which is exact; a
 tier-1 test parses those packages and rejects any other ``sum()``.
 """
 
