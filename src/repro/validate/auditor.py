@@ -5,49 +5,49 @@
 physics the paper defines, flagging any disagreement with the
 simulator's own bookkeeping:
 
-=====================  ====================================================
-invariant              meaning
-=====================  ====================================================
-clock-monotonic        the simulated clock never moves backwards
-dispatch-order         every dispatched event is the minimum of the pending
-                       set under the total ``(time, priority, seq)`` order
-queue-bound            node queue occupancy never exceeds ``qc`` and the
-                       frozen Eq. 2 ``PCc``/dirty-flag caches match fresh
-                       recomputation
-task-conservation      ``arrived == completed + in-flight`` at all times
-                       (rejected/failed tasks are resubmitted, so they stay
-                       in flight until they complete), completions are
-                       unique, and resubmission counts agree
-energy-closure         every meter's accumulators equal an independently
-                       integrated shadow (including DVFS power overrides),
-                       per-state time sums close against the clock, and —
-                       when a state only ever drew one power level — the
-                       literal Eq. 5 ``PPj = p·Σt`` holds within 1e-9
-priority-class         Eq. 1: each submitted task's priority equals
-                       ``classify_slack(task.slack_fraction)``
-memory-cap             no agent ever holds more than the 15-cycle
-                       `SharedLearningMemory` budget, and the indexed
-                       best-experience answers match the reference scan
-qtable-parity          the dense Q backend stays bit-identical to a
-                       shadow dict ``QTable`` fed the same updates, and its
-                       maintained per-row argmax matches a fresh rescan
-dvfs-skip              every processor runs at the θ the DVFS governor
-                       recorded for its node, and every node with work or
-                       θ < 1 that its next pass would not evaluate still
-                       has that θ as target
-usage-tally            the system's running busy/powered time and busy
-                       count equal an exact rescan of its meters, bit for
-                       bit (``MeterBank.sample_cycle``)
-calendar-count         the kernel's maintained calendar entry count equals
-                       a recount of its buckets (it backs ``queue_size``
-                       and the ``sim.queue_depth`` gauge)
-platform-index         each node's pending count and each site's counts
-                       and open-node list equal a rescan of the nodes
-                       (routing, observation and the scheduling pass read
-                       these instead of scanning)
-consolidation-order    Prediction's consolidation index lists the nodes as
-                       a fresh sort of them by ``consolidation_key`` does
-=====================  ====================================================
+==================  ====================================================
+invariant           meaning
+==================  ====================================================
+clock-monotonic     the simulated clock never moves backwards
+dispatch-order      every dispatched event is the minimum of the pending
+                    set under the total ``(time, priority, seq)`` order
+queue-bound         node queue occupancy never exceeds ``qc`` and the
+                    frozen Eq. 2 ``PCc``/dirty-flag caches match fresh
+                    recomputation
+task-conservation   ``arrived == completed + in-flight`` at all times
+                    (rejected/failed tasks are resubmitted, so they stay
+                    in flight until they complete), completions are
+                    unique, and resubmission counts agree
+energy-closure      every meter's accumulators equal an independently
+                    integrated shadow (including DVFS power overrides),
+                    per-state time sums close against the clock, and —
+                    when a state only ever drew one power level — the
+                    literal Eq. 5 ``PPj = p·Σt`` holds within 1e-9
+priority-class      Eq. 1: each submitted task's priority equals
+                    ``classify_slack(task.slack_fraction)``
+memory-cap          no agent ever holds more than the 15-cycle
+                    `SharedLearningMemory` budget, and the indexed
+                    best-experience answers match the reference scan
+qtable-parity       the dense Q backend stays bit-identical to a
+                    shadow dict ``QTable`` fed the same updates, and its
+                    maintained per-row argmax matches a fresh rescan
+dvfs-skip           every processor runs at the θ the DVFS governor
+                    recorded for its node, and every node with work or
+                    θ < 1 that its next pass would not evaluate still
+                    has that θ as target
+usage-tally         the system's running busy/powered time and busy
+                    count equal an exact rescan of its meters, bit for
+                    bit (``MeterBank.sample_cycle``)
+calendar-count      the kernel's maintained calendar entry count equals
+                    a recount of its buckets (it backs ``queue_size``
+                    and the ``sim.queue_depth`` gauge)
+platform-index      each node's pending count and each site's counts
+                    and open-node list equal a rescan of the nodes
+                    (routing, observation and the scheduling pass read
+                    these instead of scanning)
+consolidation       Prediction's consolidation index lists the nodes as
+                    a fresh sort of them by ``consolidation_key`` does
+==================  ====================================================
 
 Checks are layered for cost: the O(1) clock/dispatch checks run per
 event through :attr:`Environment._audit_hook`; structural sweeps run per
@@ -107,7 +107,7 @@ INV_DVFS = "dvfs-skip"
 INV_USAGE = "usage-tally"
 INV_CALENDAR = "calendar-count"
 INV_INDEX = "platform-index"
-INV_CONSOLIDATION = "consolidation-order"
+INV_CONSOLIDATION = "consolidation"
 
 
 def _close(a: float, b: float, tol: float) -> bool:
