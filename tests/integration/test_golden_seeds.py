@@ -5,9 +5,10 @@ a regression oracle: these tests pin per-seed sha256 digests of the
 headline metrics (AveRT, total system energy ``ECS``, success rate) for
 3 seeds × all seven registered schedulers, plus paper-scale runs of
 Adaptive-RL and the three learning baselines, Adaptive-RL under DVFS (on the default platform and on
-the ``large-dvfs`` benchmark's 150 nodes) and under four platform or
-workload scenarios, and the kernel's event counts in each of its
-instrumentation modes, captured before the code under them changed.  Any
+the ``large-dvfs`` benchmark's 150 nodes), under four platform or
+workload scenarios and on five node-executor paths, and the kernel's
+event counts in each of its instrumentation modes, captured before the
+code under them changed.  Any
 change that alters event ordering, float accumulation order, or RNG
 stream consumption shifts at least one digest and fails loudly.
 
@@ -156,6 +157,34 @@ SCENARIO_GOLDEN = {
     "mmpp/seed47": "f945cfddefd0bfd5",
 }
 
+#: Executor paths no pin above runs: gang mode (split off), failures
+#: under the two schedulers that change sleep policies, and an idle
+#: timeout and wake latency of zero.  Each runs the pinned shape at
+#: seed 11; ``scheduler`` defaults to Adaptive-RL.
+EXECUTOR_PATHS = {
+    "gang": {"platform": default_platform(split_enabled=False)},
+    "gang+failures": {
+        "platform": default_platform(split_enabled=False),
+        **DVFS_FAILURES,
+    },
+    "online-rl+failures": {"scheduler": "online-rl", **DVFS_FAILURES},
+    "qplus+failures": {"scheduler": "qplus", **DVFS_FAILURES},
+    "instant-wake": {
+        "platform": default_platform(
+            sleep_policy=SleepPolicy(True, idle_timeout=0.0, wake_latency=0.0)
+        )
+    },
+}
+
+#: Executor-path pins.  Keys are ``"<path>/seed11"``.
+EXECUTOR_GOLDEN = {
+    "gang/seed11": "5f7f30c2a100cbb0",
+    "gang+failures/seed11": "2cccb36f9692d3ea",
+    "online-rl+failures/seed11": "bac35c6ecebf1469",
+    "qplus+failures/seed11": "11495c9941cfd10f",
+    "instant-wake/seed11": "28e6c0a20c6fe447",
+}
+
 #: Kernel-mode pins on ``adaptive-rl/seed11``: the event count each
 #: instrumented run loop reports.  Every mode reproduces the plain
 #: run's digest.
@@ -223,6 +252,19 @@ def _run_scenario(scenario: str, seed: int) -> tuple[str, str]:
         num_tasks=NUM_TASKS,
         arrival_period=ARRIVAL_PERIOD,
         **SCENARIOS[scenario],
+    )
+    return _digest_payload(run_experiment(config).metrics)
+
+
+def _run_executor_path(path: str) -> tuple[str, str]:
+    """Run an executor-path pin; return (digest, readable payload)."""
+    overrides = dict(EXECUTOR_PATHS[path])
+    config = ExperimentConfig(
+        scheduler=overrides.pop("scheduler", "adaptive-rl"),
+        seed=11,
+        num_tasks=NUM_TASKS,
+        arrival_period=ARRIVAL_PERIOD,
+        **overrides,
     )
     return _digest_payload(run_experiment(config).metrics)
 
@@ -295,6 +337,17 @@ def test_scenario_digest(key: str) -> None:
     assert digest == expected, (
         f"{key}: metrics digest {digest} != pinned {expected} "
         f"(AveRT|ECS|success = {payload}); the scenario run is no longer "
+        "bit-deterministic against the golden baseline"
+    )
+
+
+@pytest.mark.parametrize("key", sorted(EXECUTOR_GOLDEN))
+def test_executor_path_digest(key: str) -> None:
+    digest, payload = _run_executor_path(key.split("/")[0])
+    expected = EXECUTOR_GOLDEN[key]
+    assert digest == expected, (
+        f"{key}: metrics digest {digest} != pinned {expected} "
+        f"(AveRT|ECS|success = {payload}); the node executor is no longer "
         "bit-deterministic against the golden baseline"
     )
 
@@ -440,6 +493,7 @@ def test_golden_table_is_complete() -> None:
         "large-dvfs/seed11",
         "large-dvfs+failures/seed11",
     }
+    assert set(EXECUTOR_GOLDEN) == {f"{path}/seed11" for path in EXECUTOR_PATHS}
 
 
 if __name__ == "__main__":  # pragma: no cover - digest refresh helper
@@ -451,6 +505,9 @@ if __name__ == "__main__":  # pragma: no cover - digest refresh helper
         for seed_value in SEEDS:
             dig, pay = _run_scenario(scenario_name, seed_value)
             print(f'    "{scenario_name}/seed{seed_value}": "{dig}",  # {pay}')
+    for path_name in EXECUTOR_PATHS:
+        dig, pay = _run_executor_path(path_name)
+        print(f'    "{path_name}/seed11": "{dig}",  # {pay}')
     for key_value in sorted(PAPER_SCALE_GOLDEN):
         sched, _, seed_text = key_value.split("/")
         dig, pay = _run_paper_scale(sched, int(seed_text[len("seed"):]))
