@@ -34,7 +34,7 @@ def shortest_queue_node(
     best: Optional[ComputeNode] = None
     best_load = 0.0
     for node in nodes:
-        if node.failed or len(node.queue.items) >= node.queue_slots:
+        if node.failed or len(node.queue) >= node.queue_slots:
             continue
         load = (node._pending + 1) / node._total_speed_mips
         if (

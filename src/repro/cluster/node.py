@@ -4,8 +4,8 @@ Execution model (paper §III.B, §IV.D.2):
 
 - The node queue holds :class:`~repro.cluster.taskgroup.TaskGroup` objects;
   each group occupies one slot (queue length ``qc`` bounds admission).
-- A *feeder* process pops the head group and releases its tasks in EDF
-  order to the node's processors through a capacity-1 ready buffer.
+- A *feeder* pops the head group and releases its tasks in EDF order to
+  the node's processors through a one-item ready slot.
 - **Split enabled** (paper's split process): as soon as the head group's
   tasks have been drawn, the next group's tasks become available — idle
   processors "steal" tasks from the next waiting group instead of burning
@@ -16,21 +16,27 @@ Execution model (paper §III.B, §IV.D.2):
   state (``p_sleep``) and pay ``wake_latency`` when work arrives
   (substitution A7 in DESIGN.md; disable with ``allow_sleep=False`` for
   the literal Eq. 5 platform).
+
+The feeder and one worker per processor are driven by kernel callbacks
+(:class:`~repro.sim.events.Call`), not generator processes.  They keep
+every kernel entry that the processes they replace waited on (a store
+handshake, a level of an ``AnyOf`` wait, a timeout, an interrupt, the
+repair event), at the same moment, priority and order, so results are
+those of the processes bit for bit; entries that nothing waited on are
+not scheduled.  ``docs/architecture.md`` ("The kernel fast path") has
+the table of wake-ups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from ..energy.accounting import NodeEnergy, node_energy
 from ..energy.meter import ProcState
 from ..sim.core import Environment
-from ..sim.events import Condition, Event
-from ..sim.exceptions import Interrupt
+from ..sim.events import Call, Event
 from ..sim.fold import fold_sum
-from ..sim.process import Process
-from ..sim.resources import Store
 from ..workload.task import Task
 from .processor import Processor
 from .taskgroup import TaskGroup
@@ -42,6 +48,14 @@ __all__ = ["ComputeNode", "NodeState", "SleepPolicy"]
 
 _BUSY = ProcState.BUSY
 _IDLE = ProcState.IDLE
+_SLEEP = ProcState.SLEEP
+
+# What a worker waits on (_Wait.kind): asleep, ``get | policy``; idle
+# under a gating policy, ``(get | timeout) | policy``; idle under a
+# policy that never gates, ``get | policy``.
+_ASLEEP = 0
+_GATED = 1
+_AWAKE = 2
 
 #: Default number of group slots in a node queue.  The paper only states
 #: the queue "varying in size (length) exists to limit the number of tasks
@@ -101,6 +115,50 @@ class NodeState:
         return fold_sum(self.processor_power_w)
 
 
+class _Worker:
+    """One processor's executor state."""
+
+    __slots__ = ("proc", "item", "got", "wait", "wake")
+
+    def __init__(self, proc: Processor) -> None:
+        self.proc = proc
+        #: The (task, group) handed to the current get, or None.
+        self.item: Optional[tuple[Task, TaskGroup]] = None
+        #: True once the current get's entry has been processed.
+        self.got = False
+        #: The worker's latest wait.
+        self.wait: Optional[_Wait] = None
+        #: The pending entry that resumes the worker, or None.
+        self.wake: Optional[Call] = None
+
+
+class _Wait:
+    """One wait of a worker for its next task, with one flag per level.
+
+    An asleep worker, or an idle one under a policy that never gates,
+    waits on ``get | policy`` (one level); an idle worker under a gating
+    policy on ``(get | timeout) | policy`` (inner and outer level).  A
+    level fires at the first of its inputs and releases the others.
+    """
+
+    __slots__ = ("worker", "policy", "kind", "inner", "outer", "subs")
+
+    def __init__(self, worker: _Worker, policy: "SleepPolicy", kind: int) -> None:
+        self.worker = worker
+        #: The policy read when the wait was built; waking from sleep
+        #: pays its wake latency.
+        self.policy = policy
+        self.kind = kind
+        #: The first level (the get, and a gated wait's idle timeout)
+        #: can still fire.
+        self.inner = False
+        #: A gated wait's outer level can still fire.
+        self.outer = kind == _GATED
+        #: The node's list of waits subscribed to its next policy
+        #: change that holds this wait, or None.
+        self.subs: Optional[list[_Wait]] = None
+
+
 class ComputeNode:
     """A multi-processor compute node with a bounded task-group queue."""
 
@@ -126,13 +184,26 @@ class ComputeNode:
         self.split_enabled = split_enabled
         self.sleep_policy = sleep_policy or SleepPolicy()
 
-        #: Bounded queue of task groups (one slot per group).
-        self.queue: Store = Store(env, capacity=queue_slots)
-        #: Rendezvous buffer between the feeder and processor workers.
-        self._ready: Store = Store(env, capacity=1)
-        #: Triggered (and replaced) whenever the sleep policy changes so
-        #: idle workers re-evaluate their power state.
-        self._policy_event: Event = Event(env)
+        #: Bounded queue of task groups (one slot per group), oldest
+        #: first: admitted groups the feeder has not taken yet.
+        self.queue: list[TaskGroup] = []
+        #: The ready slot between the feeder and the workers: the
+        #: released (task, group) no worker has taken yet, or None.
+        self._slot: Optional[tuple[Task, TaskGroup]] = None
+        #: Workers waiting for the slot to fill, in request order.
+        self._getters: list[_Worker] = []
+        #: The item the feeder could not put while the slot was full.
+        self._blocked: Optional[tuple[Task, TaskGroup]] = None
+        #: The feeder waits for a group to be admitted.
+        self._feeder_waiting = False
+        #: What the feeder waits on otherwise: its get or put entry, or
+        #: a gang group's completion.
+        self._feeder_on: Optional[Event] = None
+        #: The group the feeder releases, and its tasks still to release.
+        self._feeding: Optional[TaskGroup] = None
+        self._feed: Iterator[Task] = iter(())
+        #: Waits subscribed to the next sleep-policy change, in order.
+        self._policy_waits: list[_Wait] = []
         #: Groups admitted but not fully completed, newest last.
         self._active_groups: list[TaskGroup] = []
         self.groups_completed = 0
@@ -148,7 +219,9 @@ class ComputeNode:
         #: True while the node is crashed (failure injection).
         self.failed = False
         self.failures = 0
-        self._repair_event: Event = Event(env)
+        #: Parties parked by a crash, in the order they parked (None is
+        #: the feeder); the next repair resumes them.
+        self._parked: list[Optional[_Worker]] = []
 
         # Static aggregates, frozen at construction.  Node membership is
         # fixed for the lifetime of the simulation (failures crash and
@@ -191,10 +264,10 @@ class ComputeNode:
         self._site: Optional["ResourceSite"] = None
         self._site_position = 0
 
-        self._feeder_proc: Process = env.process(self._feeder())
-        self._worker_procs: list[Process] = [
-            env.process(self._worker(proc)) for proc in self.processors
-        ]
+        self._workers = [_Worker(proc) for proc in self.processors]
+        # One urgent entry starts the feeder, then each worker, as the
+        # consecutive start entries of their processes did.
+        Call(env, self._start, urgent=True)
 
     # -- static properties -------------------------------------------------
     @property
@@ -226,17 +299,17 @@ class ComputeNode:
     @property
     def queued_groups(self) -> int:
         """Groups waiting in the queue (excludes the dispatching head)."""
-        return len(self.queue.items)
+        return len(self.queue)
 
     @property
     def free_slots(self) -> int:
         """``q⁻`` — available queue spaces."""
-        return self.queue_slots - len(self.queue.items)
+        return self.queue_slots - len(self.queue)
 
     @property
     def available(self) -> bool:
         """True when the node is online and has a free queue slot."""
-        return not self.failed and len(self.queue.items) < self.queue_slots
+        return not self.failed and len(self.queue) < self.queue_slots
 
     def _work_changed(self) -> None:
         """The admitted work changed: mark its aggregates stale and tell
@@ -378,66 +451,36 @@ class ComputeNode:
         self._slot_callbacks.append(cb)
 
     # -- admission --------------------------------------------------------------
-    def submit(self, group: TaskGroup) -> Event:
-        """Enqueue *group*; returns the (possibly blocking) put event.
+    def submit(self, group: TaskGroup) -> None:
+        """Enqueue *group*; raises :class:`RuntimeError` on a full queue
+        (schedulers admit through :meth:`try_submit`, which checks)."""
+        if len(self.queue) >= self.queue_slots:
+            raise RuntimeError(f"node {self.node_id}: queue is full")
+        self._admit(group)
 
-        Schedulers should check :attr:`free_slots` first — a put against a
-        full queue blocks until a slot frees, which stalls the submitting
-        process.
-        """
+    def try_submit(self, group: TaskGroup) -> bool:
+        """Non-blocking :meth:`submit`; False when full or failed."""
+        if self.failed or len(self.queue) >= self.queue_slots:
+            return False
+        self._admit(group)
+        return True
+
+    def _admit(self, group: TaskGroup) -> None:
         group.node_id = self.node_id
         group.assigned_at = self.env.now
-        group.completion = Event(self.env)
+        if not self.split_enabled:
+            group.completion = Event(self.env)  # the gang feeder waits on it
         group.on_complete(self._group_done)
         self._active_groups.append(group)
         self._work_changed()
         self._pending += group.remaining
-        put = self.queue.put(group)
+        if self._feeder_waiting:
+            # Taken at once; the feeder's get entry dispatches it.
+            self._feeder_waiting = False
+            self._feeder_on = Call(self.env, self._dispatch, group)
+        else:
+            self.queue.append(group)
         self._reindex()
-        return put
-
-    def try_submit(self, group: TaskGroup) -> bool:
-        """Non-blocking :meth:`submit`; False when full or failed."""
-        if self.failed or self.free_slots <= 0:
-            return False
-        self.submit(group)
-        return True
-
-    # -- executor processes -------------------------------------------------
-    def _feeder(self):
-        """Pop head groups and release their tasks to the workers.
-
-        Interrupted on node failure: pending store requests are
-        withdrawn and the loop parks until repair.
-        """
-        while True:
-            get_req = None
-            put_req = None
-            try:
-                # A waiting group leaves the queue when the request is
-                # made, so the slot it frees is counted here.
-                get_req = self.queue.get()
-                self._reindex()
-                group: TaskGroup = yield get_req
-                group.dispatched_at = self.env.now
-                self._notify_slot_freed()
-                for task in group.edf_order():
-                    # Capacity-1 buffer: each put blocks until workers
-                    # have drawn the previous task, preserving global
-                    # EDF-FIFO availability order across groups.
-                    put_req = self._ready.put((task, group))
-                    yield put_req
-                    put_req = None
-                if not self.split_enabled and group.completion is not None:
-                    # Gang mode: hold the next group until it finishes.
-                    if not group.completed and not group.cancelled:
-                        yield group.completion
-            except Interrupt:
-                if get_req is not None and not get_req.triggered:
-                    get_req.cancel()
-                if put_req is not None and not put_req.triggered:
-                    put_req.cancel()
-                yield self._repair_event
 
     def set_sleep_policy(self, policy: SleepPolicy) -> None:
         """Swap the node's power-gating policy at runtime.
@@ -447,109 +490,235 @@ class ComputeNode:
         idle workers re-evaluate their power state immediately.
         """
         self.sleep_policy = policy
-        old, self._policy_event = self._policy_event, Event(self.env)
-        if not old.triggered:
-            old.succeed()
+        waits = self._policy_waits
+        if waits:
+            # Its entry wakes the waits subscribed so far; waits built
+            # from now on subscribe to the next change.
+            self._policy_waits = []
+            Call(self.env, self._policy_changed, waits)
 
-    def _worker(self, proc: Processor):
-        """One processor's execution loop with optional power gating.
+    # -- the feeder ---------------------------------------------------------
+    def _start(self, _entry: Call) -> None:
+        """The node's start entry: the feeder, then each worker."""
+        self._request_group()
+        for w in self._workers:
+            self._get(w)
+            self._idle(w)
 
-        Interrupted on node failure: any in-flight task has already been
-        orphaned and reset by :meth:`fail`; the processor powers off and
-        parks until repair.
-        """
-        env = self.env
-        get_ev = self._ready.get()
-        while True:
-            # This pass's wait on ``get_ev | policy_changed``, if any.
-            wait: Optional[Condition] = None
-            try:
-                policy = self.sleep_policy
-                policy_changed = self._policy_event
+    def _request_group(self) -> None:
+        """Take the head group, or wait for one.  A group leaves the
+        queue when taken, so the slot it frees is counted here."""
+        if self.queue:
+            self._feeder_on = Call(self.env, self._dispatch, self.queue.pop(0))
+        else:
+            self._feeder_waiting = True
+        self._reindex()
 
-                if proc.state is ProcState.SLEEP:
-                    # Power-gated: work arrival wakes us; so does a
-                    # policy switch to always-awake (e.g. Online RL's
-                    # powercap re-admitting this node).
-                    wait = get_ev | policy_changed
-                    yield wait
-                    if not get_ev.triggered:
-                        if not self.sleep_policy.allow_sleep:
-                            proc.meter.set_state(ProcState.IDLE, env.now)
-                            self._power_dirty = True
-                            yield env.timeout(policy.wake_latency)
-                        continue
-                    item = get_ev.value
-                    proc.meter.set_state(ProcState.IDLE, env.now)
-                    self._power_dirty = True
-                    yield env.timeout(policy.wake_latency)
-                elif policy.allow_sleep:
-                    timeout = env.timeout(policy.idle_timeout)
-                    yield get_ev | timeout | policy_changed
-                    if not get_ev.triggered:
-                        if not timeout.triggered:
-                            continue  # policy changed: re-evaluate
-                        # Idle too long: cancel our place in line,
-                        # power-gate, and re-queue at the back so awake
-                        # processors are preferred for incoming work.
-                        get_ev.cancel()
-                        proc.meter.set_state(ProcState.SLEEP, env.now)
-                        self._power_dirty = True
-                        get_ev = self._ready.get()
-                        continue
-                    item = get_ev.value
-                else:
-                    wait = get_ev | policy_changed
-                    yield wait
-                    if not get_ev.triggered:
-                        continue  # policy changed: re-evaluate
-                    item = get_ev.value
+    def _dispatch(self, entry: Call) -> None:
+        """The feeder's get entry: release the group's tasks."""
+        group = entry.arg
+        group.dispatched_at = self.env.now
+        self._notify_slot_freed()
+        self._feeding = group
+        self._feed = iter(group.edf_order())
+        self._release_next()
 
-                task, group = item
-                # Busy power and execution time are frozen at start at
-                # the processor's current DVFS scale.
-                proc.meter.set_state(
-                    ProcState.BUSY, env.now, power_w=proc.busy_power_w
-                )
+    def _release_next(self, _entry: Optional[Call] = None) -> None:
+        """Put the next task into the ready slot (the feeder's put entry
+        calls this too), or, with every task released, take the next
+        group.  A put into the full slot waits until a worker drains it,
+        which keeps tasks available in EDF-FIFO order across groups."""
+        group = self._feeding
+        task = next(self._feed, None)
+        if task is not None:
+            item = (task, group)
+            if self._slot is not None:
+                self._blocked = item
+                return
+            # The put's entry comes before the receiving worker's get.
+            self._feeder_on = Call(self.env, self._release_next)
+            if self._getters:
+                self._hand(self._getters.pop(0), item)
+            else:
+                self._slot = item
+        elif not self.split_enabled and not group.completed and not group.cancelled:
+            # Gang mode: hold the next group until this one completes.
+            self._feeder_on = group.completion
+            group.completion.callbacks.append(self._gang_done)
+        else:
+            self._request_group()
+
+    def _gang_done(self, _event: Event) -> None:
+        self._request_group()
+
+    # -- the workers --------------------------------------------------------
+    def _get(self, w: _Worker) -> None:
+        """*w* asks for a task: it takes a full slot, which the feeder's
+        blocked put then refills (the put's entry after the get's), or
+        waits in line."""
+        w.item = None
+        w.got = False
+        item = self._slot
+        if item is None:
+            self._getters.append(w)
+            return
+        self._hand(w, item)
+        self._slot = self._blocked
+        if self._blocked is not None:
+            self._blocked = None
+            self._feeder_on = Call(self.env, self._release_next)
+
+    def _hand(self, w: _Worker, item: tuple[Task, TaskGroup]) -> None:
+        """Give *item* to *w*'s get; the get's entry follows."""
+        w.item = item
+        Call(self.env, self._got, w)
+
+    def _got(self, entry: Call) -> None:
+        """A get's entry fires the first level of a wait on it."""
+        w = entry.arg
+        w.got = True
+        if w.wait is not None and w.wait.inner:
+            self._fire_inner(w.wait)
+
+    def _idle(self, w: _Worker) -> None:
+        """Wait for a task, as the processor's state and the policy
+        say."""
+        policy = self.sleep_policy
+        if w.proc.meter.state is _SLEEP:
+            kind = _ASLEEP
+        elif policy.allow_sleep:
+            kind = _GATED
+        else:
+            kind = _AWAKE
+        wait = w.wait = _Wait(w, policy, kind)
+        if kind == _GATED:
+            Call(self.env, self._timed_out, wait, policy.idle_timeout)
+        if w.got:
+            # A level built on a processed get fires at once, and a
+            # one-level wait then takes no policy subscription.
+            self._fire_inner(wait)
+            if kind != _GATED:
+                return
+        else:
+            wait.inner = True
+        wait.subs = self._policy_waits
+        wait.subs.append(wait)
+
+    def _timed_out(self, entry: Call) -> None:
+        """An idle timeout's entry fires the inner level, if armed."""
+        if entry.arg.inner:
+            self._fire_inner(entry.arg)
+
+    def _fire_inner(self, wait: _Wait) -> None:
+        """The first level fires and releases its other inputs."""
+        wait.inner = False
+        if wait.kind == _GATED:
+            Call(self.env, self._inner_fired, wait)
+        else:
+            self._unsubscribe(wait)
+            wait.worker.wake = Call(self.env, self._woken, wait)
+
+    def _inner_fired(self, entry: Call) -> None:
+        """A gated wait's inner entry fires the outer level, unless a
+        policy change or a crash released it first."""
+        wait = entry.arg
+        if wait.outer:
+            wait.outer = False
+            self._unsubscribe(wait)
+            wait.worker.wake = Call(self.env, self._woken, wait)
+
+    def _unsubscribe(self, wait: _Wait) -> None:
+        if wait.subs is not None:
+            wait.subs.remove(wait)
+            wait.subs = None
+
+    def _policy_changed(self, entry: Call) -> None:
+        """A policy change fires each wait subscribed to it, in order: a
+        gated wait's outer level (its inner level then never fires), the
+        one level of the others."""
+        for wait in entry.arg:
+            wait.subs = None
+            wait.inner = wait.outer = False
+            wait.worker.wake = Call(self.env, self._woken, wait)
+
+    def _woken(self, entry: Call) -> None:
+        """A wait's last level: take the task, or look again."""
+        wait = entry.arg
+        w = wait.worker
+        w.wake = None
+        now = self.env.now
+        if w.item is None:  # the get has not fired
+            if wait.kind == _GATED:
+                # Power-gate, and re-queue at the back so awake
+                # processors are preferred for incoming work.  A policy
+                # change gates too: the timeout the process this
+                # replaces tested had always triggered.
+                self._getters.remove(w)
+                w.proc.meter.set_state(_SLEEP, now)
                 self._power_dirty = True
-                task.mark_started(env.now, proc.pid, self.site_id)
-                yield env.timeout(proc.execution_time(task.size_mi))
-                task.mark_finished(env.now)
-                proc.meter.set_state(ProcState.IDLE, env.now)
+                self._get(w)
+            elif wait.kind == _ASLEEP and not self.sleep_policy.allow_sleep:
+                # Switched to always-awake (e.g. Online RL's powercap
+                # re-admitting the node): wake, then look again.
+                w.proc.meter.set_state(_IDLE, now)
                 self._power_dirty = True
-                self._work_changed()
-                proc.tasks_completed += 1
-                self.tasks_completed += 1
-                for cb in self._task_callbacks:
-                    cb(task, self)
-                # The count drops with the group's, before the group's
-                # completion callbacks observe the node.
-                if not group.cancelled:
-                    self._pending -= 1
-                    self._reindex()
-                group.task_done()
-                # A callback above may have refreshed the work caches
-                # while the group still counted this task as remaining.
-                self._work_changed()
-                get_ev = self._ready.get()
-            except Interrupt:
-                # Node failure.  Any in-flight task was already orphaned
-                # and reset by fail(); do not touch it here.
-                if not get_ev.triggered:
-                    get_ev.cancel()
-                if wait is not None and not wait.triggered:
-                    # With its StoreGet cancelled, only a policy change
-                    # could fire this wait: release it, or the policy
-                    # event keeps it for the rest of the run.  A wait
-                    # that also holds the idle timeout still fires
-                    # through it, and releases itself then.
-                    wait.release()
-                proc.meter.set_state(ProcState.SLEEP, env.now)
-                self._power_dirty = True
-                yield self._repair_event
-                proc.meter.set_state(ProcState.IDLE, env.now)
-                self._power_dirty = True
-                get_ev = self._ready.get()
+                w.wake = Call(self.env, self._awake, w, wait.policy.wake_latency)
+                return
+            self._idle(w)
+        elif wait.kind == _ASLEEP:
+            # Work woke the processor: run after the wake latency read
+            # when the wait was built.
+            w.proc.meter.set_state(_IDLE, now)
+            self._power_dirty = True
+            w.wake = Call(self.env, self._woke, w, wait.policy.wake_latency)
+        else:
+            self._run(w)
+
+    def _awake(self, entry: Call) -> None:
+        entry.arg.wake = None
+        self._idle(entry.arg)
+
+    def _woke(self, entry: Call) -> None:
+        entry.arg.wake = None
+        self._run(entry.arg)
+
+    def _run(self, w: _Worker) -> None:
+        """Start *w*'s task.  Busy power and execution time are frozen
+        at start at the processor's current DVFS scale."""
+        task = w.item[0]
+        proc = w.proc
+        now = self.env.now
+        proc.meter.set_state(_BUSY, now, power_w=proc.busy_power_w)
+        self._power_dirty = True
+        task.mark_started(now, proc.pid, self.site_id)
+        w.wake = Call(self.env, self._finish, w, proc.execution_time(task.size_mi))
+
+    def _finish(self, entry: Call) -> None:
+        """A task's completion entry."""
+        w = entry.arg
+        w.wake = None
+        task, group = w.item
+        proc = w.proc
+        now = self.env.now
+        task.mark_finished(now)
+        proc.meter.set_state(_IDLE, now)
+        self._power_dirty = True
+        self._work_changed()
+        proc.tasks_completed += 1
+        self.tasks_completed += 1
+        for cb in self._task_callbacks:
+            cb(task, self)
+        # The count drops with the group's, before the group's
+        # completion callbacks observe the node.
+        if not group.cancelled:
+            self._pending -= 1
+            self._reindex()
+        group.task_done()
+        # A callback above may have refreshed the work caches while the
+        # group still counted this task as remaining.
+        self._work_changed()
+        self._get(w)
+        self._idle(w)
 
     # -- failure injection ---------------------------------------------------
     def on_tasks_orphaned(
@@ -584,18 +753,38 @@ class ComputeNode:
         self._active_groups.clear()
         self._work_changed()
         self._pending = 0
-        self.queue.items.clear()
-        self._ready.items.clear()
+        self.queue.clear()
+        self._slot = self._blocked = None
+        self._getters.clear()
         self._reindex()
 
-        # Interrupt the executor; handlers park processes until repair.
-        active = self.env.active_process
-        for process in [self._feeder_proc, *self._worker_procs]:
-            if process.is_alive and process is not active:
-                process.interrupt(cause="node-failure")
+        # Detach what each party waits on, as an interrupt detaches a
+        # process: a pending entry stays scheduled and does nothing, and
+        # an abandoned wait fires no level.  Each party then parks on an
+        # urgent entry, the feeder first.
+        self._feeder_waiting = False
+        for pending in (self._feeder_on, *(w.wake for w in self._workers)):
+            if pending is not None and pending.callbacks:
+                pending.callbacks.clear()
+        Call(self.env, self._park, urgent=True)
+        for w in self._workers:
+            w.wake = None
+            if w.wait is not None:
+                w.wait.inner = w.wait.outer = False
+                self._unsubscribe(w.wait)
+            Call(self.env, self._park, w, urgent=True)
 
         for cb in self._orphan_callbacks:
             cb(list(orphans), self)
+
+    def _park(self, entry: Call) -> None:
+        """A crashed party's urgent entry: a worker powers off, and the
+        party parks until repair."""
+        w = entry.arg
+        if w is not None:
+            w.proc.meter.set_state(_SLEEP, self.env.now)
+            self._power_dirty = True
+        self._parked.append(w)
 
     def repair(self) -> None:
         """Bring a failed node back online (empty queue, idle procs)."""
@@ -603,10 +792,22 @@ class ComputeNode:
             return
         self.failed = False
         self._reindex()
-        old, self._repair_event = self._repair_event, Event(self.env)
-        if not old.triggered:
-            old.succeed()
+        if self._parked:
+            parked, self._parked = self._parked, []
+            Call(self.env, self._resume, parked)
         self._notify_slot_freed()
+
+    def _resume(self, entry: Call) -> None:
+        """The repair entry resumes the parked parties in the order they
+        parked."""
+        for w in entry.arg:
+            if w is None:
+                self._request_group()
+                continue
+            w.proc.meter.set_state(_IDLE, self.env.now)
+            self._power_dirty = True
+            self._get(w)
+            self._idle(w)
 
     # -- completion plumbing ---------------------------------------------------
     def _group_done(self, group: TaskGroup) -> None:

@@ -69,7 +69,7 @@ class ResourceSite:
         open list kept in node order."""
         position = node._site_position
         pending = node._pending
-        free = node.queue_slots - len(node.queue.items)
+        free = node.queue_slots - len(node.queue)
         is_open = free > 0 and not node.failed
         counted = (pending, free, is_open)
         was = self._counted[position]

@@ -77,7 +77,8 @@ class TaskGroup:
         #: Error feedback value (Eq. 9) recorded at assignment.
         self.error: Optional[float] = None
         self._remaining = len(task_list)
-        #: Triggered (by the executing node) when every task completes.
+        #: Created by a gang-mode node, whose feeder waits on it;
+        #: triggered when every task completes.
         self.completion: Optional[Event] = None
         self._complete_callbacks: list[Callable[["TaskGroup"], None]] = []
         #: Set when the assigned node failed before the group completed;

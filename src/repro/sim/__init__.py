@@ -5,6 +5,8 @@ The kernel provides:
 - :class:`Environment` — clock, event calendar, one run loop;
 - :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` —
   synchronization primitives;
+- :class:`Call` — a kernel entry that calls one function, for parties
+  driven by callbacks instead of a process;
 - :class:`Process` — generator-based simulated processes with interrupts;
 - :class:`Store` — the bounded FIFO store behind each node's task queue
   (the paper's ``qc``, §III.B);
@@ -26,7 +28,16 @@ Example
 """
 
 from .core import Environment, NORMAL, URGENT
-from .events import AllOf, AnyOf, Condition, ConditionValue, Event, PENDING, Timeout
+from .events import (
+    PENDING,
+    AllOf,
+    AnyOf,
+    Call,
+    Condition,
+    ConditionValue,
+    Event,
+    Timeout,
+)
 from .exceptions import EmptySchedule, Interrupt, SimulationError, StopSimulation
 from .process import Process, ProcessGenerator
 from .resources import Store
@@ -36,6 +47,7 @@ __all__ = [
     "Environment",
     "Event",
     "Timeout",
+    "Call",
     "Condition",
     "ConditionValue",
     "AnyOf",

@@ -35,6 +35,7 @@ __all__ = [
     "NORMAL",
     "Event",
     "Timeout",
+    "Call",
     "ConditionValue",
     "Condition",
     "AnyOf",
@@ -205,6 +206,56 @@ class Timeout(Event):
         return f"<Timeout delay={self._delay} at {id(self):#x}>"
 
 
+class Call(Event):
+    """A kernel entry that calls one function with one argument.
+
+    ``Call(env, fn, arg, delay)`` schedules an entry that calls
+    ``fn(entry)`` when processed; *fn* reads ``entry.arg``.  The entry
+    gets the key a waiter's wake-up gets: a zero *delay* is scheduled as
+    :meth:`Event.succeed` schedules, a positive one as a
+    :class:`Timeout`, and ``urgent=True`` as
+    ``Environment.schedule(priority=URGENT)``.  A party driven by calls
+    instead of a generator process (a compute node's feeder and
+    workers) so keeps every entry the process waited on, in the same
+    order, without a generator, a resume or a condition object.
+
+    Clearing ``callbacks`` detaches the call: the entry stays scheduled
+    and does nothing, as a timeout does once its waiter is interrupted.
+    """
+
+    __slots__ = ("arg",)
+
+    def __init__(
+        self,
+        env: "Environment",
+        fn: Callable[["Call"], None],
+        arg: object = None,
+        delay: float = 0.0,
+        urgent: bool = False,
+    ) -> None:
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        self.env = env
+        self.callbacks = [fn]
+        self._value = None
+        self._ok = True
+        self._defused = False
+        self.arg = arg
+        if urgent:
+            env.schedule(self, URGENT, delay)
+        elif delay == 0:
+            env._normal.append((env._now, NORMAL, next(env._eid), self))
+        else:
+            at = env._now + delay
+            bucket = env._buckets.get(at)
+            if bucket is None:
+                env._buckets[at] = [(at, NORMAL, next(env._eid), self)]
+                heappush(env._times, at)
+            else:
+                bucket.append((at, NORMAL, next(env._eid), self))
+            env._calendar_len += 1
+
+
 class ConditionValue:
     """Ordered mapping of triggered events collected by a condition."""
 
@@ -323,18 +374,12 @@ class Condition(Event):
             self.callbacks.insert(0, _finalize)
         else:
             return
-        self.release()
+        self._release()
 
-    def release(self) -> None:
+    def _release(self) -> None:
         """Remove this condition's check from each constituent still
         waiting.  One being processed has no list (the kernel took it),
-        and one past a build-time trigger never held the check.
-
-        A triggered condition releases itself.  A waiter that abandons
-        an untriggered one calls this, so a constituent that outlives
-        the wait does not keep the condition alive; the condition can
-        then never trigger.
-        """
+        and one past a build-time trigger never held the check."""
         check = self._check
         for event in self._events:
             callbacks = event.callbacks

@@ -633,7 +633,7 @@ class InvariantAuditor:
         rep = self.report
         for node in self._nodes:
             rep.count(INV_QUEUE)
-            occupancy = len(node.queue.items)
+            occupancy = len(node.queue)
             if occupancy > node.queue_slots:
                 self._violate(
                     INV_QUEUE,
@@ -643,7 +643,7 @@ class InvariantAuditor:
                     occupancy=occupancy,
                     qc=node.queue_slots,
                 )
-            for group in node.queue.items:
+            for group in node.queue:
                 if group not in node._active_groups:
                     self._violate(
                         INV_QUEUE,
@@ -740,7 +740,7 @@ class InvariantAuditor:
                         counted=node._pending,
                         rescanned=remaining,
                     )
-                node_free = node.queue_slots - len(node.queue.items)
+                node_free = node.queue_slots - len(node.queue)
                 pending += remaining
                 free += node_free
                 if node_free > 0:

@@ -1,21 +1,22 @@
 """What a finished run keeps alive.
 
-An idle worker waits on ``get_ev | timeout | policy_changed``.  The
-node's policy event lives until the sleep policy changes, which
-Adaptive-RL never does.  Unless a triggered condition released its
-constituents, every fired wait would stay on that event, holding the
-processed ``StoreGet`` and through it every task group of the run (904
-callbacks for 193 processors on the pin run below).  With the release
-the event holds at most the one live wait of each processor.
+An idle worker waits on ``get | timeout | policy change``, and the
+waits subscribed to a node's next policy change live until the sleep
+policy changes, which Adaptive-RL never does.  Unless a fired wait left
+the subscription list, every fired wait would stay on it, holding the
+worker's task and through it every task group of the run.  With the
+release the list holds at most the one live wait of each processor.
 
-A node crash interrupts its workers and cancels their store requests.
-A worker that was waiting on ``get_ev | policy_changed`` (asleep, or
-idle without sleep gating) releases that wait, since nothing but a
-policy change could fire it any more.
+A node crash parks its workers, and their abandoned waits fire nothing
+more: none of them stays subscribed while the node is down, or a policy
+change would still hold them (and wake nothing).
 """
 
 from __future__ import annotations
 
+import pytest
+
+from repro.cluster import ComputeNode
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 
@@ -31,9 +32,10 @@ from .test_golden_seeds import (
 
 
 def _policy_waits(system) -> dict[str, tuple[int, int]]:
-    """Per node: (callbacks on its policy event, processors)."""
+    """Per node: (waits subscribed to its next policy change,
+    processors)."""
     return {
-        node.node_id: (len(node._policy_event.callbacks), len(node.processors))
+        node.node_id: (len(node._policy_waits), len(node.processors))
         for node in system.nodes
     }
 
@@ -47,7 +49,19 @@ def test_policy_events_hold_at_most_one_wait_per_processor() -> None:
     assert all(waits <= procs for waits, procs in held.values()), held
 
 
-def test_crashed_workers_leave_no_wait_on_the_policy_event() -> None:
+def test_crashed_workers_leave_no_wait_on_the_policy_event(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # Every worker of a down node is parked: count the node's
+    # subscribed waits just before each repair.
+    held_while_down: list[int] = []
+    repair = ComputeNode.repair
+
+    def counted_repair(node: ComputeNode) -> None:
+        held_while_down.append(len(node._policy_waits))
+        repair(node)
+
+    monkeypatch.setattr(ComputeNode, "repair", counted_repair)
     config = ExperimentConfig(
         scheduler="adaptive-rl",
         seed=11,
@@ -60,5 +74,6 @@ def test_crashed_workers_leave_no_wait_on_the_policy_event() -> None:
         "failures/seed11"
     ]
     assert sum(node.failures for node in result.system.nodes) > 0
+    assert held_while_down and not any(held_while_down)
     held = _policy_waits(result.system)
     assert all(waits <= procs for waits, procs in held.values()), held

@@ -272,7 +272,7 @@ class TestCorruptionDetection:
     def test_overfull_queue(self):
         env, system, auditor = make_audited_cluster()
         node = system.nodes[0]
-        node.queue.items.extend(
+        node.queue.extend(
             object() for _ in range(node.queue_slots + 1)
         )
         auditor.sweep()
@@ -482,7 +482,7 @@ class TestCorruptionDetection:
     def test_collect_mode_keeps_running(self):
         env, system, auditor = make_audited_cluster()
         system.processors[0].meter._busy_energy += 1.0
-        system.nodes[0].queue.items.extend(
+        system.nodes[0].queue.extend(
             object() for _ in range(system.nodes[0].queue_slots + 1)
         )
         auditor.sweep()
