@@ -29,6 +29,7 @@ the table of wake-ups.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
@@ -73,10 +74,12 @@ class SleepPolicy:
     wake_latency: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.idle_timeout < 0:
+        # ``not x >= 0`` rejects NaN too: a NaN timer fires at time NaN,
+        # and the run stalls.  An infinite timeout means "never gate".
+        if not self.idle_timeout >= 0:
             raise ValueError("idle_timeout must be non-negative")
-        if self.wake_latency < 0:
-            raise ValueError("wake_latency must be non-negative")
+        if not (self.wake_latency >= 0 and math.isfinite(self.wake_latency)):
+            raise ValueError("wake_latency must be finite and non-negative")
 
     def to_dict(self) -> dict:
         """JSON-safe representation (inverse of :meth:`from_dict`)."""
