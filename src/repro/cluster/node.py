@@ -503,14 +503,17 @@ class ComputeNode:
     # -- the feeder ---------------------------------------------------------
     def _start(self, _entry: Call) -> None:
         """The node's start entry: the feeder, then each worker."""
+        if self.failed:
+            return  # crashed before it started: its parties park, unstarted
         self._request_group()
         for w in self._workers:
             self._get(w)
             self._idle(w)
 
-    def _request_group(self) -> None:
-        """Take the head group, or wait for one.  A group leaves the
-        queue when taken, so the slot it frees is counted here."""
+    def _request_group(self, _completion: Optional[Event] = None) -> None:
+        """Take the head group, or wait for one (also a gang group's
+        completion callback).  A group leaves the queue when taken, so
+        the slot it frees is counted here."""
         if self.queue:
             self._feeder_on = Call(self.env, self._dispatch, self.queue.pop(0))
         else:
@@ -547,12 +550,9 @@ class ComputeNode:
         elif not self.split_enabled and not group.completed and not group.cancelled:
             # Gang mode: hold the next group until this one completes.
             self._feeder_on = group.completion
-            group.completion.callbacks.append(self._gang_done)
+            group.completion.callbacks.append(self._request_group)
         else:
             self._request_group()
-
-    def _gang_done(self, _event: Event) -> None:
-        self._request_group()
 
     # -- the workers --------------------------------------------------------
     def _get(self, w: _Worker) -> None:
@@ -580,7 +580,7 @@ class ComputeNode:
         """A get's entry fires the first level of a wait on it."""
         w = entry.arg
         w.got = True
-        if w.wait is not None and w.wait.inner:
+        if w.wait.inner:
             self._fire_inner(w.wait)
 
     def _idle(self, w: _Worker) -> None:
@@ -796,8 +796,10 @@ class ComputeNode:
         self.failed = False
         self._reindex()
         if self._parked:
+            # The parked parties, the feeder first, wait on its entry,
+            # which a crash before it is processed detaches.
             parked, self._parked = self._parked, []
-            Call(self.env, self._resume, parked)
+            self._feeder_on = Call(self.env, self._resume, parked)
         self._notify_slot_freed()
 
     def _resume(self, entry: Call) -> None:

@@ -8,8 +8,7 @@ The kernel provides:
 - :class:`Call` — a kernel entry that calls one function, for parties
   driven by callbacks instead of a process;
 - :class:`Process` — generator-based simulated processes with interrupts;
-- :class:`Store` — the bounded FIFO store behind each node's task queue
-  (the paper's ``qc``, §III.B);
+- :class:`Store` — a bounded FIFO store with put/get request events;
 - :class:`RandomStreams` — reproducible named RNG streams.
 
 Example
@@ -28,16 +27,7 @@ Example
 """
 
 from .core import Environment, NORMAL, URGENT
-from .events import (
-    PENDING,
-    AllOf,
-    AnyOf,
-    Call,
-    Condition,
-    ConditionValue,
-    Event,
-    Timeout,
-)
+from .events import AllOf, AnyOf, Call, Condition, ConditionValue, Event, PENDING, Timeout
 from .exceptions import EmptySchedule, Interrupt, SimulationError, StopSimulation
 from .process import Process, ProcessGenerator
 from .resources import Store

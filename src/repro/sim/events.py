@@ -206,21 +206,18 @@ class Timeout(Event):
         return f"<Timeout delay={self._delay} at {id(self):#x}>"
 
 
-class Call(Event):
+class Call(Timeout):
     """A kernel entry that calls one function with one argument.
 
-    ``Call(env, fn, arg, delay)`` schedules an entry that calls
-    ``fn(entry)`` when processed; *fn* reads ``entry.arg``.  The entry
-    gets the key a waiter's wake-up gets: a zero *delay* is scheduled as
-    :meth:`Event.succeed` schedules, a positive one as a
-    :class:`Timeout`, and ``urgent=True`` as
-    ``Environment.schedule(priority=URGENT)``.  A party driven by calls
-    instead of a generator process (a compute node's feeder and
-    workers) so keeps every entry the process waited on, in the same
-    order, without a generator, a resume or a condition object.
-
-    Clearing ``callbacks`` detaches the call: the entry stays scheduled
-    and does nothing, as a timeout does once its waiter is interrupted.
+    ``Call(env, fn, arg, delay)`` is a :class:`Timeout` that calls
+    ``fn(entry)`` when processed; *fn* reads ``entry.arg``.  With
+    ``urgent=True`` it is scheduled now at URGENT priority, as
+    ``Environment.schedule(priority=URGENT)`` schedules.  A party driven
+    by calls instead of a generator process (a compute node's feeder
+    and workers) so keeps each entry the process waited on, in the same
+    order, without a generator, a resume or a condition.  Clearing
+    ``callbacks`` detaches the call: the entry stays scheduled and does
+    nothing, as a timeout does once its waiter is interrupted.
     """
 
     __slots__ = ("arg",)
@@ -233,27 +230,15 @@ class Call(Event):
         delay: float = 0.0,
         urgent: bool = False,
     ) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        self.env = env
-        self.callbacks = [fn]
-        self._value = None
-        self._ok = True
-        self._defused = False
-        self.arg = arg
         if urgent:
-            env.schedule(self, URGENT, delay)
-        elif delay == 0:
-            env._normal.append((env._now, NORMAL, next(env._eid), self))
+            Event.__init__(self, env)
+            self._value = None
+            self._delay = 0.0
+            env.schedule(self, URGENT)
         else:
-            at = env._now + delay
-            bucket = env._buckets.get(at)
-            if bucket is None:
-                env._buckets[at] = [(at, NORMAL, next(env._eid), self)]
-                heappush(env._times, at)
-            else:
-                bucket.append((at, NORMAL, next(env._eid), self))
-            env._calendar_len += 1
+            Timeout.__init__(self, env, delay)
+        self.callbacks.append(fn)
+        self.arg = arg
 
 
 class ConditionValue:

@@ -1,10 +1,10 @@
 """The bounded FIFO store: the kernel's one shared-resource primitive.
 
-A compute node's task queue (the paper's ``qc``, §III.B) is a
-:class:`Store`.  It follows the simpy put/get event protocol:
-``store.put(item)`` and ``store.get()`` return events that processes
-yield on; the kernel resolves them as capacity/items become available,
-in FIFO request order.
+It follows the simpy put/get event protocol: ``store.put(item)`` and
+``store.get()`` return events that processes yield on; the kernel
+resolves them as capacity/items become available, in FIFO request
+order.  The compute node's executor keeps the same handshake without
+the request events (:mod:`repro.cluster.node`).
 """
 
 from __future__ import annotations
