@@ -18,13 +18,13 @@ Execution model (paper §III.B, §IV.D.2):
   the literal Eq. 5 platform).
 
 The feeder and one worker per processor are driven by kernel callbacks
-(:class:`~repro.sim.events.Call`), not generator processes.  They keep
-every kernel entry that the processes they replace waited on (a store
-handshake, a level of an ``AnyOf`` wait, a timeout, an interrupt, the
-repair event), at the same moment, priority and order, so results are
-those of the processes bit for bit; entries that nothing waited on are
-not scheduled.  ``docs/architecture.md`` ("The kernel fast path") has
-the table of wake-ups.
+(:class:`~repro.sim.events.Call`).  Each wake-up takes the kernel
+entries a generator process waiting on the same store handshake,
+``AnyOf`` wait, timeout, interrupt or repair event would take, at the
+same moment, priority and order, which keeps results bit-identical to
+that process executor (kept as the tests' reference); entries nothing
+waits on are not scheduled.  ``docs/architecture.md`` ("The kernel fast
+path") has the table of wake-ups.
 """
 
 from __future__ import annotations
@@ -268,8 +268,6 @@ class ComputeNode:
         self._site_position = 0
 
         self._workers = [_Worker(proc) for proc in self.processors]
-        # One urgent entry starts the feeder, then each worker, as the
-        # consecutive start entries of their processes did.
         Call(env, self._start, urgent=True)
 
     # -- static properties -------------------------------------------------
@@ -654,8 +652,9 @@ class ComputeNode:
             if wait.kind == _GATED:
                 # Power-gate, and re-queue at the back so awake
                 # processors are preferred for incoming work.  A policy
-                # change gates too: the timeout the process this
-                # replaces tested had always triggered.
+                # change gates too, as the process executor did (it
+                # tested a timeout that had always triggered); changing
+                # that moves the Online RL and Q+ results.
                 self._getters.remove(w)
                 w.proc.meter.set_state(_SLEEP, now)
                 self._power_dirty = True

@@ -1,10 +1,10 @@
 """The compute-node executor as generator processes: the reference.
 
-:class:`GeneratorNode` runs a node's feeder and workers the way the
-executor did before it became kernel callbacks: 1 + m processes that
-hand each task through a capacity-1 :class:`~repro.sim.Store`, wake an
-idle worker through nested conditions (``get_ev | timeout |
-policy_changed``), and crash through :meth:`Process.interrupt`.
+:class:`GeneratorNode` runs a node's feeder and workers as 1 + m
+generator processes that hand each task through a capacity-1
+:class:`~repro.sim.Store`, wake an idle worker through nested
+conditions (``get_ev | timeout | policy_changed``), and crash through
+:meth:`Process.interrupt`.
 Everything else (caches, indexes, callbacks) is the node's own.
 ``test_executor_exactness.py`` runs both on the same worlds and
 requires one identical log.
