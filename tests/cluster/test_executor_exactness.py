@@ -30,6 +30,8 @@ from .reference_node import GeneratorNode
 PROBE_DEPTH = 3
 
 TIMES = st.integers(min_value=0, max_value=60).map(lambda k: k * 0.5)
+SPEEDS = st.sampled_from([500.0, 750.0, 1000.0])
+SIZES = st.sampled_from([250.0, 500.0, 1000.0, 1500.0, 3000.0])
 POLICIES = st.builds(
     SleepPolicy,
     allow_sleep=st.booleans(),
@@ -43,7 +45,7 @@ def worlds(draw):
     """Node shapes plus a script of ``(time, action, node, payload)``."""
     nodes = [
         (
-            draw(st.lists(st.sampled_from([500.0, 750.0, 1000.0]), min_size=1, max_size=4)),
+            draw(st.lists(SPEEDS, min_size=1, max_size=4)),
             draw(st.integers(min_value=1, max_value=3)),
             draw(st.booleans()),
             draw(POLICIES),
@@ -51,20 +53,22 @@ def worlds(draw):
         for _ in range(draw(st.integers(min_value=1, max_value=3)))
     ]
     script = []
-    sizes = st.sampled_from([250.0, 500.0, 1000.0, 1500.0, 3000.0])
+    node_index = st.integers(0, len(nodes) - 1)
     for _ in range(draw(st.integers(min_value=1, max_value=12))):
         at = draw(TIMES)
         # Several groups at one instant.
         for _ in range(draw(st.integers(min_value=1, max_value=3))):
-            tasks = draw(st.lists(sizes, min_size=1, max_size=4))
-            script.append((at, "submit", draw(st.integers(0, len(nodes) - 1)), tasks))
+            tasks = draw(st.lists(SIZES, min_size=1, max_size=4))
+            script.append((at, "submit", draw(node_index), tasks))
+
     def follow_up(at, index):
         # Work that lands while a wake-up or a repair is under way.
         if draw(st.booleans()):
-            script.append((at, "submit", index, draw(st.lists(sizes, min_size=1, max_size=3))))
+            tasks = draw(st.lists(SIZES, min_size=1, max_size=3))
+            script.append((at, "submit", index, tasks))
 
     for _ in range(draw(st.integers(min_value=0, max_value=5))):
-        at, index = draw(TIMES), draw(st.integers(0, len(nodes) - 1))
+        at, index = draw(TIMES), draw(node_index)
         script.append((at, "policy", index, draw(POLICIES)))
         follow_up(at + draw(st.sampled_from([0.0, 0.5, 1.0])), index)
     for index in range(len(nodes)):
@@ -175,8 +179,10 @@ def run_world(node_cls, nodes, script) -> list:
     log.append(
         (
             "end",
-            [(n.tasks_completed, n.groups_completed, n.pending_tasks) for n in platform],
-            [p.meter.energy_at(env.now).hex() for n in platform for p in n.processors],
+            [(n.tasks_completed, n.groups_completed, n.pending_tasks)
+             for n in platform],
+            [p.meter.energy_at(env.now).hex()
+             for n in platform for p in n.processors],
         )
     )
     return log
