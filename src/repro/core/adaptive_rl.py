@@ -31,9 +31,6 @@ class AdaptiveRLConfig:
 
     #: "tabular" (default) or "neural" (DESIGN.md A6).
     value_model: str = "tabular"
-    #: Q-store for the tabular model: "dense" (array fast path, default)
-    #: or "dict" (reference).  Bit-identical results either way.
-    q_backend: str = "dense"
     #: Disable to ablate the TG technique (singleton groups only).
     grouping_enabled: bool = True
     #: Disable to ablate the shared-learning memory.
@@ -57,8 +54,6 @@ class AdaptiveRLConfig:
     def __post_init__(self) -> None:
         if self.value_model not in ("tabular", "neural"):
             raise ValueError(f"unknown value model {self.value_model!r}")
-        if self.q_backend not in ("dense", "dict"):
-            raise ValueError(f"unknown q backend {self.q_backend!r}")
         if self.memory_cycles <= 0:
             raise ValueError("memory_cycles must be positive")
         if self.backlog_patience < 0:
@@ -118,7 +113,6 @@ class AdaptiveRLScheduler(Scheduler):
                     alpha=cfg.alpha,
                     gamma=cfg.gamma,
                     actions=actions,
-                    backend=cfg.q_backend,
                 )
             else:
                 model = NeuralValueModel(

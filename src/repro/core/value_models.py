@@ -69,10 +69,9 @@ class TabularValueModel(ValueModel):
     """Q-table over the discrete ternary site state.
 
     With a canonical *actions* tuple the table is the array-backed
-    :class:`~repro.rl.dense.DenseQTable` fast path (O(1) greedy reads,
-    bit-identical to the dict reference); without one — or with
-    ``backend="dict"`` — it is the dict-backed
-    :class:`~repro.rl.qlearning.QTable`.
+    :class:`~repro.rl.dense.DenseQTable` (O(1) greedy reads, bit-identical
+    to the dict-backed :class:`~repro.rl.qlearning.QTable`, which the
+    tests substitute to prove it); without one it is the dict table.
     """
 
     def __init__(
@@ -80,13 +79,8 @@ class TabularValueModel(ValueModel):
         alpha: float = 0.2,
         gamma: float = 0.6,
         actions: Optional[Sequence[GroupingAction]] = None,
-        backend: str = "auto",
     ) -> None:
-        if backend not in ("auto", "dict", "dense"):
-            raise ValueError(f"unknown tabular backend {backend!r}")
-        if backend == "dense" and actions is None:
-            raise ValueError("the dense backend needs a canonical action tuple")
-        if actions is not None and backend != "dict":
+        if actions is not None:
             self.table = DenseQTable(tuple(actions), alpha=alpha, gamma=gamma)
         else:
             self.table = QTable(alpha=alpha, gamma=gamma)

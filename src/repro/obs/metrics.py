@@ -162,12 +162,8 @@ def estimate_bucket_quantiles(
     quantile's rank, the value is interpolated linearly between the
     bucket's edges; the observed ``lo``/``hi`` clamp the open-ended
     first and last buckets (and the estimate overall) to the true data
-    range.  Returns ``None`` for an empty histogram.
-
-    Shared by :meth:`Histogram.to_dict` and the campaign metrics merge
-    (:func:`repro.parallel.merge.merge_metrics_dicts`), so merged
-    snapshots re-estimate quantiles from the folded buckets instead of
-    carrying a stale per-worker value.
+    range.  Returns ``None`` for an empty histogram.  This is how
+    :meth:`Histogram.to_dict` reports its quantiles.
     """
     if count <= 0:
         return None

@@ -8,8 +8,8 @@ process pool:
 - a flushed JSONL checkpoint journal (:class:`CheckpointJournal`) lets
   an interrupted campaign resume, skipping completed jobs;
 - failed attempts and dead workers are retried with exponential backoff;
-- per-worker :mod:`repro.obs` telemetry files merge into one campaign
-  trace/metrics view (:mod:`repro.parallel.merge`).
+- per-worker flight-recorder banks merge into one campaign series bank
+  (:mod:`repro.parallel.merge`).
 
 Entry points: :func:`run_parallel` (engine),
 :func:`repro.experiments.figures.run_configs` (the one grid executor,
@@ -29,13 +29,7 @@ from .errors import (
 )
 from .jobs import Job, RecordView, build_jobs, job_id
 from .journal import JOURNAL_FILENAME, CheckpointJournal, JournalState
-from .merge import (
-    merge_metrics_dicts,
-    merge_metrics_files,
-    merge_series_dicts,
-    merge_series_files,
-    merge_trace_files,
-)
+from .merge import merge_series_dicts, merge_series_files
 from .pool import ParallelResult, run_parallel
 
 __all__ = [
@@ -52,9 +46,6 @@ __all__ = [
     "CheckpointJournal",
     "JournalState",
     "JOURNAL_FILENAME",
-    "merge_trace_files",
-    "merge_metrics_files",
-    "merge_metrics_dicts",
     "merge_series_files",
     "merge_series_dicts",
     "ParallelResult",

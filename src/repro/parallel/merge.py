@@ -1,20 +1,9 @@
-"""Merge per-worker observability artifacts into one campaign view.
+"""Merge per-worker flight-recorder banks into one campaign bank.
 
-Each worker process records its own telemetry (a JSONL event trace and a
-metrics snapshot per job — see :mod:`repro.obs`); this module folds them
-back into the single-trace / single-registry view a serial run would
-have produced:
-
-- **Traces** interleave by simulated time (ties keep per-file order) and
-  are re-sequenced, so the merged file is a valid ``save_jsonl`` trace.
-- **Metrics** merge by instrument type: counters sum; gauges keep the
-  high-water view (``value`` and ``high`` both become the max across
-  workers — "last set" has no meaning across concurrent processes);
-  histograms with identical bounds add bucket counts, counts, and sums,
-  combine min/max, and re-estimate quantiles from the folded buckets.
-- **Series banks** (the flight recorder's ``SeriesBank.as_dict`` files)
-  merge same-name series point-by-point in time order, so a campaign
-  aggregates into the one bank a single dashboard renders.
+Each worker process with a sampling cadence writes its job's series
+bank (``SeriesBank.as_dict``, see :mod:`repro.obs`); this module merges
+same-name series point-by-point in time order, so a campaign aggregates
+into the one bank a single dashboard renders.
 """
 
 from __future__ import annotations
@@ -23,92 +12,9 @@ import json
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from ..obs import (
-    SeriesBank,
-    TraceEvent,
-    estimate_bucket_quantiles,
-    load_jsonl,
-    save_jsonl,
-)
+from ..obs import SeriesBank
 
-__all__ = [
-    "merge_trace_files",
-    "merge_metrics_files",
-    "merge_metrics_dicts",
-    "merge_series_dicts",
-    "merge_series_files",
-]
-
-
-def merge_trace_files(
-    paths: Sequence[Union[str, Path]],
-    out: Optional[Union[str, Path]] = None,
-) -> list[TraceEvent]:
-    """Interleave the events of several JSONL traces by simulated time.
-
-    Returns the merged, re-sequenced event list; with *out* given, also
-    writes it back as one JSONL trace.
-    """
-    events: list[TraceEvent] = []
-    for path in paths:
-        events.extend(load_jsonl(path))
-    # Python's sort is stable: same-t events keep file order, and events
-    # within one file are already in emission order.
-    events.sort(key=lambda ev: ev.t)
-    merged = [
-        TraceEvent(ev.category, ev.name, ev.t, ev.fields, seq)
-        for seq, ev in enumerate(events)
-    ]
-    if out is not None:
-        save_jsonl(merged, out)
-    return merged
-
-
-def merge_metrics_dicts(snapshots: Iterable[dict]) -> dict:
-    """Fold several ``MetricsRegistry.as_dict()`` snapshots into one."""
-    merged: dict = {}
-    for snapshot in snapshots:
-        for name, inst in snapshot.items():
-            if name not in merged:
-                merged[name] = json.loads(json.dumps(inst))  # deep copy
-                continue
-            _fold(name, merged[name], inst)
-    return merged
-
-
-def _fold(name: str, acc: dict, inst: dict) -> None:
-    if acc["type"] != inst["type"]:
-        raise ValueError(
-            f"metric {name!r} has conflicting types across workers: "
-            f"{acc['type']} vs {inst['type']}"
-        )
-    kind = acc["type"]
-    if kind == "counter":
-        acc["value"] += inst["value"]
-    elif kind == "gauge":
-        acc["value"] = max(acc["value"], inst["value"])
-        acc["high"] = max(acc["high"], inst["high"])
-    elif kind == "histogram":
-        if list(acc["buckets"]) != list(inst["buckets"]):
-            raise ValueError(
-                f"histogram {name!r} has conflicting buckets across workers"
-            )
-        for bound, count in inst["buckets"].items():
-            acc["buckets"][bound] += count
-        acc["count"] += inst["count"]
-        acc["sum"] += inst["sum"]
-        for key, pick in (("min", min), ("max", max)):
-            values = [v for v in (acc[key], inst[key]) if v is not None]
-            acc[key] = pick(values) if values else None
-        acc["mean"] = acc["sum"] / acc["count"] if acc["count"] else 0.0
-        # Per-worker quantiles don't compose; re-estimate from the
-        # folded buckets so the merged snapshot matches what a serial
-        # run over the combined observations would report.
-        acc["quantiles"] = estimate_bucket_quantiles(
-            acc["buckets"], acc["count"], lo=acc["min"], hi=acc["max"]
-        )
-    else:
-        raise ValueError(f"metric {name!r} has unknown type {kind!r}")
+__all__ = ["merge_series_dicts", "merge_series_files"]
 
 
 def merge_series_dicts(snapshots: Iterable[dict]) -> SeriesBank:
@@ -136,17 +42,4 @@ def merge_series_files(
         Path(out).write_text(
             json.dumps(merged.as_dict()), encoding="utf-8"
         )
-    return merged
-
-
-def merge_metrics_files(
-    paths: Sequence[Union[str, Path]],
-    out: Optional[Union[str, Path]] = None,
-) -> dict:
-    """Merge several metrics JSON files; optionally write the result."""
-    merged = merge_metrics_dicts(
-        json.loads(Path(p).read_text(encoding="utf-8")) for p in paths
-    )
-    if out is not None:
-        Path(out).write_text(json.dumps(merged, indent=1), encoding="utf-8")
     return merged

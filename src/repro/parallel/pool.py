@@ -11,9 +11,9 @@
   unfinished jobs — exactly-once completion keyed on job id;
 - a job whose attempt raises, or whose worker process dies, is retried
   with exponential backoff up to ``max_retries`` times;
-- with ``capture_obs=True`` each worker records per-job
-  :mod:`repro.obs` telemetry files, merged into one trace/metrics view
-  when the campaign completes.
+- with ``sample_every`` each worker arms its flight recorder and writes
+  a per-job series bank, merged into one bank when the campaign
+  completes.
 
 Workers rebuild their config from its dict form
 (``ExperimentConfig.from_dict``) and produce records through the same
@@ -37,7 +37,7 @@ from ..experiments.config import ExperimentConfig
 from .errors import CampaignInterrupted, JournalError, RetryBudgetExceeded
 from .jobs import Job, build_jobs
 from .journal import JOURNAL_FILENAME, CheckpointJournal, JournalState
-from .merge import merge_metrics_files, merge_series_files, merge_trace_files
+from .merge import merge_series_files
 
 __all__ = ["ParallelResult", "run_parallel"]
 
@@ -56,9 +56,6 @@ class ParallelResult:
     #: Attempts beyond the first across all jobs.
     retries: int
     journal_path: Optional[Path] = None
-    #: Merged obs artifacts (``capture_obs=True`` runs only).
-    trace_path: Optional[Path] = None
-    metrics_path: Optional[Path] = None
     #: Merged flight-recorder bank (``sample_every`` runs only).
     series_path: Optional[Path] = None
 
@@ -81,25 +78,12 @@ def _execute_job(payload: dict) -> dict:
 
     from ..experiments.persistence import run_record
     from ..experiments.runner import run_experiment
-    from ..obs import (
-        InMemoryRecorder,
-        MetricsRegistry,
-        SeriesBank,
-        Telemetry,
-        save_jsonl,
-    )
+    from ..obs import SeriesBank, Telemetry
 
     config = ExperimentConfig.from_dict(payload["config"])
     obs_dir = payload.get("obs_dir")
-    capture = payload.get("capture_obs", False)
-    sample_every = payload.get("sample_every")
     telemetry = (
-        Telemetry(
-            trace=InMemoryRecorder() if capture else None,
-            metrics=MetricsRegistry() if capture else None,
-            series=SeriesBank() if sample_every is not None else None,
-            sample_every=sample_every,
-        )
+        Telemetry(series=SeriesBank(), sample_every=payload["sample_every"])
         if obs_dir is not None
         else None
     )
@@ -110,20 +94,11 @@ def _execute_job(payload: dict) -> dict:
     record = run_record(config, run.metrics, wall)
 
     if obs_dir is not None:
-        job_id = payload["job_id"]
         out = Path(obs_dir)
         out.mkdir(parents=True, exist_ok=True)
-        if capture:
-            save_jsonl(
-                telemetry.trace.events(), out / f"trace-{job_id}.jsonl"
-            )
-            (out / f"metrics-{job_id}.json").write_text(
-                json.dumps(telemetry.metrics.as_dict()), encoding="utf-8"
-            )
-        if telemetry.sampling:
-            (out / f"series-{job_id}.json").write_text(
-                json.dumps(telemetry.series.as_dict()), encoding="utf-8"
-            )
+        (out / f"series-{payload['job_id']}.json").write_text(
+            json.dumps(telemetry.series.as_dict()), encoding="utf-8"
+        )
     return {"job_id": payload["job_id"], "record": record}
 
 
@@ -137,7 +112,6 @@ def run_parallel(
     max_retries: int = 2,
     backoff_base: float = 0.25,
     backoff_cap: float = 4.0,
-    capture_obs: bool = False,
     sample_every: Optional[float] = None,
     stop_after: Optional[int] = None,
     on_record: Optional[Callable[[dict], None]] = None,
@@ -157,8 +131,9 @@ def run_parallel(
         Worker process count (≥ 1).
     checkpoint_dir:
         Directory for the checkpoint journal (``journal.jsonl``) and,
-        with ``capture_obs``, per-worker obs files plus their merged
-        views.  ``None`` runs without any checkpointing.
+        with ``sample_every``, the per-job series banks plus their
+        merged ``series.json``.  ``None`` runs without any
+        checkpointing.
     resume:
         Skip every job the directory's journal records as done and
         append to that journal.  A missing journal starts fresh.
@@ -168,14 +143,11 @@ def run_parallel(
         cannot attribute the crash).
     backoff_base / backoff_cap:
         Retry delay: ``min(cap, base * 2**(attempt-1))`` seconds.
-    capture_obs:
-        Record per-job telemetry in the workers and merge it at the end
-        (requires ``checkpoint_dir``).
     sample_every:
         Arm each worker's flight recorder on this sampling cadence
         (simulated time); the per-job series banks merge into one
         ``series.json`` at the end.  Requires ``checkpoint_dir`` (the
-        per-job banks land next to the journal) but not ``capture_obs``.
+        per-job banks land next to the journal).
     stop_after:
         Test/CI hook — raise :class:`CampaignInterrupted` (journal
         flushed) once this many jobs complete in this invocation.
@@ -199,8 +171,6 @@ def run_parallel(
         raise ValueError("jobs must be >= 1")
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires a checkpoint_dir")
-    if capture_obs and checkpoint_dir is None:
-        raise ValueError("capture_obs=True requires a checkpoint_dir")
     if sample_every is not None and checkpoint_dir is None:
         raise ValueError("sample_every requires a checkpoint_dir")
     if sample_every is not None and sample_every <= 0:
@@ -216,8 +186,8 @@ def run_parallel(
     }
 
     checkpoint_path = Path(checkpoint_dir) if checkpoint_dir else None
-    want_obs = capture_obs or sample_every is not None
-    obs_dir = checkpoint_path / "obs" if (checkpoint_path and want_obs) else None
+    want_series = checkpoint_path is not None and sample_every is not None
+    obs_dir = checkpoint_path / "obs" if want_series else None
 
     # --- recover prior state -------------------------------------------------
     state = JournalState()
@@ -264,7 +234,6 @@ def run_parallel(
             "attempt": attempts[job.job_id],
             "config": job.config.to_dict(),
             "obs_dir": str(obs_dir) if obs_dir is not None else None,
-            "capture_obs": capture_obs,
             "sample_every": sample_every,
             "fault": fault_by_id.get(job.job_id),
         }
@@ -351,17 +320,9 @@ def run_parallel(
             journal.close()
 
     records = [completed[job.job_id] for job in job_list]
-    trace_path = metrics_path = series_path = None
+    series_path = None
     if obs_dir is not None:
-        trace_files = sorted(obs_dir.glob("trace-*.jsonl"))
-        metrics_files = sorted(obs_dir.glob("metrics-*.json"))
         series_files = sorted(obs_dir.glob("series-*.json"))
-        if trace_files:
-            trace_path = checkpoint_path / "trace.jsonl"
-            merge_trace_files(trace_files, out=trace_path)
-        if metrics_files:
-            metrics_path = checkpoint_path / "metrics.json"
-            merge_metrics_files(metrics_files, out=metrics_path)
         if series_files:
             series_path = checkpoint_path / "series.json"
             merge_series_files(series_files, out=series_path)
@@ -373,7 +334,5 @@ def run_parallel(
         skipped=skipped,
         retries=retries,
         journal_path=journal_path,
-        trace_path=trace_path,
-        metrics_path=metrics_path,
         series_path=series_path,
     )

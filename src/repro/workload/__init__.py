@@ -14,12 +14,7 @@ from .distributions import (
     mmpp2_interarrivals,
     thinned_interarrivals,
 )
-from .generator import (
-    DEFAULT_PRIORITY_MIX,
-    WorkloadGenerator,
-    WorkloadSpec,
-    oracle_mode,
-)
+from .generator import DEFAULT_PRIORITY_MIX, WorkloadGenerator, WorkloadSpec
 from .priorities import (
     HIGH_SLACK_MAX,
     LOW_SLACK_MIN,
@@ -46,7 +41,6 @@ from .traces import (
 __all__ = [
     "Task",
     "TaskStore",
-    "oracle_mode",
     "Priority",
     "classify_slack",
     "slack_band",

@@ -13,7 +13,6 @@ the authors used are substituted with a seeded synthetic generator:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -28,19 +27,7 @@ __all__ = [
     "WorkloadSpec",
     "WorkloadGenerator",
     "DEFAULT_PRIORITY_MIX",
-    "oracle_mode",
 ]
-
-#: Environment variable selecting the pre-refactor scalar construction
-#: path (one ``Task(...)`` call per task) instead of the columnar bulk
-#: fill.  The two paths are bit-identical — the oracle exists so the
-#: property suite can prove it (``tests/property/test_soa_oracle.py``).
-ORACLE_ENV = "REPRO_SOA_ORACLE"
-
-
-def oracle_mode() -> bool:
-    """True when :data:`ORACLE_ENV` selects the scalar oracle path."""
-    return os.environ.get(ORACLE_ENV, "0").lower() not in ("0", "", "false")
 
 #: Equal thirds by default; experiments override this mix.
 DEFAULT_PRIORITY_MIX = (1 / 3, 1 / 3, 1 / 3)
@@ -150,9 +137,9 @@ class WorkloadGenerator:
 
         MMPP and diurnal arrivals both thread hidden state (the Markov
         phase, the thinning clock) across draws, so — unlike the plain
-        Poisson path — they are drawn in full upfront by both
-        :meth:`generate` and :meth:`iter_tasks`, which keeps RNG stream
-        consumption bit-identical between the two paths.
+        Poisson path — :meth:`iter_tasks` draws them in full upfront,
+        which keeps RNG stream consumption independent of the chunk
+        size.
         """
         spec = self.spec
         if spec.arrival_process == "mmpp":
@@ -175,73 +162,24 @@ class WorkloadGenerator:
         )
 
     def generate(self) -> list[Task]:
-        """Generate the full task list, sorted by arrival time."""
-        spec = self.spec
-        n = spec.num_tasks
-        if spec.arrival_process == "poisson":
-            iats = self._arrivals.exponential(spec.mean_interarrival, size=n)
-        else:
-            iats = self._modulated_interarrivals(n)
-        arrivals = spec.first_arrival + np.cumsum(iats)
-        if spec.size_distribution == "uniform":
-            sizes = self._sizes.uniform(*spec.size_range_mi, size=n)
-        else:
-            from .distributions import bounded_pareto
+        """Generate the full task list, sorted by arrival time.
 
-            sizes = bounded_pareto(
-                n,
-                spec.size_range_mi[0],
-                spec.size_range_mi[1],
-                spec.pareto_alpha,
-                self._sizes,
-            )
-        prio_idx = self._slack.choice(3, size=n, p=list(spec.priority_mix))
-        slack_u = self._slack.uniform(0.0, 1.0, size=n)
-
-        # Batched tail: the same IEEE-754 double expressions as the
-        # original per-task loop, evaluated elementwise, so every task
-        # field is bit-identical (see tests/workload/test_generator.py).
-        priorities = (Priority.HIGH, Priority.MEDIUM, Priority.LOW)
-        bands = np.array(
-            [slack_band(p) for p in priorities], dtype=np.float64
-        )
-        lo = bands[prio_idx, 0]
-        hi = bands[prio_idx, 1]
-        slack_fraction = lo + (hi - lo) * slack_u
-        act = sizes / spec.reference_speed_mips
-        deadline = arrivals + act * (1.0 + slack_fraction)
-
-        if oracle_mode():
-            # Scalar oracle: the pre-refactor per-object path, kept so
-            # the property suite can pin bulk/scalar bit-identity.
-            size_list = sizes.tolist()
-            arrival_list = arrivals.tolist()
-            act_list = act.tolist()
-            deadline_list = deadline.tolist()
-            return [
-                Task(
-                    tid=i,
-                    size_mi=size_list[i],
-                    arrival_time=arrival_list[i],
-                    act=act_list[i],
-                    deadline=deadline_list[i],
-                )
-                for i in range(n)
-            ]
-        # Columnar fill: one store for the whole workload; validation
-        # and slack classification run vectorized in bulk_append with
-        # exact scalar parity, and no Task object is constructed.
-        store = TaskStore()
-        rows = store.bulk_append(range(n), sizes, arrivals, act, deadline)
-        return [Task._view(store, row) for row in range(rows.start, rows.stop)]
+        One chunk of all ``num_tasks`` tasks: the arrival cumsum's carry
+        starts at ``0.0`` and ``0.0 + x`` is ``x``, so this is the
+        full-array draw, and every task's bits match any chunking of
+        :meth:`iter_tasks` (``tests/workload/test_generator.py``).
+        """
+        return list(self.iter_tasks(chunk=self.spec.num_tasks))
 
     def iter_tasks(self, chunk: int = 1024) -> Iterator[Task]:
         """Lazily yield the same tasks as :meth:`generate`, in order.
 
         The service ingress (:mod:`repro.service`) consumes workloads as
         a stream, so this path never materializes the ``list[Task]`` —
-        tasks are built and yielded chunk by chunk.  RNG consumption is
-        bit-identical to the batch path (pinned by
+        tasks are built and yielded chunk by chunk, as views onto one
+        :class:`TaskStore` whose ``bulk_append`` validates and
+        classifies each chunk vectorized, with no ``Task(...)`` built.
+        RNG consumption does not depend on *chunk* (pinned by
         ``tests/workload/test_generator.py``):
 
         - the *arrivals* and *sizes* streams are drawn per chunk —
@@ -250,24 +188,25 @@ class WorkloadGenerator:
           (MMPP and diurnal arrivals are the exception: hidden state —
           the Markov phase, the thinning clock — carries across draws,
           so they are drawn in full upfront);
-        - the *slack* stream's batch layout is position-dependent (all
-          ``n`` priority draws, then all ``n`` slack draws from the one
+        - the *slack* stream's layout is position-dependent (all ``n``
+          priority draws, then all ``n`` slack draws from the one
           stream), so those two columns are drawn upfront — O(n)
           float64 columns, not O(n) task objects;
         - the arrival cumsum carries the running inter-arrival sum
           between chunks with the same left-to-right association as
           ``np.cumsum`` over the full array, so every float matches.
 
-        Like :meth:`generate`, this consumes the generator's RNG
-        streams: use a fresh :class:`WorkloadGenerator` per pass.
+        Each task field is the same IEEE-754 double expression as the
+        original per-task loop, evaluated elementwise.  Like
+        :meth:`generate`, this consumes the generator's RNG streams:
+        use a fresh :class:`WorkloadGenerator` per pass.
         """
         if chunk <= 0:
             raise ValueError("chunk must be positive")
         spec = self.spec
         n = spec.num_tasks
-        scalar = oracle_mode()
         # One store for the whole stream.
-        store = None if scalar else TaskStore()
+        store = TaskStore()
 
         # Position-dependent slack-stream layout: draw both columns now.
         prio_idx = self._slack.choice(3, size=n, p=list(spec.priority_mix))
@@ -314,25 +253,11 @@ class WorkloadGenerator:
             act = sizes / spec.reference_speed_mips
             deadline = arrivals + act * (1.0 + slack_fraction)
 
-            if scalar:
-                size_list = sizes.tolist()
-                arrival_list = arrivals.tolist()
-                act_list = act.tolist()
-                deadline_list = deadline.tolist()
-                for i in range(m):
-                    yield Task(
-                        tid=start + i,
-                        size_mi=size_list[i],
-                        arrival_time=arrival_list[i],
-                        act=act_list[i],
-                        deadline=deadline_list[i],
-                    )
-            else:
-                rows = store.bulk_append(
-                    range(start, start + m), sizes, arrivals, act, deadline
-                )
-                for row in range(rows.start, rows.stop):
-                    yield Task._view(store, row)
+            rows = store.bulk_append(
+                range(start, start + m), sizes, arrivals, act, deadline
+            )
+            for row in range(rows.start, rows.stop):
+                yield Task._view(store, row)
 
     def __iter__(self) -> Iterator[Task]:
         """Stream tasks lazily (the service-ingress producer protocol)."""

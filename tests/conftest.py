@@ -27,6 +27,31 @@ def strict_mode_from_env():
 
 
 @pytest.fixture
+def dict_qtables(monkeypatch):
+    """Build Adaptive-RL's tabular models over the dict ``QTable``.
+
+    The dense Q table is bit-identical to the dict reference; a test
+    that proves it substitutes the reference here and passes each run's
+    result to the returned check, so a substitution that missed its
+    target fails instead of comparing the dense table with itself.
+    """
+    from repro.core import value_models
+    from repro.rl.qlearning import QTable
+
+    def dict_table(actions, alpha, gamma):
+        return QTable(alpha=alpha, gamma=gamma)
+
+    monkeypatch.setattr(value_models, "DenseQTable", dict_table)
+
+    def check(result) -> None:
+        agents = result.scheduler.agents.values()
+        assert agents
+        assert all(type(a.value_model.table) is QTable for a in agents)
+
+    return check
+
+
+@pytest.fixture
 def env() -> Environment:
     return Environment()
 

@@ -417,22 +417,35 @@ class TestKernelModes:
         assert _kernel_strict() == (self.expected, KERNEL_EVENTS)
 
 
+def _q_snapshots(result) -> list:
+    agents = result.scheduler.agents.values()
+    return [agent.value_model.table.snapshot() for agent in agents]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_dict_backend_matches_golden_digest(seed: int) -> None:
+def test_dict_backend_matches_golden_digest(seed: int, request) -> None:
     """The dict Q-store reference produces the exact pinned digests.
 
-    The default run uses the dense (array-backed) fast path; this guard
-    proves the two backends are interchangeable bit for bit, which is
-    the determinism contract the fast path was built under.
+    The default run uses the dense (array-backed) Q table; this guard
+    substitutes the dict ``QTable`` for it and proves the two are
+    interchangeable bit for bit, which is the determinism contract the
+    dense table was built under.  The digest alone misses a fault that
+    changes no decision (a ``QTable.update`` that learns nothing keeps
+    two of the three), so every agent's final table must match the
+    dense run's too.
     """
     config = ExperimentConfig(
         scheduler="adaptive-rl",
         seed=seed,
         num_tasks=NUM_TASKS,
         arrival_period=ARRIVAL_PERIOD,
-        scheduler_kwargs={"q_backend": "dict"},
     )
-    digest, payload = _digest_payload(run_experiment(config).metrics)
+    dense = _q_snapshots(run_experiment(config))
+    check_tables = request.getfixturevalue("dict_qtables")
+    result = run_experiment(config)
+    check_tables(result)
+    assert _q_snapshots(result) == dense
+    digest, payload = _digest_payload(result.metrics)
     expected = GOLDEN_DIGESTS[f"adaptive-rl/seed{seed}"]
     assert digest == expected, (
         f"dict backend seed={seed}: digest {digest} != pinned {expected} "

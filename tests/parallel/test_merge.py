@@ -1,170 +1,6 @@
-"""Unit tests for per-worker telemetry merging."""
+"""Unit tests for merging per-worker flight-recorder banks."""
 
 import json
-
-import pytest
-
-from repro.obs import (
-    InMemoryRecorder,
-    MetricsRegistry,
-    load_jsonl,
-    save_jsonl,
-)
-from repro.parallel import (
-    merge_metrics_dicts,
-    merge_metrics_files,
-    merge_trace_files,
-)
-
-
-class TestTraceMerge:
-    def _trace_file(self, path, events):
-        rec = InMemoryRecorder()
-        for cat, name, t in events:
-            rec.emit(cat, name, t)
-        save_jsonl(rec.events(), path)
-        return path
-
-    def test_merge_orders_by_time_and_resequences(self, tmp_path):
-        a = self._trace_file(
-            tmp_path / "a.jsonl", [("run", "start", 0.0), ("task", "submit", 5.0)]
-        )
-        b = self._trace_file(
-            tmp_path / "b.jsonl", [("run", "start", 1.0), ("task", "submit", 3.0)]
-        )
-        out = tmp_path / "merged.jsonl"
-        merged = merge_trace_files([a, b], out=out)
-        assert [ev.t for ev in merged] == [0.0, 1.0, 3.0, 5.0]
-        assert [ev.seq for ev in merged] == [0, 1, 2, 3]
-        assert [ev.t for ev in load_jsonl(out)] == [0.0, 1.0, 3.0, 5.0]
-
-    def test_ties_keep_per_file_order(self, tmp_path):
-        a = self._trace_file(
-            tmp_path / "a.jsonl", [("run", "first", 1.0), ("run", "second", 1.0)]
-        )
-        merged = merge_trace_files([a])
-        assert [ev.name for ev in merged] == ["first", "second"]
-
-
-def snapshot(build):
-    registry = MetricsRegistry()
-    build(registry)
-    return registry.as_dict()
-
-
-class TestMetricsMerge:
-    def test_counters_sum(self):
-        a = snapshot(lambda r: r.counter("sim.events").inc(3))
-        b = snapshot(lambda r: r.counter("sim.events").inc(5))
-        merged = merge_metrics_dicts([a, b])
-        assert merged["sim.events"]["value"] == 8
-
-    def test_gauges_keep_high_water(self):
-        a = snapshot(lambda r: r.gauge("queue.depth").set(4))
-        b = snapshot(lambda r: r.gauge("queue.depth").set(9))
-        merged = merge_metrics_dicts([a, b])
-        assert merged["queue.depth"]["value"] == 9
-        assert merged["queue.depth"]["high"] == 9
-
-    def test_histograms_combine(self):
-        def build_a(r):
-            h = r.histogram("lat")
-            h.observe(0.5)
-            h.observe(100.0)
-
-        def build_b(r):
-            r.histogram("lat").observe(2.0)
-
-        merged = merge_metrics_dicts([snapshot(build_a), snapshot(build_b)])
-        h = merged["lat"]
-        assert h["count"] == 3
-        assert h["sum"] == pytest.approx(102.5)
-        assert h["min"] == 0.5
-        assert h["max"] == 100.0
-        assert sum(h["buckets"].values()) == 3
-
-    def test_disjoint_instruments_union(self):
-        a = snapshot(lambda r: r.counter("only.a").inc())
-        b = snapshot(lambda r: r.counter("only.b").inc())
-        merged = merge_metrics_dicts([a, b])
-        assert set(merged) == {"only.a", "only.b"}
-
-    def test_type_conflict_rejected(self):
-        a = snapshot(lambda r: r.counter("x").inc())
-        b = snapshot(lambda r: r.gauge("x").set(1))
-        with pytest.raises(ValueError, match="conflicting types"):
-            merge_metrics_dicts([a, b])
-
-    def test_file_round_trip(self, tmp_path):
-        a_path = tmp_path / "a.json"
-        a_path.write_text(
-            json.dumps(snapshot(lambda r: r.counter("c").inc(2)))
-        )
-        out = tmp_path / "merged.json"
-        merged = merge_metrics_files([a_path], out=out)
-        assert json.loads(out.read_text()) == merged
-
-
-class TestEmptyHistogramMerge:
-    """Regression: a worker that never observed a value snapshots
-    ``min: null`` / ``max: null``; merging it must not poison the
-    combined extrema or quantiles (in either merge order)."""
-
-    def test_empty_then_populated(self):
-        a = snapshot(lambda r: r.histogram("lat"))  # zero observations
-        b = snapshot(lambda r: r.histogram("lat").observe(2.0))
-        merged = merge_metrics_dicts([a, b])
-        h = merged["lat"]
-        assert h["count"] == 1
-        assert h["min"] == 2.0
-        assert h["max"] == 2.0
-        assert h["quantiles"]["p50"] == 2.0
-
-    def test_populated_then_empty(self):
-        a = snapshot(lambda r: r.histogram("lat").observe(2.0))
-        b = snapshot(lambda r: r.histogram("lat"))
-        merged = merge_metrics_dicts([a, b])
-        assert merged["lat"]["min"] == 2.0
-        assert merged["lat"]["max"] == 2.0
-
-    def test_all_empty_stays_null(self):
-        a = snapshot(lambda r: r.histogram("lat"))
-        b = snapshot(lambda r: r.histogram("lat"))
-        merged = merge_metrics_dicts([a, b])
-        h = merged["lat"]
-        assert h["count"] == 0
-        assert h["min"] is None and h["max"] is None
-        assert h["quantiles"] is None
-
-
-class TestMergedQuantiles:
-    def test_quantiles_recomputed_from_folded_buckets(self):
-        def build_low(r):
-            h = r.histogram("lat")
-            for _ in range(9):
-                h.observe(0.3)
-
-        def build_high(r):
-            r.histogram("lat").observe(800.0)
-
-        merged = merge_metrics_dicts(
-            [snapshot(build_low), snapshot(build_high)]
-        )
-        q = merged["lat"]["quantiles"]
-        # p50 sits in the low bucket; p99 must see the other worker's
-        # tail observation, which a stale per-worker quantile would miss.
-        assert q["p50"] < 1.0
-        assert q["p99"] > 100.0
-        # Serial equivalence: one registry observing all ten values.
-        def build_all(r):
-            h = r.histogram("lat")
-            for _ in range(9):
-                h.observe(0.3)
-            h.observe(800.0)
-
-        assert merged["lat"]["quantiles"] == snapshot(build_all)["lat"][
-            "quantiles"
-        ]
 
 
 class TestSeriesMerge:

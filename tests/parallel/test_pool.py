@@ -1,4 +1,4 @@
-"""Engine tests: serial/parallel record equality, retries, obs capture.
+"""Engine tests: serial/parallel record equality, retries, validation.
 
 These spawn real worker processes; grids stay tiny (see conftest).
 """
@@ -6,7 +6,6 @@ These spawn real worker processes; grids stay tiny (see conftest).
 import pytest
 
 from repro.experiments.config import grid
-from repro.obs import load_jsonl
 from repro.parallel import (
     CheckpointJournal,
     RetryBudgetExceeded,
@@ -20,9 +19,7 @@ class TestRecordEquality:
     @pytest.fixture(scope="class")
     def parallel_result(self, tmp_path_factory):
         ck = tmp_path_factory.mktemp("pool") / "ck"
-        return run_parallel(
-            small_grid(), jobs=2, checkpoint_dir=ck, capture_obs=True
-        )
+        return run_parallel(small_grid(), jobs=2, checkpoint_dir=ck)
 
     def test_matches_serial_records(self, parallel_result, serial_records):
         assert [
@@ -38,14 +35,6 @@ class TestRecordEquality:
         state = CheckpointJournal.load(parallel_result.journal_path)
         assert len(state.completed) == len(small_grid())
         assert state.interrupted_jobs == set()
-
-    def test_obs_merged(self, parallel_result):
-        events = load_jsonl(parallel_result.trace_path)
-        # One run.start/run.end pair per job, interleaved by sim time.
-        starts = [e for e in events if e.category == "run" and e.name == "start"]
-        assert len(starts) == len(small_grid())
-        assert [e.t for e in events] == sorted(e.t for e in events)
-        assert parallel_result.metrics_path.exists()
 
 
 class TestSubmissionOrder:
@@ -72,7 +61,7 @@ class TestWithoutCheckpoint:
         result = run_parallel(small_grid()[:2], jobs=2)
         assert [comparable(r) for r in result.records] == serial_records[:2]
         assert result.journal_path is None
-        assert result.trace_path is None
+        assert result.series_path is None
 
 
 class TestRetries:
@@ -126,10 +115,6 @@ class TestValidation:
     def test_resume_requires_checkpoint_dir(self):
         with pytest.raises(ValueError, match="resume"):
             run_parallel(small_grid(), resume=True)
-
-    def test_capture_obs_requires_checkpoint_dir(self):
-        with pytest.raises(ValueError, match="capture_obs"):
-            run_parallel(small_grid(), capture_obs=True)
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError, match="jobs"):

@@ -1,10 +1,12 @@
 """Columnar-vs-oracle equivalence: the SoA refactor changes no bits.
 
-``REPRO_SOA_ORACLE=1`` routes workload construction through the
-pre-refactor scalar path (one ``Task(...)`` per task) instead of the
-columnar ``TaskStore.bulk_append`` fill.  These properties drive the
-*same* experiment config through both paths and require equality at
-every completion — task state, queue depth, and the running energy
+The oracle rebuilds every generated task through the scalar
+constructor — ``Task(tid, size_mi, arrival_time, act, deadline)``, a
+row of its own in the scratch store, its priority re-derived by
+``classify_slack`` — instead of keeping the generator's columnar
+``TaskStore.bulk_append`` views.  These properties drive the *same*
+experiment config through both paths and require equality at every
+completion — task state, queue depth, and the running energy
 accumulator — not just at the end of the run, so an ordering or
 accumulation divergence anywhere in the hot loop fails loudly.
 """
@@ -16,7 +18,19 @@ from hypothesis import strategies as st
 from repro.cluster import PlatformSpec
 from repro.core.base import Scheduler
 from repro.experiments import ExperimentConfig, run_experiment
-from repro.workload.generator import ORACLE_ENV
+from repro.workload.generator import WorkloadGenerator
+from repro.workload.task import _SCRATCH, Task
+
+
+_columnar_generate = WorkloadGenerator.generate
+
+
+def scalar_generate(self):
+    """``WorkloadGenerator.generate`` through the scalar constructor."""
+    return [
+        Task(t.tid, t.size_mi, t.arrival_time, t.act, t.deadline)
+        for t in _columnar_generate(self)
+    ]
 
 
 @st.composite
@@ -70,13 +84,21 @@ def _run_traced(config, oracle: bool, strict=None):
         )
         orig(self, task, node)
 
+    generated = []
+
+    def spy_generate(self):
+        tasks = scalar_generate(self) if oracle else _columnar_generate(self)
+        generated.extend(tasks)
+        return tasks
+
     with pytest.MonkeyPatch.context() as mp:
-        if oracle:
-            mp.setenv(ORACLE_ENV, "1")
-        else:
-            mp.delenv(ORACLE_ENV, raising=False)
+        mp.setattr(WorkloadGenerator, "generate", spy_generate)
         mp.setattr(Scheduler, "_task_completed", spy)
         result = run_experiment(config, strict=strict)
+    # The substitution took effect: every oracle task is a scalar
+    # construction, a row of the scratch store, and no columnar one is.
+    assert len(generated) == config.num_tasks
+    assert all((t._store is _SCRATCH) == oracle for t in generated)
     digest = (
         result.metrics.avert.hex(),
         result.metrics.ecs.hex(),

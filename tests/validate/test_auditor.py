@@ -91,11 +91,12 @@ class TestCleanRuns:
     """Full experiments under audit: every invariant holds."""
 
     @pytest.mark.parametrize("backend", ["dense", "dict"])
-    def test_adaptive_rl_clean(self, backend):
-        result = run_experiment(
-            small_config(scheduler_kwargs={"q_backend": backend}),
-            strict=True,
-        )
+    def test_adaptive_rl_clean(self, backend, request):
+        if backend == "dict":
+            check_tables = request.getfixturevalue("dict_qtables")
+        result = run_experiment(small_config(), strict=True)
+        if backend == "dict":
+            check_tables(result)
         assert result.audit is not None
         assert result.audit.ok, result.audit.summary()
         assert result.audit.finalized
@@ -106,10 +107,7 @@ class TestCleanRuns:
         assert result.audit.sweeps > 0
 
     def test_dense_backend_exercises_qparity(self):
-        result = run_experiment(
-            small_config(scheduler_kwargs={"q_backend": "dense"}),
-            strict=True,
-        )
+        result = run_experiment(small_config(), strict=True)
         assert result.audit.checks.get(INV_QPARITY, 0) > 0
 
     def test_failures_and_dvfs_clean(self):

@@ -123,7 +123,9 @@ class TestBatchedTailBitIdentity:
 
     @staticmethod
     def _reference_tasks(spec, seed):
-        """The original per-task scalar loop, kept as the oracle."""
+        """The original per-task scalar loop, kept as the oracle: every
+        column drawn in full, one ``Task(...)`` per task."""
+        from repro.workload import distributions as dist
         from repro.workload.priorities import slack_band
         from repro.workload.task import Task
 
@@ -132,9 +134,30 @@ class TestBatchedTailBitIdentity:
         sizes_rng = streams["workload.sizes"]
         slack_rng = streams["workload.slack"]
         n = spec.num_tasks
-        iats = arrivals_rng.exponential(spec.mean_interarrival, size=n)
+        if spec.arrival_process == "poisson":
+            iats = arrivals_rng.exponential(spec.mean_interarrival, size=n)
+        elif spec.arrival_process == "mmpp":
+            params = dist.MMPP2.with_mean_interarrival(
+                spec.mean_interarrival, burstiness=spec.mmpp_burstiness
+            )
+            iats = dist.mmpp2_interarrivals(n, params, arrivals_rng)
+        else:
+            profile = dist.DiurnalRate(
+                base_rate=1.0 / spec.mean_interarrival,
+                period=spec.diurnal_period,
+                amplitude=spec.diurnal_amplitude,
+                phase=spec.diurnal_phase,
+            )
+            iats = dist.diurnal_interarrivals(
+                n, profile, arrivals_rng, t0=spec.first_arrival
+            )
         arrivals = spec.first_arrival + np.cumsum(iats)
-        sizes = sizes_rng.uniform(*spec.size_range_mi, size=n)
+        if spec.size_distribution == "uniform":
+            sizes = sizes_rng.uniform(*spec.size_range_mi, size=n)
+        else:
+            sizes = dist.bounded_pareto(
+                n, *spec.size_range_mi, spec.pareto_alpha, sizes_rng
+            )
         prio_idx = slack_rng.choice(3, size=n, p=list(spec.priority_mix))
         slack_u = slack_rng.uniform(0.0, 1.0, size=n)
         priorities = (Priority.HIGH, Priority.MEDIUM, Priority.LOW)
@@ -160,15 +183,19 @@ class TestBatchedTailBitIdentity:
     def test_bit_identical_to_scalar_reference(self, seed):
         spec = WorkloadSpec(num_tasks=400, priority_mix=(0.6, 0.3, 0.1))
         got = WorkloadGenerator(spec, RandomStreams(seed=seed)).generate()
-        want = self._reference_tasks(spec, seed)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.tid == w.tid
-            assert g.size_mi.hex() == w.size_mi.hex()
-            assert g.arrival_time.hex() == w.arrival_time.hex()
-            assert g.act.hex() == w.act.hex()
-            assert g.deadline.hex() == w.deadline.hex()
-            assert g.priority is w.priority
+        TestIterTasksEquivalence._assert_same(
+            got, self._reference_tasks(spec, seed)
+        )
+
+    @pytest.mark.parametrize(
+        "name", ["mmpp", "diurnal", "pareto", "offset-mix"]
+    )
+    def test_every_variant_matches_scalar_reference(self, name):
+        spec = TestIterTasksEquivalence.SPECS[name]
+        got = WorkloadGenerator(spec, RandomStreams(seed=42)).generate()
+        TestIterTasksEquivalence._assert_same(
+            got, self._reference_tasks(spec, 42)
+        )
 
 
 class TestIterTasksEquivalence:

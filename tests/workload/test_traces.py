@@ -243,15 +243,23 @@ class TestSoARoundTrip:
             t.deadline.hex() for t in boundary
         ]
 
-    def test_round_trip_under_scalar_oracle(self, tmp_path, monkeypatch):
-        """REPRO_SOA_ORACLE=1 (the scalar construction path) must write
-        and replay the very same bytes as the columnar default."""
+    def test_round_trip_under_scalar_oracle(self, tmp_path):
+        """The same tasks rebuilt through the scalar constructor (rows
+        of the scratch store, priorities from ``classify_slack``) must
+        write the very same bytes as the columnar views."""
+        from repro.workload.task import _SCRATCH, Task
         from repro.workload.traces import save_trace_jsonl
 
+        columnar = self._stream_tasks()
         columnar_path = tmp_path / "columnar.jsonl"
-        save_trace_jsonl(self._stream_tasks(), columnar_path)
+        save_trace_jsonl(columnar, columnar_path)
 
-        monkeypatch.setenv("REPRO_SOA_ORACLE", "1")
+        oracle = [
+            Task(t.tid, t.size_mi, t.arrival_time, t.act, t.deadline)
+            for t in self._stream_tasks()
+        ]
+        assert all(t._store is _SCRATCH for t in oracle)
+        assert all(t._store is not _SCRATCH for t in columnar)
         oracle_path = tmp_path / "oracle.jsonl"
-        save_trace_jsonl(self._stream_tasks(), oracle_path)
+        save_trace_jsonl(oracle, oracle_path)
         assert oracle_path.read_bytes() == columnar_path.read_bytes()
