@@ -70,9 +70,9 @@ class FailureModel:
     mean_time_to_repair: float
 
     def __post_init__(self) -> None:
-        if self.mean_time_between_failures <= 0:
+        if not self.mean_time_between_failures > 0:
             raise ValueError("MTBF must be positive")
-        if self.mean_time_to_repair <= 0:
+        if not self.mean_time_to_repair > 0:
             raise ValueError("MTTR must be positive")
 
     @property

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -217,8 +218,8 @@ def main(argv: list[str] | None = None) -> int:
         set_strict(True)
         print("strict mode: invariant auditor attached to every run")
 
-    if args.sample_every is not None and args.sample_every <= 0:
-        parser.error("--sample-every must be positive")
+    if args.sample_every is not None and not 0 < args.sample_every < math.inf:
+        parser.error("--sample-every must be positive and finite")
 
     if args.workload_trace is not None or args.arrival_process is not None:
         from .config import set_workload_defaults

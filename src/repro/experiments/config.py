@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from ..cluster.system import PlatformSpec
 from ..workload.generator import DEFAULT_PRIORITY_MIX
 
@@ -83,6 +85,18 @@ DEFAULT_ARRIVAL_PERIOD = 2500.0
 #: the light→heavy regime the evaluation sweeps.
 DEFAULT_SIZE_RANGE_MI = (600.0 * 24, 7200.0 * 24)
 
+#: The float fields that must be finite when set (tuples elementwise).
+#: ``failure_mtbf`` is left out: an infinite MTBF runs like ``None``.
+_FLOAT_FIELDS = (
+    "arrival_period",
+    "mean_interarrival",
+    "size_range_mi",
+    "reference_speed_mips",
+    "priority_mix",
+    "failure_mttr",
+    "sim_time_factor",
+)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -128,20 +142,28 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.num_tasks <= 0:
             raise ValueError("num_tasks must be positive")
-        if self.mean_interarrival <= 0:
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not self.mean_interarrival > 0:
             raise ValueError("mean_interarrival must be positive")
-        if self.arrival_period is not None and self.arrival_period <= 0:
+        if self.arrival_period is not None and not self.arrival_period > 0:
             raise ValueError("arrival_period must be positive")
         lo, hi = self.size_range_mi
         if not 0 < lo <= hi:
             raise ValueError(f"invalid size range {self.size_range_mi}")
-        if self.reference_speed_mips is not None and self.reference_speed_mips <= 0:
+        if (
+            self.reference_speed_mips is not None
+            and not self.reference_speed_mips > 0
+        ):
             raise ValueError("reference_speed_mips must be positive")
-        if self.failure_mtbf is not None and self.failure_mtbf <= 0:
+        # An infinite MTBF is allowed: it draws no failure, like None.
+        if self.failure_mtbf is not None and not self.failure_mtbf > 0:
             raise ValueError("failure_mtbf must be positive")
-        if self.failure_mttr <= 0:
+        if not self.failure_mttr > 0:
             raise ValueError("failure_mttr must be positive")
-        if self.sim_time_factor <= 1:
+        if not self.sim_time_factor > 1:
             raise ValueError("sim_time_factor must exceed 1")
 
     @property

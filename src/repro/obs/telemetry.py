@@ -14,6 +14,7 @@ thread the object explicitly (the figure functions call
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Optional
 
@@ -74,8 +75,8 @@ class Telemetry:
             if sample_every is not None
             else DEFAULT_SAMPLE_EVERY
         )
-        if self.sample_every <= 0:
-            raise ValueError("sample_every must be positive")
+        if not 0 < self.sample_every < math.inf:
+            raise ValueError("sample_every must be positive and finite")
         # Pillar flags are plain precomputed booleans: hot paths read
         # them once per operation and skip all telemetry work when off.
         self.tracing: bool = self.trace.active

@@ -18,6 +18,7 @@ identical (pinned by ``tests/obs/test_sampler_determinism.py``).
 
 from __future__ import annotations
 
+import math
 import time as _time
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
@@ -224,8 +225,8 @@ class PeriodicSampler:
         until: float = 0.0,
         probes: Sequence[Probe] = (),
     ) -> None:
-        if every <= 0:
-            raise ValueError("sampling cadence must be positive")
+        if not 0 < every < math.inf:
+            raise ValueError("sampling cadence must be positive and finite")
         self.bank = bank
         self.every = every
         self.until = until

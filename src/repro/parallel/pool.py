@@ -25,6 +25,7 @@ record set (modulo the host-dependent ``wall_seconds`` field).
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
@@ -173,8 +174,8 @@ def run_parallel(
         raise ValueError("resume=True requires a checkpoint_dir")
     if sample_every is not None and checkpoint_dir is None:
         raise ValueError("sample_every requires a checkpoint_dir")
-    if sample_every is not None and sample_every <= 0:
-        raise ValueError("sample_every must be positive")
+    if sample_every is not None and not 0 < sample_every < math.inf:
+        raise ValueError("sample_every must be positive and finite")
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -142,8 +143,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--resume requires --journal-dir")
     if args.arrival_rate is not None and args.arrival_rate <= 0:
         parser.error("--arrival-rate must be positive")
-    if args.sample_every is not None and args.sample_every <= 0:
-        parser.error("--sample-every must be positive")
+    if args.sample_every is not None and not 0 < args.sample_every < math.inf:
+        parser.error("--sample-every must be positive and finite")
     if args.failure_mtbf is not None and args.failure_mtbf <= 0:
         parser.error("--failure-mtbf must be positive")
     if args.failure_mttr <= 0:

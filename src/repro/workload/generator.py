@@ -32,6 +32,22 @@ __all__ = [
 #: Equal thirds by default; experiments override this mix.
 DEFAULT_PRIORITY_MIX = (1 / 3, 1 / 3, 1 / 3)
 
+#: The spec's float fields (tuples elementwise).  Each must be finite:
+#: a NaN passes no comparison, so an unchecked one hangs the MMPP and
+#: diurnal draws or builds tasks with NaN arrivals and deadlines.
+_FLOAT_FIELDS = (
+    "mean_interarrival",
+    "size_range_mi",
+    "priority_mix",
+    "reference_speed_mips",
+    "first_arrival",
+    "mmpp_burstiness",
+    "diurnal_period",
+    "diurnal_amplitude",
+    "diurnal_phase",
+    "pareto_alpha",
+)
+
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -80,25 +96,29 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if self.num_tasks <= 0:
             raise ValueError("num_tasks must be positive")
-        if self.mean_interarrival <= 0:
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not self.mean_interarrival > 0:
             raise ValueError("mean_interarrival must be positive")
         lo, hi = self.size_range_mi
         if not 0 < lo <= hi:
             raise ValueError(f"invalid size range {self.size_range_mi}")
         if len(self.priority_mix) != 3:
             raise ValueError("priority_mix must have 3 entries (high, med, low)")
-        if any(p < 0 for p in self.priority_mix):
+        if any(not p >= 0 for p in self.priority_mix):
             raise ValueError("priority probabilities must be non-negative")
         total = sum(self.priority_mix)
         if not np.isclose(total, 1.0, atol=1e-9):
             raise ValueError(f"priority_mix must sum to 1, got {total}")
-        if self.reference_speed_mips <= 0:
+        if not self.reference_speed_mips > 0:
             raise ValueError("reference_speed_mips must be positive")
         if self.arrival_process not in ("poisson", "mmpp", "diurnal"):
             raise ValueError(f"unknown arrival process {self.arrival_process!r}")
-        if self.mmpp_burstiness <= 1:
+        if not self.mmpp_burstiness > 1:
             raise ValueError("mmpp_burstiness must exceed 1")
-        if self.diurnal_period <= 0:
+        if not self.diurnal_period > 0:
             raise ValueError("diurnal_period must be positive")
         if not 0.0 <= self.diurnal_amplitude <= 1.0:
             raise ValueError("diurnal_amplitude must lie in [0, 1]")
@@ -106,7 +126,7 @@ class WorkloadSpec:
             raise ValueError(
                 f"unknown size distribution {self.size_distribution!r}"
             )
-        if self.pareto_alpha <= 0:
+        if not self.pareto_alpha > 0:
             raise ValueError("pareto_alpha must be positive")
         if self.size_distribution == "bounded-pareto" and lo == hi:
             # A degenerate band passes the 0 < lo <= hi check above but

@@ -71,11 +71,12 @@ class Task:
         processor_id: Optional[str] = None,
         site_id: Optional[str] = None,
     ) -> None:
-        if size_mi <= 0:
+        # Negated checks, so that a NaN field fails them.
+        if not size_mi > 0:
             raise ValueError(f"task {tid}: size must be positive")
-        if act <= 0:
+        if not act > 0:
             raise ValueError(f"task {tid}: ACT must be positive")
-        if deadline < arrival_time:
+        if not deadline >= arrival_time:
             raise ValueError(f"task {tid}: deadline precedes arrival")
         if priority is None:
             priority = classify_slack(((deadline - arrival_time) - act) / act)

@@ -140,12 +140,13 @@ class TaskStore:
         if len(tids) != n:
             raise ValueError("task field columns must have equal length")
 
-        # The scalar constructor's checks, elementwise.  The slack
-        # fraction is re-derived from the stored fields with the same
-        # expression as Task.slack_fraction so classification bits match.
-        bad_size = sizes <= 0
-        bad_act = acts <= 0
-        bad_deadline = deadlines < arrivals
+        # The scalar constructor's checks, elementwise and negated like
+        # them, so that a NaN field fails.  The slack fraction is
+        # re-derived from the stored fields with the same expression as
+        # Task.slack_fraction so classification bits match.
+        bad_size = ~(sizes > 0)
+        bad_act = ~(acts > 0)
+        bad_deadline = ~(deadlines >= arrivals)
         with np.errstate(divide="ignore", invalid="ignore"):
             slack = ((deadlines - arrivals) - acts) / acts
         bad_slack = slack <= -1e-9

@@ -52,7 +52,9 @@ class TestFailureModel:
         m = FailureModel(3.7, 12.9)
         assert 0.0 < m.availability < 1.0
 
-    @pytest.mark.parametrize("mtbf,mttr", [(0, 1), (1, 0), (-1, 1)])
+    @pytest.mark.parametrize(
+        "mtbf,mttr", [(0, 1), (1, 0), (-1, 1), (math.nan, 1), (1, math.nan)]
+    )
     def test_invalid(self, mtbf, mttr):
         with pytest.raises(ValueError):
             FailureModel(mtbf, mttr)

@@ -52,6 +52,15 @@ class TestCLI:
             set_workload_defaults()
         assert "no such file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("every", ["nan", "inf"])
+    def test_sample_every_must_be_positive_and_finite(self, capsys, every):
+        """A NaN or infinite cadence never arms the sampler: the run
+        used to exit 0 with no series recorded."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fig10", "--quick", "--sample-every", every])
+        assert exc.value.code == 2
+        assert "--sample-every" in capsys.readouterr().err
+
     def test_arrival_process_flag_sets_default(self, capsys, monkeypatch):
         from repro.experiments.config import ExperimentConfig, set_workload_defaults
 

@@ -7,6 +7,9 @@ import pytest
 from repro.cluster.node import SleepPolicy
 from repro.experiments import ExperimentConfig, default_platform, grid
 
+NAN = float("nan")
+INF = float("inf")
+
 
 class TestExperimentConfig:
     def test_defaults_mirror_paper(self):
@@ -43,6 +46,50 @@ class TestExperimentConfig:
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(reference_speed_mips=NAN),
+            dict(reference_speed_mips=INF),
+            dict(arrival_period=NAN),
+            dict(arrival_period=INF),
+            dict(arrival_period=None, mean_interarrival=NAN),
+            dict(sim_time_factor=NAN),
+            dict(sim_time_factor=INF),
+            dict(size_range_mi=(600.0, INF)),
+        ],
+    )
+    def test_non_finite_run_parameters_rejected(self, kwargs):
+        """A NaN reference speed used to run to a success rate of 0.0;
+        the others ended in ``SimulationStalled`` or infinite sizes."""
+        with pytest.raises(ValueError, match="must"):
+            ExperimentConfig(num_tasks=20, seed=3, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(failure_mtbf=NAN),
+            dict(failure_mtbf=100.0, failure_mttr=NAN),
+            dict(failure_mtbf=100.0, failure_mttr=INF),
+        ],
+    )
+    def test_non_finite_failure_parameters_rejected(self, kwargs):
+        """A NaN MTBF used to run with no failures, a NaN MTTR to stall."""
+        with pytest.raises(ValueError, match="failure_mt"):
+            ExperimentConfig(num_tasks=20, seed=3, **kwargs)
+
+    def test_infinite_mtbf_runs_like_no_failures(self):
+        from repro.experiments import run_experiment
+
+        base = ExperimentConfig(scheduler="edf", num_tasks=20, seed=3)
+        never = run_experiment(base.with_overrides(failure_mtbf=INF)).metrics
+        none = run_experiment(base).metrics
+        assert (never.avert, never.ecs, never.success_rate) == (
+            none.avert,
+            none.ecs,
+            none.success_rate,
+        )
 
     def test_with_overrides(self):
         cfg = ExperimentConfig(num_tasks=100)
@@ -99,6 +146,15 @@ class TestSerialization:
         payload = ExperimentConfig().to_dict()
         payload["num_tasks"] = 0
         with pytest.raises(ValueError):
+            ExperimentConfig.from_dict(payload)
+
+    def test_from_dict_rejects_nan_from_json(self):
+        """``json`` writes and reads a NaN, so a journaled config can
+        carry one back; rebuilding it must fail."""
+        payload = ExperimentConfig().to_dict()
+        payload["reference_speed_mips"] = NAN
+        payload = json.loads(json.dumps(payload))
+        with pytest.raises(ValueError, match="reference_speed_mips"):
             ExperimentConfig.from_dict(payload)
 
     def test_unknown_version_rejected(self):

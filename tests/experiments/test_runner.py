@@ -68,6 +68,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(num_tasks=0)
 
+    def test_nan_workload_override_rejected(self):
+        """A NaN MMPP burstiness reaches the run through
+        ``workload_overrides``; it used to hang the arrival draw."""
+        config = small_config(
+            workload_overrides={
+                "arrival_process": "mmpp",
+                "mmpp_burstiness": float("nan"),
+            }
+        )
+        with pytest.raises(ValueError, match="mmpp_burstiness"):
+            run_experiment(config)
+
     def test_empty_workload_raises_clear_error(self, monkeypatch):
         # Regression: an empty task list used to crash on
         # ``tasks[-1].arrival_time`` with a bare IndexError.

@@ -1,9 +1,14 @@
 """Unit tests for the Telemetry facade and the ambient runtime."""
 
+import math
+
+import pytest
+
 from repro.obs import (
     NULL_TELEMETRY,
     MetricsRegistry,
     Profiler,
+    SeriesBank,
     Telemetry,
     capture,
     get_telemetry,
@@ -32,6 +37,12 @@ class TestTelemetryFlags:
         assert not tel.tracing and not tel.profiling
         tel = Telemetry(profiler=Profiler())
         assert tel.active and tel.profiling
+
+
+    @pytest.mark.parametrize("every", [math.nan, math.inf])
+    def test_sample_every_must_be_positive_and_finite(self, every):
+        with pytest.raises(ValueError, match="sample_every"):
+            Telemetry(series=SeriesBank(), sample_every=every)
 
 
 class TestAmbientTelemetry:

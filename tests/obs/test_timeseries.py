@@ -149,6 +149,13 @@ class TestPeriodicSampler:
         with pytest.raises(ValueError, match="cadence"):
             PeriodicSampler(SeriesBank(), every=0.0, until=10.0)
 
+    @pytest.mark.parametrize("every", [float("nan"), float("inf")])
+    def test_cadence_must_be_finite(self, every):
+        """``now + every <= until`` is never true for these, so the
+        sampler would never arm."""
+        with pytest.raises(ValueError, match="cadence"):
+            PeriodicSampler(SeriesBank(), every=every, until=10.0)
+
 
 class TestRunProbes:
     """The standard probes record the platform's power and its

@@ -116,6 +116,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="resume"):
             run_parallel(small_grid(), resume=True)
 
+    @pytest.mark.parametrize("every", [float("nan"), float("inf")])
+    def test_sample_every_must_be_positive_and_finite(self, tmp_path, every):
+        with pytest.raises(ValueError, match="sample_every"):
+            run_parallel(
+                small_grid(), checkpoint_dir=tmp_path, sample_every=every
+            )
+
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError, match="jobs"):
             run_parallel(small_grid(), jobs=0)

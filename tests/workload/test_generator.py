@@ -6,6 +6,9 @@ import pytest
 from repro.sim import RandomStreams
 from repro.workload import Priority, WorkloadGenerator, WorkloadSpec
 
+NAN = float("nan")
+INF = float("inf")
+
 
 def generate(seed=1, **overrides):
     spec = WorkloadSpec(**overrides)
@@ -32,6 +35,43 @@ class TestSpecValidation:
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             WorkloadSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(arrival_process="mmpp", mmpp_burstiness=NAN),
+            dict(arrival_process="diurnal", diurnal_period=NAN),
+            dict(arrival_process="diurnal", diurnal_phase=NAN),
+            dict(arrival_process="diurnal", diurnal_phase=INF),
+        ],
+    )
+    def test_non_finite_modulation_rejected(self, kwargs):
+        """A NaN rate parameter never ends the MMPP or thinning draw
+        loops: generation used to hang instead of failing here."""
+        with pytest.raises(ValueError, match="must be"):
+            WorkloadSpec(num_tasks=20, **kwargs)
+
+    @pytest.mark.parametrize("field", ["mean_interarrival", "first_arrival"])
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_non_finite_arrival_rejected(self, field, value):
+        """These used to build tasks with NaN or infinite arrivals."""
+        with pytest.raises(ValueError, match=field):
+            WorkloadSpec(num_tasks=20, **{field: value})
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(reference_speed_mips=NAN),
+            dict(reference_speed_mips=INF),
+            dict(pareto_alpha=NAN, size_distribution="bounded-pareto"),
+            dict(size_range_mi=(600.0, INF)),
+        ],
+    )
+    def test_non_finite_size_or_speed_rejected(self, kwargs):
+        """These used to build tasks with NaN or infinite sizes, ACTs and
+        deadlines."""
+        with pytest.raises(ValueError, match="must be"):
+            WorkloadSpec(num_tasks=20, **kwargs)
 
     def test_degenerate_pareto_range_rejected(self):
         """A point-mass size range silently breaks bounded-Pareto inversion

@@ -45,6 +45,19 @@ class TestSpec:
         with pytest.raises(ValueError):
             make_task(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,message",
+        [
+            ("size_mi", "task 1: size must be positive"),
+            ("act", "task 1: ACT must be positive"),
+            ("deadline", "task 1: deadline precedes arrival"),
+            ("arrival_time", "task 1: deadline precedes arrival"),
+        ],
+    )
+    def test_nan_field_rejected(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            make_task(**{field: float("nan")})
+
 
 class TestExecutionRecord:
     def test_lifecycle(self):

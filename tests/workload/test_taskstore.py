@@ -73,6 +73,31 @@ class TestBulkValidation:
             )
         assert len(store) == 0  # nothing committed
 
+    @pytest.mark.parametrize(
+        "column,message",
+        [
+            (1, "task 2: size must be positive"),
+            (3, "task 2: ACT must be positive"),
+            (4, "task 2: deadline precedes arrival"),
+            (2, "task 2: deadline precedes arrival"),
+        ],
+    )
+    def test_nan_field_rejected_at_first_offending_row(self, column, message):
+        """A NaN passes no comparison; the bulk checks fail it exactly
+        as the scalar constructor does, at the first NaN row."""
+        columns = [
+            [0, 1, 2, 3],
+            [600.0, 700.0, 800.0, 900.0],
+            [0.0, 1.0, 2.0, 3.0],
+            [1.0, 1.0, 1.0, 1.0],
+            [10.0, 11.0, 12.0, 13.0],
+        ]
+        columns[column][2] = columns[column][3] = float("nan")
+        store = TaskStore()
+        with pytest.raises(ValueError, match=message):
+            store.bulk_append(*columns)
+        assert len(store) == 0
+
     def test_check_order_matches_scalar_constructor(self):
         # One row failing several checks reports them in the scalar
         # constructor's order: size, ACT, deadline, slack.

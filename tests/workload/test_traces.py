@@ -163,6 +163,17 @@ class TestRecordErrors:
         with pytest.raises(ValueError, match=r"trace\.jsonl:2"):
             list(iter_trace_jsonl(path))
 
+    def test_nan_size_rejected_on_load(self, tasks, tmp_path):
+        """Python's json reads ``NaN``; the record must fail where it is
+        loaded, not as a start-before-arrival error deep in a run."""
+        path = tmp_path / "trace.json"
+        save_trace(tasks, path)
+        payload = json.loads(path.read_text())
+        payload["tasks"][3]["size_mi"] = float("nan")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="size must be positive"):
+            load_trace(path)
+
     def test_batch_errors_name_record_index(self, tasks):
         from repro.workload.traces import _task_record
 
