@@ -17,7 +17,6 @@ import numpy as np
 from ..energy.accounting import SystemEnergy, system_energy
 from ..energy.meter import UsageTally
 from ..energy.power_model import (
-    PowerProfile,
     constant_power_profile,
     proportional_power_profile,
 )

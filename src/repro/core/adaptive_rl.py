@@ -9,7 +9,7 @@ constructor argument so the ablation benches can toggle it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..cluster.node import ComputeNode

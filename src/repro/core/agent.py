@@ -25,7 +25,6 @@ from ..cluster.taskgroup import TaskGroup
 from ..obs import CAT_GROUP, CAT_MEMORY, CAT_RL, NULL_TELEMETRY, Telemetry
 from ..rl.exploration import EpsilonGreedy
 from ..sim.fold import fold_sum
-from ..workload.task import Task
 from .actions import GroupingAction, GroupingMode, action_space
 from .feedback import FeedbackRecord, grouping_error
 from .grouping import Backlog, merge_next_group

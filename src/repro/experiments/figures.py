@@ -427,10 +427,6 @@ def heterogeneity_sweep(
     )
 
 
-#: Backwards-compatible private alias (pre-parallel name).
-_heterogeneity_sweep = heterogeneity_sweep
-
-
 def figure11(
     levels: Sequence[float] = HETEROGENEITY_LEVELS,
     seeds: Sequence[int] = (1,),

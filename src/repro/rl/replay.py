@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Generic, Iterator, Sequence, TypeVar
+from typing import Generic, Iterator, TypeVar
 
 import numpy as np
 

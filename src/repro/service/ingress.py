@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 import time as _time
 from collections import deque
-from typing import List, Optional
+from typing import Optional
 
 from ..obs import NULL_TELEMETRY, Telemetry
 from ..workload.priorities import Priority

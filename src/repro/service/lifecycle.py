@@ -34,7 +34,7 @@ import signal
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Iterator, List, Optional, Union
 
 from ..experiments.config import ExperimentConfig
 from ..metrics.collector import RunMetrics

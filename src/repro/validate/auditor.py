@@ -66,7 +66,7 @@ with auditing on).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..baselines.prediction import consolidation_key
 from ..energy.meter import BANK, ProcessorEnergyMeter, ProcState

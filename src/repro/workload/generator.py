@@ -13,8 +13,8 @@ the authors used are substituted with a seeded synthetic generator:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 

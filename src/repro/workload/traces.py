@@ -21,7 +21,6 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .priorities import Priority
 from .task import Task
 
 __all__ = [

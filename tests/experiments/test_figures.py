@@ -81,9 +81,9 @@ class TestUtilizationFigures:
 class TestHeterogeneityFigures:
     @pytest.fixture(scope="class")
     def h_sweep(self):
-        from repro.experiments.figures import _heterogeneity_sweep
+        from repro.experiments.figures import heterogeneity_sweep
 
-        return _heterogeneity_sweep(
+        return heterogeneity_sweep(
             (0.1, 0.9), seeds=(1,), light_tasks=50, heavy_tasks=120
         )
 
