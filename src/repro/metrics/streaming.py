@@ -23,11 +23,9 @@ the O(N) object walk.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..workload.priorities import Priority
 from ..workload.task import Task
-from .response_time import ResponseTimeSummary
+from .response_time import ResponseTimeSummary, summarize_samples
 from .success_rate import SuccessSummary
 
 __all__ = ["StreamingRunStats"]
@@ -96,25 +94,12 @@ class StreamingRunStats:
     def response_summary(self) -> ResponseTimeSummary:
         """Distributional summary over the streamed completion logs.
 
-        Runs the same NumPy reductions, over the same values in the
-        same (completion) order, as
+        The logs hold the same values, in the same (completion) order,
+        as the completed-task list, so this equals
         :func:`~repro.metrics.response_time.summarize_response_times`
-        applied to the completed-task list — so the result is
-        bit-identical while skipping the per-task property walk.
+        over that list bit for bit, without the per-task property walk.
         """
-        if not self.completed:
-            return ResponseTimeSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        rts = np.array(self.response_log)
-        waits = np.array(self.wait_log)
-        return ResponseTimeSummary(
-            count=self.completed,
-            mean=float(rts.mean()),
-            median=float(np.median(rts)),
-            p95=float(np.percentile(rts, 95)),
-            maximum=float(rts.max()),
-            mean_wait=float(waits.mean()),
-            mean_execution=float((rts - waits).mean()),
-        )
+        return summarize_samples(self.response_log, self.wait_log)
 
     def success_summary(self, submitted: int) -> SuccessSummary:
         """Deadline outcomes so far, against *submitted* total tasks."""

@@ -1,8 +1,10 @@
 """Unit tests for response-time metrics (Eq. 4)."""
 
+import numpy as np
 import pytest
 
 from repro.metrics import average_response_time, summarize_response_times
+from repro.metrics.response_time import summarize_samples
 from repro.workload import Task
 
 
@@ -48,3 +50,19 @@ class TestSummary:
         s = summarize_response_times([])
         assert s.count == 0
         assert s.mean == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_median_and_p95_equal_numpy_bit_for_bit(self, scale, ties):
+        """One sort with NumPy's ``linear`` rule written out, so the
+        result equals ``np.median`` and ``np.percentile`` exactly."""
+        rng = np.random.default_rng(7)
+        for n in range(1, 160):
+            rts = rng.exponential(scale, n)
+            if ties:
+                rts = np.round(rts / scale, 1) * scale
+            s = summarize_samples(rts.tolist(), (rts / 2).tolist())
+            expected = (np.median(rts), np.percentile(rts, 95), rts.max())
+            assert [v.hex() for v in (s.median, s.p95, s.maximum)] == [
+                float(v).hex() for v in expected
+            ], n
