@@ -28,39 +28,32 @@ Quickstart
 True
 """
 
-import importlib
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-# Lazy public surface (PEP 562).  Standalone tools — most importantly
-# ``python -m repro.workload.verify``, whose whole point is rechecking
-# results WITHOUT importing any scheduler — must be able to import their
-# subpackage without this __init__ dragging in the RL stack.
-_LAZY_EXPORTS = {
-    "AdaptiveRLScheduler": ("repro.core.adaptive_rl", "AdaptiveRLScheduler"),
-    "AdaptiveRLConfig": ("repro.core.adaptive_rl", "AdaptiveRLConfig"),
-    "ExperimentConfig": ("repro.experiments.config", "ExperimentConfig"),
-    "default_platform": ("repro.experiments.config", "default_platform"),
-    "run_experiment": ("repro.experiments.runner", "run_experiment"),
-    "RunResult": ("repro.experiments.runner", "RunResult"),
-    "make_scheduler": ("repro.experiments.schedulers", "make_scheduler"),
-    "register_scheduler": ("repro.experiments.schedulers", "register_scheduler"),
-}
+__all__ = [
+    "AdaptiveRLScheduler",
+    "AdaptiveRLConfig",
+    "ExperimentConfig",
+    "default_platform",
+    "run_experiment",
+    "RunResult",
+    "make_scheduler",
+    "register_scheduler",
+    "__version__",
+]
 
-__all__ = [*_LAZY_EXPORTS, "__version__"]
-
-
-def __getattr__(name):
-    try:
-        module, attr = _LAZY_EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    value = getattr(importlib.import_module(module), attr)
-    globals()[name] = value  # cache: next access skips __getattr__
-    return value
-
-
-def __dir__():
-    return sorted({*globals(), *_LAZY_EXPORTS})
+# Standalone tools (most importantly ``python -m repro.workload.verify``,
+# whose whole point is rechecking results WITHOUT importing any
+# scheduler) import their subpackage without this package dragging in
+# the RL stack.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core.adaptive_rl": ("AdaptiveRLScheduler", "AdaptiveRLConfig"),
+        ".experiments.config": ("ExperimentConfig", "default_platform"),
+        ".experiments.runner": ("run_experiment", "RunResult"),
+        ".experiments.schedulers": ("make_scheduler", "register_scheduler"),
+    },
+)

@@ -10,11 +10,7 @@ induced into the same system model", §V.B):
 plus non-learning reference schedulers for ablations.
 """
 
-from .common import SingletonScheduler, shortest_queue_node
-from .online_rl import OnlineRLScheduler
-from .prediction import PredictionBasedScheduler, ResponseTimePredictor
-from .qplus import QPlusLearningScheduler
-from .static import EDFScheduler, FCFSScheduler, RandomScheduler
+from .._lazy import lazy_exports
 
 __all__ = [
     "SingletonScheduler",
@@ -27,3 +23,14 @@ __all__ = [
     "FCFSScheduler",
     "RandomScheduler",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".common": ("SingletonScheduler", "shortest_queue_node"),
+        ".online_rl": ("OnlineRLScheduler",),
+        ".prediction": ("PredictionBasedScheduler", "ResponseTimePredictor"),
+        ".qplus": ("QPlusLearningScheduler",),
+        ".static": ("EDFScheduler", "FCFSScheduler", "RandomScheduler"),
+    },
+)

@@ -5,18 +5,7 @@ compute nodes with bounded task-group queues grouped into resource sites —
 plus the heterogeneity-controlled speed synthesis used by Experiment 3.
 """
 
-from .failures import FailureInjector, FailureModel
-from .heterogeneity import (
-    DEFAULT_MEAN_SPEED_MIPS,
-    SPEED_CLIP_MIPS,
-    coefficient_of_variation,
-    speeds_with_cv,
-)
-from .node import DEFAULT_QUEUE_SLOTS, ComputeNode, NodeState, SleepPolicy
-from .processor import SPEED_RANGE_MIPS, Processor
-from .site import ResourceSite
-from .system import PlatformSpec, System, build_system
-from .taskgroup import TaskGroup, processing_weight
+from .._lazy import lazy_exports
 
 __all__ = [
     "Processor",
@@ -38,3 +27,21 @@ __all__ = [
     "DEFAULT_MEAN_SPEED_MIPS",
     "SPEED_CLIP_MIPS",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".failures": ("FailureInjector", "FailureModel"),
+        ".heterogeneity": (
+            "DEFAULT_MEAN_SPEED_MIPS",
+            "SPEED_CLIP_MIPS",
+            "coefficient_of_variation",
+            "speeds_with_cv",
+        ),
+        ".node": ("DEFAULT_QUEUE_SLOTS", "ComputeNode", "NodeState", "SleepPolicy"),
+        ".processor": ("SPEED_RANGE_MIPS", "Processor"),
+        ".site": ("ResourceSite",),
+        ".system": ("PlatformSpec", "System", "build_system"),
+        ".taskgroup": ("TaskGroup", "processing_weight"),
+    },
+)

@@ -7,40 +7,7 @@ Eqs. 7–9, the task-grouping merge process, and the scheduler base class
 shared with the baselines.
 """
 
-from .actions import GroupingAction, GroupingMode, action_space
-from .adaptive_rl import AdaptiveRLConfig, AdaptiveRLScheduler
-from .agent import PendingAction, SiteAgent
-from .base import CycleSample, Scheduler
-from .dvfs import DVFSGovernor, energy_optimal_scale
-from .knowledge import (
-    export_knowledge,
-    import_knowledge,
-    load_knowledge,
-    save_knowledge,
-)
-from .dispatch import (
-    LeastLoadedRouting,
-    RandomRouting,
-    RoundRobinRouting,
-    RoutingPolicy,
-    make_routing,
-)
-from .feedback import (
-    ERROR_EPSILON,
-    FeedbackRecord,
-    grouping_error,
-    learning_value,
-    scaled_reward,
-)
-from .grouping import Backlog, merge_next_group
-from .shared_memory import AGENT_MEMORY_CYCLES, Experience, SharedLearningMemory
-from .state import (
-    DiscreteState,
-    SiteObservation,
-    discretize,
-    observe_site,
-)
-from .value_models import NeuralValueModel, TabularValueModel, ValueModel
+from .._lazy import lazy_exports
 
 __all__ = [
     "AdaptiveRLScheduler",
@@ -81,3 +48,38 @@ __all__ = [
     "RandomRouting",
     "make_routing",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".actions": ("GroupingAction", "GroupingMode", "action_space"),
+        ".adaptive_rl": ("AdaptiveRLConfig", "AdaptiveRLScheduler"),
+        ".agent": ("PendingAction", "SiteAgent"),
+        ".base": ("CycleSample", "Scheduler"),
+        ".dvfs": ("DVFSGovernor", "energy_optimal_scale"),
+        ".knowledge": (
+            "export_knowledge",
+            "import_knowledge",
+            "load_knowledge",
+            "save_knowledge",
+        ),
+        ".dispatch": (
+            "LeastLoadedRouting",
+            "RandomRouting",
+            "RoundRobinRouting",
+            "RoutingPolicy",
+            "make_routing",
+        ),
+        ".feedback": (
+            "ERROR_EPSILON",
+            "FeedbackRecord",
+            "grouping_error",
+            "learning_value",
+            "scaled_reward",
+        ),
+        ".grouping": ("Backlog", "merge_next_group"),
+        ".shared_memory": ("AGENT_MEMORY_CYCLES", "Experience", "SharedLearningMemory"),
+        ".state": ("DiscreteState", "SiteObservation", "discretize", "observe_site"),
+        ".value_models": ("NeuralValueModel", "TabularValueModel", "ValueModel"),
+    },
+)

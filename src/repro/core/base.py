@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 from ..cluster.node import ComputeNode
 from ..cluster.system import System
 from ..cluster.taskgroup import TaskGroup
+from ..metrics.streaming import StreamingRunStats
 from ..obs import CAT_TASK, NULL_TELEMETRY, Telemetry
 from ..sim.core import Environment
 from ..sim.events import Event
@@ -109,10 +110,6 @@ class Scheduler(abc.ABC):
     name: str = "scheduler"
 
     def __init__(self) -> None:
-        # Imported here, not at module top: repro.metrics depends on this
-        # module for CycleSample, so a top-level import would be cyclic.
-        from ..metrics.streaming import StreamingRunStats
-
         self.env: Optional[Environment] = None
         self.system: Optional[System] = None
         self.streams: Optional[RandomStreams] = None

@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..rl.dense import DenseQTable
-from ..rl.neural import MLP
 from ..rl.qlearning import QTable
 from .actions import GroupingAction
 from .state import DiscreteState, SiteObservation
@@ -115,6 +114,8 @@ class NeuralValueModel(ValueModel):
         learning_rate: float = 5e-3,
         gamma: float = 0.6,
     ) -> None:
+        from ..rl.neural import MLP
+
         if not actions:
             raise ValueError("need at least one action")
         self._action_index = {a: i for i, a in enumerate(actions)}

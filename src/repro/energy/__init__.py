@@ -5,18 +5,7 @@ Per-processor power states and exact event-driven energy integration
 efficiency figures of merit.
 """
 
-from .accounting import NodeEnergy, SystemEnergy, node_energy, system_energy
-from .efficiency import EfficiencyReport, efficiency_report
-from .meter import EnergyBreakdown, ProcState, ProcessorEnergyMeter
-from .power_model import (
-    DEFAULT_PMAX_W,
-    DEFAULT_PMIN_W,
-    DEFAULT_SLEEP_FRACTION,
-    PEAK_POWER_RANGE_W,
-    PowerProfile,
-    constant_power_profile,
-    proportional_power_profile,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "PowerProfile",
@@ -36,3 +25,21 @@ __all__ = [
     "EfficiencyReport",
     "efficiency_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".accounting": ("NodeEnergy", "SystemEnergy", "node_energy", "system_energy"),
+        ".efficiency": ("EfficiencyReport", "efficiency_report"),
+        ".meter": ("EnergyBreakdown", "ProcState", "ProcessorEnergyMeter"),
+        ".power_model": (
+            "DEFAULT_PMAX_W",
+            "DEFAULT_PMIN_W",
+            "DEFAULT_SLEEP_FRACTION",
+            "PEAK_POWER_RANGE_W",
+            "PowerProfile",
+            "constant_power_profile",
+            "proportional_power_profile",
+        ),
+    },
+)

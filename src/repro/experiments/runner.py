@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from ..cluster.failures import FailureInjector, FailureModel
 from ..cluster.system import System, build_system
 from ..core.base import Scheduler
 from ..metrics.collector import RunMetrics, collect_metrics
@@ -31,11 +30,15 @@ from ..obs.timeseries import PeriodicSampler, make_run_probes
 from ..sim.core import Environment
 from ..sim.events import AnyOf
 from ..sim.rng import RandomStreams
-from ..validate import AuditReport, InvariantAuditor, strict_mode_enabled
+from ..validate import strict_mode_enabled
 from ..workload.generator import WorkloadGenerator, WorkloadSpec
 from ..workload.task import Task
 from .config import ExperimentConfig
 from .schedulers import make_scheduler
+
+if TYPE_CHECKING:
+    from ..cluster.failures import FailureInjector
+    from ..validate.report import AuditReport
 
 __all__ = ["Run", "RunResult", "run_experiment", "SimulationStalled"]
 
@@ -125,6 +128,8 @@ class Run:
         #: :meth:`drain` after injection.
         self._failures: Optional[FailureInjector] = None
         if config.failure_mtbf is not None:
+            from ..cluster.failures import FailureInjector, FailureModel
+
             self._failures = FailureInjector(
                 env,
                 system.nodes,
@@ -132,9 +137,11 @@ class Run:
                 streams,
             )
         strict_on = strict if strict is not None else strict_mode_enabled()
-        self._auditor = (
-            InvariantAuditor(env, system, scheduler) if strict_on else None
-        )
+        self._auditor = None
+        if strict_on:
+            from ..validate.auditor import InvariantAuditor
+
+            self._auditor = InvariantAuditor(env, system, scheduler)
         #: Flight recorder: a kernel-level periodic sampler records the
         #: platform and RL series bank on the telemetry's cadence.  Its
         #: self-rescheduling timeouts shift other events' ids uniformly

@@ -4,22 +4,16 @@ AveRT (Eq. 4), success rate (rew_val/N), utilization-by-learning-cycles
 (Figures 9–10), run-level assembly, and multi-seed statistics helpers.
 """
 
-from .collector import RunMetrics, collect_metrics
-from .response_time import (
-    ResponseTimeSummary,
-    average_response_time,
-    summarize_response_times,
-)
-from .stats import MeanCI, mean_ci, relative_difference
-from .fairness import SiteBreakdown, jains_index, per_site_breakdown
+from .._lazy import lazy_exports
+
+# Eager: each of these two functions shares its name with its module,
+# and importing a submodule binds the module over a lazy name.
 from .priority_report import (
     PriorityClassReport,
     priority_report,
     render_priority_report,
 )
-from .streaming import StreamingRunStats
 from .success_rate import SuccessSummary, success_rate, summarize_success
-from .utilization import UtilizationPoint, utilization_by_cycles
 
 __all__ = [
     "RunMetrics",
@@ -43,3 +37,19 @@ __all__ = [
     "mean_ci",
     "relative_difference",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".collector": ("RunMetrics", "collect_metrics"),
+        ".response_time": (
+            "ResponseTimeSummary",
+            "average_response_time",
+            "summarize_response_times",
+        ),
+        ".stats": ("MeanCI", "mean_ci", "relative_difference"),
+        ".fairness": ("SiteBreakdown", "jains_index", "per_site_breakdown"),
+        ".streaming": ("StreamingRunStats",),
+        ".utilization": ("UtilizationPoint", "utilization_by_cycles"),
+    },
+)

@@ -7,57 +7,7 @@ instrumented hot paths cost a single boolean check per operation; see
 ``docs/observability.md`` for the event taxonomy and usage.
 """
 
-from .events import (
-    CAT_AUDIT,
-    CAT_ENERGY,
-    CAT_GROUP,
-    CAT_MEMORY,
-    CAT_NODE,
-    CAT_RL,
-    CAT_RUN,
-    CAT_TASK,
-    CATEGORIES,
-    TraceEvent,
-)
-from .convergence import ConvergenceProbes
-from .dashboard import render_dashboard
-from .exposition import (
-    MetricsServer,
-    check_exposition,
-    parse_prometheus,
-    render_prometheus,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    estimate_bucket_quantiles,
-)
-from .profiler import Profiler, SpanStats
-from .timeseries import (
-    DEFAULT_SAMPLE_EVERY,
-    PeriodicSampler,
-    SeriesBank,
-    TimeSeries,
-    make_run_probes,
-)
-from .telemetry import (
-    NULL_TELEMETRY,
-    Telemetry,
-    capture,
-    get_telemetry,
-    set_telemetry,
-    use,
-)
-from .trace import (
-    InMemoryRecorder,
-    NullRecorder,
-    TraceRecorder,
-    export_chrome_trace,
-    load_jsonl,
-    save_jsonl,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "TraceEvent",
@@ -101,3 +51,60 @@ __all__ = [
     "set_telemetry",
     "use",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".events": (
+            "CAT_AUDIT",
+            "CAT_ENERGY",
+            "CAT_GROUP",
+            "CAT_MEMORY",
+            "CAT_NODE",
+            "CAT_RL",
+            "CAT_RUN",
+            "CAT_TASK",
+            "CATEGORIES",
+            "TraceEvent",
+        ),
+        ".convergence": ("ConvergenceProbes",),
+        ".dashboard": ("render_dashboard",),
+        ".exposition": (
+            "MetricsServer",
+            "check_exposition",
+            "parse_prometheus",
+            "render_prometheus",
+        ),
+        ".metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "estimate_bucket_quantiles",
+        ),
+        ".profiler": ("Profiler", "SpanStats"),
+        ".timeseries": (
+            "DEFAULT_SAMPLE_EVERY",
+            "PeriodicSampler",
+            "SeriesBank",
+            "TimeSeries",
+            "make_run_probes",
+        ),
+        ".telemetry": (
+            "NULL_TELEMETRY",
+            "Telemetry",
+            "capture",
+            "get_telemetry",
+            "set_telemetry",
+            "use",
+        ),
+        ".trace": (
+            "InMemoryRecorder",
+            "NullRecorder",
+            "TraceRecorder",
+            "export_chrome_trace",
+            "load_jsonl",
+            "save_jsonl",
+        ),
+    },
+)

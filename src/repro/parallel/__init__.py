@@ -19,18 +19,7 @@ over), ``python -m repro.experiments.cli --jobs N`` (figures), and
 See ``docs/parallel.md``.
 """
 
-from .errors import (
-    CampaignInterrupted,
-    DuplicateJobError,
-    JobFailedError,
-    JournalError,
-    ParallelError,
-    RetryBudgetExceeded,
-)
-from .jobs import Job, RecordView, build_jobs, job_id
-from .journal import JOURNAL_FILENAME, CheckpointJournal, JournalState
-from .merge import merge_series_dicts, merge_series_files
-from .pool import ParallelResult, run_parallel
+from .._lazy import lazy_exports
 
 __all__ = [
     "ParallelError",
@@ -51,3 +40,21 @@ __all__ = [
     "ParallelResult",
     "run_parallel",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".errors": (
+            "CampaignInterrupted",
+            "DuplicateJobError",
+            "JobFailedError",
+            "JournalError",
+            "ParallelError",
+            "RetryBudgetExceeded",
+        ),
+        ".jobs": ("Job", "RecordView", "build_jobs", "job_id"),
+        ".journal": ("JOURNAL_FILENAME", "CheckpointJournal", "JournalState"),
+        ".merge": ("merge_series_dicts", "merge_series_files"),
+        ".pool": ("ParallelResult", "run_parallel"),
+    },
+)

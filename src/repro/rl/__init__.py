@@ -6,11 +6,7 @@ variant), ε-greedy / softmax / random-walk exploration, a small NumPy MLP
 value approximator, and a replay ring buffer.
 """
 
-from .dense import DenseMultiRateQTable, DenseQTable
-from .exploration import EpsilonGreedy, RandomWalk, SoftmaxExploration
-from .neural import MLP
-from .qlearning import MultiRateMixin, MultiRateQTable, QTable
-from .replay import ReplayRing
+from .._lazy import lazy_exports
 
 __all__ = [
     "QTable",
@@ -24,3 +20,14 @@ __all__ = [
     "MLP",
     "ReplayRing",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".dense": ("DenseMultiRateQTable", "DenseQTable"),
+        ".exploration": ("EpsilonGreedy", "RandomWalk", "SoftmaxExploration"),
+        ".neural": ("MLP",),
+        ".qlearning": ("MultiRateMixin", "MultiRateQTable", "QTable"),
+        ".replay": ("ReplayRing",),
+    },
+)

@@ -18,21 +18,7 @@ or programmatically via :class:`SchedulerService` — see
 ``docs/service.md``.
 """
 
-from .engine import DEFAULT_SLICE, SliceEngine
-from .errors import (
-    ADMISSION_REASONS,
-    REASON_CLOSED,
-    REASON_OUT_OF_ORDER,
-    REASON_QUEUE_FULL,
-    REASON_SHED,
-    AdmissionRejected,
-    ServiceError,
-    ServiceJournalError,
-    ServiceStalled,
-)
-from .ingress import ADMISSION_POLICIES, IngressQueue
-from .journal import AdmissionJournal, JournalState
-from .lifecycle import SchedulerService, ServiceReport, ServiceState
+from .._lazy import lazy_exports
 
 __all__ = [
     "SchedulerService",
@@ -54,3 +40,24 @@ __all__ = [
     "REASON_SHED",
     "REASON_OUT_OF_ORDER",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".engine": ("DEFAULT_SLICE", "SliceEngine"),
+        ".errors": (
+            "ADMISSION_REASONS",
+            "REASON_CLOSED",
+            "REASON_OUT_OF_ORDER",
+            "REASON_QUEUE_FULL",
+            "REASON_SHED",
+            "AdmissionRejected",
+            "ServiceError",
+            "ServiceJournalError",
+            "ServiceStalled",
+        ),
+        ".ingress": ("ADMISSION_POLICIES", "IngressQueue"),
+        ".journal": ("AdmissionJournal", "JournalState"),
+        ".lifecycle": ("SchedulerService", "ServiceReport", "ServiceState"),
+    },
+)

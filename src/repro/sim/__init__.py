@@ -26,12 +26,7 @@ Example
 [0.0, 1.0, 2.0]
 """
 
-from .core import Environment, NORMAL, URGENT
-from .events import AllOf, AnyOf, Call, Condition, ConditionValue, Event, PENDING, Timeout
-from .exceptions import EmptySchedule, Interrupt, SimulationError, StopSimulation
-from .process import Process, ProcessGenerator
-from .resources import Store
-from .rng import RandomStreams
+from .._lazy import lazy_exports
 
 __all__ = [
     "Environment",
@@ -54,3 +49,29 @@ __all__ = [
     "Store",
     "RandomStreams",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core": ("Environment", "NORMAL", "URGENT"),
+        ".events": (
+            "AllOf",
+            "AnyOf",
+            "Call",
+            "Condition",
+            "ConditionValue",
+            "Event",
+            "PENDING",
+            "Timeout",
+        ),
+        ".exceptions": (
+            "EmptySchedule",
+            "Interrupt",
+            "SimulationError",
+            "StopSimulation",
+        ),
+        ".process": ("Process", "ProcessGenerator"),
+        ".resources": ("Store",),
+        ".rng": ("RandomStreams",),
+    },
+)

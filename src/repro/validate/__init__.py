@@ -24,23 +24,7 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from .auditor import (
-    INV_CALENDAR,
-    INV_CLOCK,
-    INV_CONSERVATION,
-    INV_CONSOLIDATION,
-    INV_DVFS,
-    INV_ENERGY,
-    INV_INDEX,
-    INV_MEMORY,
-    INV_ORDER,
-    INV_PRIORITY,
-    INV_QPARITY,
-    INV_QUEUE,
-    INV_USAGE,
-    InvariantAuditor,
-)
-from .report import AuditReport, InvariantViolationError, Violation
+from .._lazy import lazy_exports
 
 __all__ = [
     "InvariantAuditor",
@@ -63,6 +47,29 @@ __all__ = [
     "INV_INDEX",
     "INV_CONSOLIDATION",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".auditor": (
+            "INV_CALENDAR",
+            "INV_CLOCK",
+            "INV_CONSERVATION",
+            "INV_CONSOLIDATION",
+            "INV_DVFS",
+            "INV_ENERGY",
+            "INV_INDEX",
+            "INV_MEMORY",
+            "INV_ORDER",
+            "INV_PRIORITY",
+            "INV_QPARITY",
+            "INV_QUEUE",
+            "INV_USAGE",
+            "InvariantAuditor",
+        ),
+        ".report": ("AuditReport", "InvariantViolationError", "Violation"),
+    },
+)
 
 #: Process-wide override; ``None`` defers to the REPRO_STRICT env var.
 _STRICT_OVERRIDE: Optional[bool] = None

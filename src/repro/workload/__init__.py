@@ -5,38 +5,7 @@ tasks ``Ti = {si, di}`` with Poisson arrivals, uniform MI sizes, and
 deadline-derived three-level priorities.
 """
 
-from .distributions import (
-    MMPP2,
-    DiurnalRate,
-    PiecewiseRate,
-    bounded_pareto,
-    diurnal_interarrivals,
-    mmpp2_interarrivals,
-    thinned_interarrivals,
-)
-from .generator import DEFAULT_PRIORITY_MIX, WorkloadGenerator, WorkloadSpec
-from .priorities import (
-    HIGH_SLACK_MAX,
-    LOW_SLACK_MIN,
-    MAX_SLACK,
-    Priority,
-    classify_slack,
-    slack_band,
-)
-from .stats import WorkloadStats, summarize
-from .swf import SWFJob, SWFMapping, SWFParseStats, iter_swf_tasks, load_swf, read_swf_header
-from .task import Task
-from .taskstore import TaskStore
-from .traces import (
-    iter_trace_jsonl,
-    iter_workload,
-    load_trace,
-    load_workload,
-    records_to_tasks,
-    save_trace,
-    save_trace_jsonl,
-    trace_to_records,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "Task",
@@ -74,3 +43,48 @@ __all__ = [
     "iter_swf_tasks",
     "load_swf",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".distributions": (
+            "MMPP2",
+            "DiurnalRate",
+            "PiecewiseRate",
+            "bounded_pareto",
+            "diurnal_interarrivals",
+            "mmpp2_interarrivals",
+            "thinned_interarrivals",
+        ),
+        ".generator": ("DEFAULT_PRIORITY_MIX", "WorkloadGenerator", "WorkloadSpec"),
+        ".priorities": (
+            "HIGH_SLACK_MAX",
+            "LOW_SLACK_MIN",
+            "MAX_SLACK",
+            "Priority",
+            "classify_slack",
+            "slack_band",
+        ),
+        ".stats": ("WorkloadStats", "summarize"),
+        ".swf": (
+            "SWFJob",
+            "SWFMapping",
+            "SWFParseStats",
+            "iter_swf_tasks",
+            "load_swf",
+            "read_swf_header",
+        ),
+        ".task": ("Task",),
+        ".taskstore": ("TaskStore",),
+        ".traces": (
+            "iter_trace_jsonl",
+            "iter_workload",
+            "load_trace",
+            "load_workload",
+            "records_to_tasks",
+            "save_trace",
+            "save_trace_jsonl",
+            "trace_to_records",
+        ),
+    },
+)
