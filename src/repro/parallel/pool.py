@@ -258,6 +258,7 @@ def run_parallel(
             pool = ProcessPoolExecutor(max_workers=jobs, mp_context=mp_context)
             futures = {pool.submit(_execute_job, payload_for(j)): j for j in to_run}
             to_run = []
+            settled = False
             try:
                 while futures:
                     done_set, _ = wait(
@@ -309,8 +310,12 @@ def run_parallel(
                             )
                     if pool_broken:
                         break
+                settled = not pool_broken
             finally:
-                pool.shutdown(wait=False, cancel_futures=True)
+                # Every future resolved: join the pool, so none of its
+                # threads outlives the call.  An interrupt, an exhausted
+                # retry budget or a broken pool leaves at once.
+                pool.shutdown(wait=settled, cancel_futures=not settled)
     except KeyboardInterrupt as exc:
         remaining = len(job_list) - len(completed)
         raise CampaignInterrupted(

@@ -3,6 +3,8 @@
 These spawn real worker processes; grids stay tiny (see conftest).
 """
 
+import threading
+
 import pytest
 
 from repro.experiments.config import grid
@@ -62,6 +64,16 @@ class TestWithoutCheckpoint:
         assert [comparable(r) for r in result.records] == serial_records[:2]
         assert result.journal_path is None
         assert result.series_path is None
+
+
+class TestShutdown:
+    def test_no_thread_outlives_the_call(self):
+        """A completed campaign joins its pool before returning: a
+        manager thread left running races the interpreter's exit
+        handler for its wakeup pipe."""
+        before = set(threading.enumerate())
+        run_parallel(grid(["fcfs"], [10, 20, 30], [1]), jobs=2)
+        assert set(threading.enumerate()) == before
 
 
 class TestRetries:
