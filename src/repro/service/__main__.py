@@ -141,14 +141,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.resume and args.journal_dir is None:
         parser.error("--resume requires --journal-dir")
-    if args.arrival_rate is not None and args.arrival_rate <= 0:
-        parser.error("--arrival-rate must be positive")
+    if args.arrival_rate is not None and not 0 < args.arrival_rate < math.inf:
+        parser.error("--arrival-rate must be positive and finite")
     if args.sample_every is not None and not 0 < args.sample_every < math.inf:
         parser.error("--sample-every must be positive and finite")
-    if args.failure_mtbf is not None and args.failure_mtbf <= 0:
+    # An infinite MTBF is allowed: it runs like no failures.
+    if args.failure_mtbf is not None and not args.failure_mtbf > 0:
         parser.error("--failure-mtbf must be positive")
-    if args.failure_mttr <= 0:
-        parser.error("--failure-mttr must be positive")
+    if not 0 < args.failure_mttr < math.inf:
+        parser.error("--failure-mttr must be positive and finite")
 
     if args.resume:
         # The journal's stored config governs a resumed life; flags that
