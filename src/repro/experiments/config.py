@@ -16,7 +16,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from ..cluster.system import PlatformSpec
-from ..workload.generator import DEFAULT_PRIORITY_MIX
+from ..workload.generator import DEFAULT_PRIORITY_MIX, WorkloadSpec
 
 __all__ = [
     "ExperimentConfig",
@@ -165,6 +165,19 @@ class ExperimentConfig:
             raise ValueError("failure_mttr must be positive")
         if not self.sim_time_factor > 1:
             raise ValueError("sim_time_factor must exceed 1")
+        # Build the spec a run generates from, so that an unknown or bad
+        # workload override fails here, not in each retry of a campaign
+        # job.  A run without a reference speed takes the platform's
+        # slowest processor; any positive speed checks the same.
+        reference = self.reference_speed_mips
+        WorkloadSpec(
+            num_tasks=self.num_tasks,
+            mean_interarrival=self.effective_mean_interarrival,
+            size_range_mi=self.size_range_mi,
+            priority_mix=self.priority_mix,
+            reference_speed_mips=1.0 if reference is None else reference,
+            **dict(self.workload_overrides),
+        )
 
     @property
     def effective_mean_interarrival(self) -> float:

@@ -91,6 +91,21 @@ class TestExperimentConfig:
             none.success_rate,
         )
 
+    def test_nan_workload_override_rejected(self):
+        """It used to pass until a run built its spec, and a campaign
+        retried that deterministic failure with backoff."""
+        with pytest.raises(ValueError, match="mmpp_burstiness"):
+            ExperimentConfig(
+                workload_overrides={
+                    "arrival_process": "mmpp",
+                    "mmpp_burstiness": NAN,
+                }
+            )
+
+    def test_unknown_workload_override_rejected(self):
+        with pytest.raises(TypeError, match="mmpp_burstines"):
+            ExperimentConfig(workload_overrides={"mmpp_burstines": 2.0})
+
     def test_with_overrides(self):
         cfg = ExperimentConfig(num_tasks=100)
         other = cfg.with_overrides(seed=9)
@@ -155,6 +170,20 @@ class TestSerialization:
         payload["reference_speed_mips"] = NAN
         payload = json.loads(json.dumps(payload))
         with pytest.raises(ValueError, match="reference_speed_mips"):
+            ExperimentConfig.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({"diurnal_amplitude": NAN}, ValueError),
+            ({"no_such_field": 1.0}, TypeError),
+        ],
+    )
+    def test_from_dict_checks_workload_overrides(self, overrides, error):
+        payload = ExperimentConfig().to_dict()
+        payload["workload_overrides"] = overrides
+        payload = json.loads(json.dumps(payload))
+        with pytest.raises(error, match=next(iter(overrides))):
             ExperimentConfig.from_dict(payload)
 
     def test_unknown_version_rejected(self):

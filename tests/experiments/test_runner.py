@@ -69,16 +69,17 @@ class TestRunExperiment:
             ExperimentConfig(num_tasks=0)
 
     def test_nan_workload_override_rejected(self):
-        """A NaN MMPP burstiness reaches the run through
-        ``workload_overrides``; it used to hang the arrival draw."""
-        config = small_config(
-            workload_overrides={
-                "arrival_process": "mmpp",
-                "mmpp_burstiness": float("nan"),
-            }
-        )
+        """A NaN MMPP burstiness in ``workload_overrides`` used to hang
+        the arrival draw; the config now refuses it before any run."""
         with pytest.raises(ValueError, match="mmpp_burstiness"):
-            run_experiment(config)
+            run_experiment(
+                small_config(
+                    workload_overrides={
+                        "arrival_process": "mmpp",
+                        "mmpp_burstiness": float("nan"),
+                    }
+                )
+            )
 
     def test_empty_workload_raises_clear_error(self, monkeypatch):
         # Regression: an empty task list used to crash on
