@@ -76,6 +76,16 @@ GOLDEN_DIGESTS = {
     "random/seed47": "d0666971669409d2",
 }
 
+#: What the pinned Adaptive-RL runs learned: a hash of every agent's
+#: final Q table (:func:`_q_table_digest`).  The digests above barely
+#: depend on the learned values; a ``QTable.update`` that learns nothing
+#: keeps two of them.  Keys are ``"adaptive-rl/seed<seed>"``.
+GOLDEN_Q_TABLES = {
+    "adaptive-rl/seed11": "ade1d3c696dbbc53",
+    "adaptive-rl/seed23": "5b2ea352c9b35980",
+    "adaptive-rl/seed47": "6acf1045d6eaf3b8",
+}
+
 #: Paper-scale pins: the paper's 3,000-task point at the default
 #: arrival period.  Keys are ``"<scheduler>/<tasks>/seed<seed>"``.  The
 #: three learning baselines run here past the 2,000-row history the
@@ -237,15 +247,31 @@ def _digest_payload(metrics) -> tuple[str, str]:
     return hashlib.sha256(payload.encode()).hexdigest()[:16], payload
 
 
-def _run_digest(scheduler: str, seed: int) -> tuple[str, str]:
-    """Run the pinned configuration; return (digest, readable payload)."""
+def _q_table_digest(result) -> str:
+    """Hash of every agent's final Q table: agents by site id, entries
+    by (state, action), values as ``float.hex``."""
+    h = hashlib.sha256()
+    for site, agent in sorted(result.scheduler.agents.items()):
+        table = agent.value_model.table.snapshot()
+        for (state, action), value in sorted(table.items()):
+            h.update(f"{site}|{state}|{action}|{value.hex()}\n".encode())
+    return h.hexdigest()[:16]
+
+
+def _run_pinned(scheduler: str, seed: int):
+    """Run the pinned configuration."""
     config = ExperimentConfig(
         scheduler=scheduler,
         seed=seed,
         num_tasks=NUM_TASKS,
         arrival_period=ARRIVAL_PERIOD,
     )
-    return _digest_payload(run_experiment(config).metrics)
+    return run_experiment(config)
+
+
+def _run_digest(scheduler: str, seed: int) -> tuple[str, str]:
+    """Run the pinned configuration; return (digest, readable payload)."""
+    return _digest_payload(_run_pinned(scheduler, seed).metrics)
 
 
 def _run_scenario(scenario: str, seed: int) -> tuple[str, str]:
@@ -311,14 +337,22 @@ def _run_counted(config: ExperimentConfig) -> tuple[str, str, int, int]:
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_golden_seed_digest(scheduler: str, seed: int) -> None:
-    digest, payload = _run_digest(scheduler, seed)
-    expected = GOLDEN_DIGESTS[f"{scheduler}/seed{seed}"]
+    result = _run_pinned(scheduler, seed)
+    digest, payload = _digest_payload(result.metrics)
+    key = f"{scheduler}/seed{seed}"
+    expected = GOLDEN_DIGESTS[key]
     assert digest == expected, (
         f"{scheduler} seed={seed}: metrics digest {digest} != pinned "
         f"{expected} (AveRT|ECS|success = {payload}); the kernel or the "
         "decision loop is no longer bit-deterministic against the golden "
         "baseline"
     )
+    if key in GOLDEN_Q_TABLES:
+        tables = _q_table_digest(result)
+        assert tables == GOLDEN_Q_TABLES[key], (
+            f"{key}: Q-table hash {tables} != pinned {GOLDEN_Q_TABLES[key]}; "
+            "the agents learned different values"
+        )
 
 
 @pytest.mark.parametrize("key", sorted(PAPER_SCALE_GOLDEN))
@@ -494,6 +528,7 @@ def test_golden_table_is_complete() -> None:
     """Every (scheduler, seed) cell has exactly one pinned digest."""
     expected_keys = {f"{s}/seed{d}" for s in SCHEDULERS for d in SEEDS}
     assert set(GOLDEN_DIGESTS) == expected_keys
+    assert set(GOLDEN_Q_TABLES) == {f"adaptive-rl/seed{d}" for d in SEEDS}
     dvfs_keys = {
         f"{variant}/seed{d}" for variant in ("dvfs", "dvfs+failures")
         for d in SEEDS
@@ -516,8 +551,12 @@ def test_golden_table_is_complete() -> None:
 if __name__ == "__main__":  # pragma: no cover - digest refresh helper
     for sched in SCHEDULERS:
         for seed_value in SEEDS:
-            dig, pay = _run_digest(sched, seed_value)
+            pinned = _run_pinned(sched, seed_value)
+            dig, pay = _digest_payload(pinned.metrics)
             print(f'    "{sched}/seed{seed_value}": "{dig}",  # {pay}')
+            if sched == "adaptive-rl":
+                tables = _q_table_digest(pinned)
+                print(f'    # Q tables: "{sched}/seed{seed_value}": "{tables}",')
     for scenario_name in SCENARIOS:
         for seed_value in SEEDS:
             dig, pay = _run_scenario(scenario_name, seed_value)
