@@ -19,6 +19,7 @@ from ..workload.task import Task
 from .agent import SiteAgent
 from .base import Scheduler
 from .dispatch import make_routing
+from .dvfs import DVFSGovernor
 from .shared_memory import AGENT_MEMORY_CYCLES, SharedLearningMemory
 from .value_models import NeuralValueModel, TabularValueModel
 
@@ -77,8 +78,6 @@ class AdaptiveRLScheduler(Scheduler):
         self._patience_timer_at: Optional[float] = None
         self.governor = None
         if self.config.dvfs_enabled:
-            from .dvfs import DVFSGovernor
-
             self.governor = DVFSGovernor(self.config.dvfs_safety_factor)
 
     # -- setup ------------------------------------------------------------
