@@ -1,31 +1,25 @@
 """Shared configuration for the benchmark suite.
 
-Every bench regenerates one paper figure (or an ablation/micro study) at
-a reduced-but-representative scale and asserts the paper's qualitative
-shape on the result, so `pytest benchmarks/ --benchmark-only` both times
-the harness and validates the reproduction.
+Every bench runs an ablation, robustness, resilience, parallel or micro
+study at a reduced-but-representative scale and asserts its outcome, so
+`pytest benchmarks/ --benchmark-only` both times the harness and
+validates the reproduction.
 
-Scale knobs live here; the full paper scale is run via
-``python -m repro.experiments.cli`` (see EXPERIMENTS.md).
+The paper's figures are regenerated by ``python -m
+repro.experiments.cli`` (see EXPERIMENTS.md); ``--quick`` runs them at
+a reduced scale and checks their shapes.
 """
 
 from __future__ import annotations
 
 import pytest
 
-#: Reduced Figure 7/8 x-axis (full scale: 500..3000).
-BENCH_TASK_COUNTS = (400, 1200, 2400)
-#: Reduced heavy/light points (full scale: 3000 / 500).
-BENCH_HEAVY = 2400
-BENCH_LIGHT = 400
-#: Reduced heterogeneity levels (full scale: 0.1..0.9 in steps of 0.2).
-BENCH_H_LEVELS = (0.1, 0.5, 0.9)
 BENCH_SEEDS = (1,)
 
 
 @pytest.fixture
 def once(benchmark):
-    """Run the benched callable exactly once (figure sweeps are heavy)."""
+    """Run the benched callable exactly once (sweeps are heavy)."""
 
     def _run(fn, *args, **kwargs):
         return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

@@ -16,18 +16,14 @@ import sys
 from pathlib import Path
 
 from repro.experiments import (
-    comparison_sweep,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
+    ALL_FIGURES,
+    FigurePlan,
     render_figure,
+    run_configs,
     save_figure,
     shape_checks,
 )
-from repro.experiments.figures import HEAVY_TASKS, LIGHT_TASKS, PAPER_TASK_COUNTS
+from repro.experiments.figures import HEAVY_TASKS, PAPER_TASK_COUNTS
 
 QUICK_COUNTS = (500, 1500, 3000)
 
@@ -41,15 +37,10 @@ def main() -> None:
     heavy = HEAVY_TASKS if scale == "paper" else 2000
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    figures = []
     print(f"Regenerating Figures 7–12 at {scale} scale → {out_dir}/")
-    sweep = comparison_sweep(counts, seeds=(1,))
-    figures.append(figure7(counts, sweep=sweep))
-    figures.append(figure8(counts, sweep=sweep))
-    figures.append(figure9(num_tasks=heavy))
-    figures.append(figure10(num_tasks=LIGHT_TASKS))
-    figures.append(figure11(heavy_tasks=heavy))
-    figures.append(figure12(heavy_tasks=heavy))
+    plan = FigurePlan(ALL_FIGURES, task_counts=counts, heavy_tasks=heavy)
+    runs = run_configs(plan.configs())
+    figures = [plan.figure(fid, runs) for fid in plan.figure_ids]
 
     all_checks = []
     report_lines = ["# Reproduction report", ""]

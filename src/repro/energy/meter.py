@@ -17,9 +17,9 @@ lives in the module-level :class:`MeterBank` — one plain Python list
 per field, one row per meter (see :mod:`repro.sim.columnar`), so every
 cell is a Python ``float`` or ``int``.  The meter object is a
 ``(bank, row)`` view whose methods perform the identical IEEE-754
-operations on the cells, and whose ``_busy_time``-style attributes
-survive as properties (the strict-mode auditor reads them; tests write
-them to provoke violations).
+operations on the cells.  The strict-mode auditor reads a meter through
+:meth:`~ProcessorEnergyMeter.snapshot`; tests write the bank cells to
+provoke violations.
 
 Learning-cycle usage
 --------------------
@@ -281,10 +281,9 @@ class ProcessorEnergyMeter:
     """Integrates a single processor's energy across state transitions.
 
     A ``(bank, row)`` view over :data:`BANK` (see module docstring); the
-    public surface — and the ``_``-prefixed accumulator attributes the
-    auditor relies on — is unchanged from the per-object
-    version.  Deliberately no ``__slots__``: the strict-mode auditor
-    shims ``set_state``/``finalize`` per instance.
+    public surface is unchanged from the per-object version.
+    Deliberately no ``__slots__``: the strict-mode auditor shims
+    ``set_state``/``finalize`` per instance.
     """
 
     def __init__(self, profile: PowerProfile, start_time: float = 0.0) -> None:
@@ -307,93 +306,6 @@ class ProcessorEnergyMeter:
         with *owner* (the processor id)."""
         self._telemetry = telemetry
         self.owner = owner
-
-    # -- columnar cell accessors (auditor-visible "privates") -----------
-    @property
-    def _state(self) -> ProcState:
-        return _CODE_TO_STATE[self._bank.state[self._row]]
-
-    @_state.setter
-    def _state(self, state: ProcState) -> None:
-        self._bank.state[self._row] = _STATE_TO_CODE[state]
-
-    @property
-    def _since(self) -> float:
-        return self._bank.since[self._row]
-
-    @_since.setter
-    def _since(self, value: float) -> None:
-        self._bank.since[self._row] = value
-
-    @property
-    def _busy_time(self) -> float:
-        return self._bank.busy_time[self._row]
-
-    @_busy_time.setter
-    def _busy_time(self, value: float) -> None:
-        self._bank.busy_time[self._row] = value
-
-    @property
-    def _idle_time(self) -> float:
-        return self._bank.idle_time[self._row]
-
-    @_idle_time.setter
-    def _idle_time(self, value: float) -> None:
-        self._bank.idle_time[self._row] = value
-
-    @property
-    def _sleep_time(self) -> float:
-        return self._bank.sleep_time[self._row]
-
-    @_sleep_time.setter
-    def _sleep_time(self, value: float) -> None:
-        self._bank.sleep_time[self._row] = value
-
-    @property
-    def _busy_energy(self) -> float:
-        return self._bank.busy_energy[self._row]
-
-    @_busy_energy.setter
-    def _busy_energy(self, value: float) -> None:
-        self._bank.busy_energy[self._row] = value
-
-    @property
-    def _idle_energy(self) -> float:
-        return self._bank.idle_energy[self._row]
-
-    @_idle_energy.setter
-    def _idle_energy(self, value: float) -> None:
-        self._bank.idle_energy[self._row] = value
-
-    @property
-    def _sleep_energy(self) -> float:
-        return self._bank.sleep_energy[self._row]
-
-    @_sleep_energy.setter
-    def _sleep_energy(self, value: float) -> None:
-        self._bank.sleep_energy[self._row] = value
-
-    @property
-    def _power_override(self) -> Optional[float]:
-        v = self._bank.power_override[self._row]
-        return None if v != v else v
-
-    @_power_override.setter
-    def _power_override(self, value: Optional[float]) -> None:
-        self._bank.power_override[self._row] = (
-            _NAN if value is None else value
-        )
-
-    @property
-    def _finalized_at(self) -> Optional[float]:
-        v = self._bank.finalized_at[self._row]
-        return None if v != v else v
-
-    @_finalized_at.setter
-    def _finalized_at(self, value: Optional[float]) -> None:
-        self._bank.finalized_at[self._row] = (
-            _NAN if value is None else value
-        )
 
     # -- public surface --------------------------------------------------
     @property

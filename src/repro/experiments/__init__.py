@@ -1,4 +1,4 @@
-"""Experiment harness: configs, runner, figure regenerators, reporting."""
+"""Experiment harness: configs, runner, figure plans, reporting."""
 
 from .._lazy import lazy_exports
 
@@ -15,14 +15,8 @@ __all__ = [
     "SCHEDULER_NAMES",
     "PAPER_COMPARISON",
     "FigureData",
-    "comparison_sweep",
-    "heterogeneity_sweep",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "figure11",
-    "figure12",
+    "FigurePlan",
+    "run_configs",
     "ALL_FIGURES",
     "PAPER_TASK_COUNTS",
     "HETEROGENEITY_LEVELS",
@@ -48,16 +42,10 @@ __getattr__, __dir__ = lazy_exports(
         ".figures": (
             "ALL_FIGURES",
             "FigureData",
+            "FigurePlan",
             "HETEROGENEITY_LEVELS",
             "PAPER_TASK_COUNTS",
-            "comparison_sweep",
-            "figure7",
-            "figure8",
-            "figure9",
-            "figure10",
-            "figure11",
-            "figure12",
-            "heterogeneity_sweep",
+            "run_configs",
         ),
         ".persistence": (
             "figure_from_dict",

@@ -203,10 +203,6 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown figures: {', '.join(unknown)}")
 
-    task_counts = QUICK_TASK_COUNTS if args.quick else PAPER_TASK_COUNTS
-    heavy = QUICK_HEAVY if args.quick else HEAVY_TASKS
-    seeds = tuple(args.seeds)
-
     if args.strict:
         import os
 
@@ -221,25 +217,27 @@ def main(argv: list[str] | None = None) -> int:
     if args.sample_every is not None and not 0 < args.sample_every < math.inf:
         parser.error("--sample-every must be positive and finite")
 
-    if args.workload_trace is not None or args.arrival_process is not None:
-        from .config import set_workload_defaults
+    workload_overrides = {}
+    if args.workload_trace is not None:
+        import os
 
-        if args.workload_trace is not None:
-            import os
-
-            if not os.path.exists(args.workload_trace):
-                parser.error(f"--workload-trace: no such file: {args.workload_trace}")
-        overrides = None
-        if args.arrival_process is not None:
-            overrides = {"arrival_process": args.arrival_process}
-        # Process-wide defaults, like set_strict above.  Figure code builds
-        # ExperimentConfigs in this process and ships them *by value* to
-        # --jobs workers, so the defaults reach every run.
-        set_workload_defaults(overrides=overrides, trace=args.workload_trace)
-        if args.workload_trace is not None:
-            print(f"workload: replaying trace {args.workload_trace} in every run")
-        if args.arrival_process is not None:
-            print(f"workload: arrival process overridden to {args.arrival_process}")
+        if not os.path.exists(args.workload_trace):
+            parser.error(f"--workload-trace: no such file: {args.workload_trace}")
+        print(f"workload: replaying trace {args.workload_trace} in every run")
+    if args.arrival_process is not None:
+        workload_overrides["arrival_process"] = args.arrival_process
+        print(f"workload: arrival process overridden to {args.arrival_process}")
+    # The plan puts both into every config it builds; --jobs workers get
+    # the configs by value.
+    plan = FigurePlan(
+        tuple(wanted),
+        task_counts=QUICK_TASK_COUNTS if args.quick else PAPER_TASK_COUNTS,
+        seeds=tuple(args.seeds),
+        heavy_tasks=QUICK_HEAVY if args.quick else HEAVY_TASKS,
+        light_tasks=LIGHT_TASKS,
+        workload_overrides=workload_overrides,
+        workload_trace=args.workload_trace,
+    )
 
     # Fail before the (potentially minutes-long) runs, not after, if an
     # output path cannot be written; create missing parent directories.
@@ -303,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         with use(telemetry):
-            rc = _run_figures(args, wanted, task_counts, heavy, seeds)
+            rc = _run_figures(args, plan)
     finally:
         if server is not None:
             server.stop()
@@ -359,9 +357,8 @@ def main(argv: list[str] | None = None) -> int:
     return rc
 
 
-def _run_figures(args, wanted, task_counts, heavy, seeds) -> int:
-    """Regenerate the selected figures; returns the process exit code."""
-    plan = FigurePlan(tuple(wanted), task_counts, seeds, heavy, LIGHT_TASKS)
+def _run_figures(args, plan: FigurePlan) -> int:
+    """Run *plan* and build its figures; returns the process exit code."""
     configs = plan.configs()
     t0 = time.perf_counter()
     runs = run_configs(
@@ -374,7 +371,7 @@ def _run_figures(args, wanted, task_counts, heavy, seeds) -> int:
     print()
 
     figs = []
-    for fid in wanted:
+    for fid in plan.figure_ids:
         fig = plan.figure(fid, runs)
         figs.append(fig)
         if args.save_dir is not None:

@@ -22,42 +22,7 @@ __all__ = [
     "ExperimentConfig",
     "default_platform",
     "grid",
-    "set_workload_defaults",
 ]
-
-
-#: Process-wide workload defaults installed by CLI flags
-#: (``--arrival-process`` / ``--workload-trace``), consulted by the
-#: ``ExperimentConfig`` field factories below — the same pattern as
-#: ``repro.validate.set_strict``.  Explicit per-config values always
-#: win; configs built *before* the flags are applied are unaffected.
-_WORKLOAD_DEFAULT_OVERRIDES: dict[str, Any] = {}
-_WORKLOAD_DEFAULT_TRACE: str | None = None
-
-
-def set_workload_defaults(
-    overrides: Mapping[str, Any] | None = None,
-    trace: str | None = None,
-) -> None:
-    """Install process-wide workload defaults for subsequent configs.
-
-    ``overrides`` merge into the default ``workload_overrides`` (e.g.
-    ``{"arrival_process": "diurnal"}``); ``trace`` becomes the default
-    ``workload_trace``.  Passing neither resets both.
-    """
-    global _WORKLOAD_DEFAULT_TRACE
-    _WORKLOAD_DEFAULT_OVERRIDES.clear()
-    if overrides:
-        _WORKLOAD_DEFAULT_OVERRIDES.update(overrides)
-    _WORKLOAD_DEFAULT_TRACE = trace
-
-
-def _default_workload_overrides() -> dict[str, Any]:
-    return dict(_WORKLOAD_DEFAULT_OVERRIDES)
-
-
-def _default_workload_trace() -> str | None:
-    return _WORKLOAD_DEFAULT_TRACE
 
 
 def default_platform(**overrides: Any) -> PlatformSpec:
@@ -120,15 +85,13 @@ class ExperimentConfig:
     priority_mix: tuple[float, float, float] = DEFAULT_PRIORITY_MIX
     #: Extra WorkloadSpec keyword overrides (e.g. arrival_process="mmpp",
     #: size_distribution="bounded-pareto") for robustness studies.
-    workload_overrides: Mapping[str, Any] = field(
-        default_factory=_default_workload_overrides
-    )
+    workload_overrides: Mapping[str, Any] = field(default_factory=dict)
     #: Path to a frozen workload trace (``.json`` / ``.jsonl`` / ``.swf``).
     #: When set, the run replays the trace instead of synthesizing a
     #: workload — ``num_tasks`` and the arrival/size parameters above are
     #: ignored (the trace *is* the workload) and the workload RNG streams
     #: go unconsumed.
-    workload_trace: str | None = field(default_factory=_default_workload_trace)
+    workload_trace: str | None = None
     platform: PlatformSpec = field(default_factory=default_platform)
     #: Crash-stop failure injection (None = no failures): mean time
     #: between failures per node, exponentially distributed.

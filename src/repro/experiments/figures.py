@@ -1,18 +1,14 @@
-"""Regenerators for every result figure in the paper (Figures 7–12).
+"""The paper's result figures (Figures 7–12): plan, run, build.
 
-Each ``figureN`` function runs the simulations behind one paper figure
-and returns a :class:`FigureData` with the same x-axis and series the
-paper plots.  Figures 7 and 8 come from one shared sweep
-(:func:`comparison_sweep`); pass its result to both to avoid running the
-simulations twice.
+:class:`FigurePlan` lists every distinct run a set of figures needs,
+:func:`run_configs` runs each of them once (in process, or as one
+parallel campaign), and :meth:`FigurePlan.figure` builds each figure
+from the runs' records, with the same x-axis and series the paper
+plots.  Figures 7 and 8 share one sweep, and so do Figures 11 and 12.
 
-To regenerate several figures at once, :class:`FigurePlan` lists every
-distinct run they need, :func:`run_configs` runs each of them once (in
-process, or as one parallel campaign), and :meth:`FigurePlan.figure`
-builds each figure from the runs' records.
-
-Scale knobs (``task_counts``, ``seeds``) default to the paper's full
-settings; benches and tests pass reduced values.
+Scale knobs (``task_counts``, ``seeds``, ``heavy_tasks``,
+``light_tasks``) default to the paper's full settings; the CLI's
+``--quick`` and the tests pass reduced values.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from ..metrics.stats import mean_ci
 from .config import ExperimentConfig, default_platform
@@ -31,14 +27,6 @@ __all__ = [
     "FigureData",
     "FigurePlan",
     "run_configs",
-    "comparison_sweep",
-    "heterogeneity_sweep",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "figure11",
-    "figure12",
     "ALL_FIGURES",
     "PAPER_TASK_COUNTS",
     "HETEROGENEITY_LEVELS",
@@ -46,6 +34,9 @@ __all__ = [
     "HEAVY_TASKS",
     "SCHEDULER_LABELS",
 ]
+
+#: Every figure a plan can build, in paper order.
+ALL_FIGURES = ("fig7", "fig8", "fig9", "fig10", "fig11", "fig12")
 
 #: The paper's Figure 7/8 x-axis.
 PAPER_TASK_COUNTS = (500, 1000, 1500, 2000, 2500, 3000)
@@ -89,19 +80,17 @@ class FigureData:
                 )
 
 
-def _aggregate(values_by_seed: Sequence[float]) -> tuple[float, float]:
-    ci = mean_ci(list(values_by_seed))
-    return ci.mean, ci.half_width
-
-
 def _comparison_grid(
-    task_counts: Sequence[int], seeds: Sequence[int], schedulers: Sequence[str]
+    task_counts: Sequence[int],
+    seeds: Sequence[int],
+    schedulers: Sequence[str],
+    **common: Any,
 ) -> dict:
     """``{scheduler: {n: [config per seed]}}``: the Experiment 1 grid."""
     return {
         name: {
             n: [
-                ExperimentConfig(scheduler=name, num_tasks=n, seed=seed)
+                ExperimentConfig(scheduler=name, num_tasks=n, seed=seed, **common)
                 for seed in seeds
             ]
             for n in task_counts
@@ -110,10 +99,10 @@ def _comparison_grid(
     }
 
 
-def _utilization_grid(num_tasks: int, seed: int) -> dict:
+def _utilization_grid(num_tasks: int, seed: int, **common: Any) -> dict:
     """``{scheduler: config}``: the Experiment 2 pair at one load."""
     return {
-        name: ExperimentConfig(scheduler=name, num_tasks=num_tasks, seed=seed)
+        name: ExperimentConfig(scheduler=name, num_tasks=num_tasks, seed=seed, **common)
         for name in ("adaptive-rl", "online-rl")
     }
 
@@ -123,6 +112,7 @@ def _heterogeneity_grid(
     seeds: Sequence[int],
     light_tasks: int,
     heavy_tasks: int,
+    **common: Any,
 ) -> dict:
     """``{load_label: {h: [config per seed]}}``: the Experiment 3 grid."""
     loads = (("Heavily-loaded", heavy_tasks), ("Lightly-loaded", light_tasks))
@@ -134,6 +124,7 @@ def _heterogeneity_grid(
                     num_tasks=n,
                     seed=seed,
                     platform=default_platform(heterogeneity_cv=h),
+                    **common,
                 )
                 for seed in seeds
             ]
@@ -259,103 +250,62 @@ def _campaign_records(
     return result.records
 
 
-def _run_grid(
-    grid,
-    jobs: int = 1,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-):
+def _run_grid(grid, jobs: int = 1):
     """Run each distinct config of *grid* once; *grid* with runs in place."""
-    runs = run_configs(_distinct(_leaves(grid)), jobs, checkpoint_dir, resume)
-    return _fill(grid, runs)
+    return _fill(grid, run_configs(_distinct(_leaves(grid)), jobs))
 
 
-def comparison_sweep(
-    task_counts: Sequence[int] = PAPER_TASK_COUNTS,
-    seeds: Sequence[int] = (1,),
-    schedulers: Sequence[str] = PAPER_COMPARISON,
-    jobs: int = 1,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-) -> dict:
-    """Run the Experiment 1 sweep once; powers Figures 7 and 8.
+#: Figs 7, 8, 11 and 12 plot one metric's mean over seeds per x:
+#: ``figure_id → (title, x label, y label, metric of a run)``.
+_SERIES_FIGURES = {
+    "fig7": (
+        "Average response time with different learning approaches",
+        "Number of tasks",
+        "average response time (t unit)",
+        lambda run: run.avert,
+    ),
+    "fig8": (
+        "Average energy consumption with different learning approaches",
+        "Number of tasks",
+        "energy consumption (in millions)",
+        lambda run: run.ecs / 1e6,
+    ),
+    "fig11": (
+        "Successful rate of Adaptive-RL in lightly- and heavily-loaded states",
+        "Heterogeneity of resources",
+        "successful rate",
+        lambda run: run.success_rate,
+    ),
+    "fig12": (
+        "Average energy consumption of Adaptive-RL in lightly- and "
+        "heavily-loaded states",
+        "Heterogeneity of resources",
+        "energy consumption (in millions)",
+        lambda run: run.ecs / 1e6,
+    ),
+}
 
-    Returns ``{scheduler: {n: [runs per seed]}}`` where each run exposes
-    the headline metric attributes (``avert``, ``ecs``, ...).  With
-    ``jobs > 1`` (or ``resume=True``) the grid fans out over the
-    :mod:`repro.parallel` engine — same values at the same seeds, with
-    optional checkpoint/resume through *checkpoint_dir*.
-    """
-    return _run_grid(
-        _comparison_grid(task_counts, seeds, schedulers),
-        jobs,
-        checkpoint_dir,
-        resume,
-    )
 
-
-def figure7(
-    task_counts: Sequence[int] = PAPER_TASK_COUNTS,
-    seeds: Sequence[int] = (1,),
-    sweep: Optional[dict] = None,
-    jobs: int = 1,
+def _series_figure(
+    figure_id: str,
+    x_values: Sequence,
+    seeds: Sequence[int],
+    runs: Mapping[str, Mapping],
 ) -> FigureData:
-    """Figure 7: average response time vs number of tasks (4 schedulers)."""
-    sweep = (
-        sweep
-        if sweep is not None
-        else comparison_sweep(task_counts, seeds, jobs=jobs)
-    )
+    """Fig 7, 8, 11 or 12 from *runs*, ``{series: {x: [run per seed]}}``."""
+    title, x_label, y_label, metric = _SERIES_FIGURES[figure_id]
     series, errors = {}, {}
-    for name, per_n in sweep.items():
+    for name, per_x in runs.items():
+        cis = [mean_ci([metric(run) for run in per_x[x]]) for x in x_values]
         label = SCHEDULER_LABELS.get(name, name)
-        means, hws = [], []
-        for n in task_counts:
-            mean, hw = _aggregate([m.avert for m in per_n[n]])
-            means.append(mean)
-            hws.append(hw)
-        series[label] = tuple(means)
-        errors[label] = tuple(hws)
+        series[label] = tuple(ci.mean for ci in cis)
+        errors[label] = tuple(ci.half_width for ci in cis)
     return FigureData(
-        figure_id="fig7",
-        title="Average response time with different learning approaches",
-        x_label="Number of tasks",
-        y_label="average response time (t unit)",
-        x_values=tuple(task_counts),
-        series=series,
-        errors=errors,
-        meta={"seeds": tuple(seeds)},
-    )
-
-
-def figure8(
-    task_counts: Sequence[int] = PAPER_TASK_COUNTS,
-    seeds: Sequence[int] = (1,),
-    sweep: Optional[dict] = None,
-    jobs: int = 1,
-) -> FigureData:
-    """Figure 8: system energy consumption vs number of tasks."""
-    sweep = (
-        sweep
-        if sweep is not None
-        else comparison_sweep(task_counts, seeds, jobs=jobs)
-    )
-    series, errors = {}, {}
-    for name, per_n in sweep.items():
-        label = SCHEDULER_LABELS.get(name, name)
-        means, hws = [], []
-        for n in task_counts:
-            mean, hw = _aggregate([m.ecs / 1e6 for m in per_n[n]])
-            means.append(mean)
-            hws.append(hw)
-        series[label] = tuple(means)
-        errors[label] = tuple(hws)
-    return FigureData(
-        figure_id="fig8",
-        title="Average energy consumption with different learning approaches",
-        x_label="Number of tasks",
-        y_label="energy consumption (in millions)",
-        x_values=tuple(task_counts),
+        figure_id=figure_id,
+        title=title,
+        x_label=x_label,
+        y_label=y_label,
+        x_values=tuple(x_values),
         series=series,
         errors=errors,
         meta={"seeds": tuple(seeds)},
@@ -392,125 +342,6 @@ def _utilization_figure(
     )
 
 
-def figure9(num_tasks: int = HEAVY_TASKS, seed: int = 1) -> FigureData:
-    """Figure 9: utilization vs % learning cycles, heavily loaded."""
-    runs = _run_grid(_utilization_grid(num_tasks, seed))
-    return _utilization_figure("fig9", num_tasks, seed, runs)
-
-
-def figure10(num_tasks: int = LIGHT_TASKS, seed: int = 1) -> FigureData:
-    """Figure 10: utilization vs % learning cycles, lightly loaded."""
-    runs = _run_grid(_utilization_grid(num_tasks, seed))
-    return _utilization_figure("fig10", num_tasks, seed, runs)
-
-
-def heterogeneity_sweep(
-    levels: Sequence[float] = HETEROGENEITY_LEVELS,
-    seeds: Sequence[int] = (1,),
-    light_tasks: int = LIGHT_TASKS,
-    heavy_tasks: int = HEAVY_TASKS,
-    jobs: int = 1,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-) -> dict:
-    """The Experiment 3 sweep; powers Figures 11 and 12.
-
-    Returns ``{load_label: {h: [runs per seed]}}`` for Adaptive-RL; run
-    it once and pass the result to both figure regenerators.  Parallel
-    semantics match :func:`comparison_sweep`.
-    """
-    return _run_grid(
-        _heterogeneity_grid(levels, seeds, light_tasks, heavy_tasks),
-        jobs,
-        checkpoint_dir,
-        resume,
-    )
-
-
-def figure11(
-    levels: Sequence[float] = HETEROGENEITY_LEVELS,
-    seeds: Sequence[int] = (1,),
-    light_tasks: int = LIGHT_TASKS,
-    heavy_tasks: int = HEAVY_TASKS,
-    sweep: Optional[dict] = None,
-    jobs: int = 1,
-) -> FigureData:
-    """Figure 11: Adaptive-RL success rate vs resource heterogeneity."""
-    sweep = (
-        sweep
-        if sweep is not None
-        else heterogeneity_sweep(levels, seeds, light_tasks, heavy_tasks, jobs=jobs)
-    )
-    series, errors = {}, {}
-    for label, per_h in sweep.items():
-        means, hws = [], []
-        for h in levels:
-            mean, hw = _aggregate([m.success_rate for m in per_h[h]])
-            means.append(mean)
-            hws.append(hw)
-        series[label] = tuple(means)
-        errors[label] = tuple(hws)
-    return FigureData(
-        figure_id="fig11",
-        title="Successful rate of Adaptive-RL in lightly- and heavily-loaded states",
-        x_label="Heterogeneity of resources",
-        y_label="successful rate",
-        x_values=tuple(levels),
-        series=series,
-        errors=errors,
-        meta={"seeds": tuple(seeds)},
-    )
-
-
-def figure12(
-    levels: Sequence[float] = HETEROGENEITY_LEVELS,
-    seeds: Sequence[int] = (1,),
-    light_tasks: int = LIGHT_TASKS,
-    heavy_tasks: int = HEAVY_TASKS,
-    sweep: Optional[dict] = None,
-    jobs: int = 1,
-) -> FigureData:
-    """Figure 12: Adaptive-RL energy consumption vs resource heterogeneity."""
-    sweep = (
-        sweep
-        if sweep is not None
-        else heterogeneity_sweep(levels, seeds, light_tasks, heavy_tasks, jobs=jobs)
-    )
-    series, errors = {}, {}
-    for label, per_h in sweep.items():
-        means, hws = [], []
-        for h in levels:
-            mean, hw = _aggregate([m.ecs / 1e6 for m in per_h[h]])
-            means.append(mean)
-            hws.append(hw)
-        series[label] = tuple(means)
-        errors[label] = tuple(hws)
-    return FigureData(
-        figure_id="fig12",
-        title=(
-            "Average energy consumption of Adaptive-RL in lightly- and "
-            "heavily-loaded states"
-        ),
-        x_label="Heterogeneity of resources",
-        y_label="energy consumption (in millions)",
-        x_values=tuple(levels),
-        series=series,
-        errors=errors,
-        meta={"seeds": tuple(seeds)},
-    )
-
-
-#: Registry used by the reporting CLI: id → regenerator.
-ALL_FIGURES = {
-    "fig7": figure7,
-    "fig8": figure8,
-    "fig9": figure9,
-    "fig10": figure10,
-    "fig11": figure11,
-    "fig12": figure12,
-}
-
-
 @dataclass(frozen=True)
 class FigurePlan:
     """The runs behind a set of figures at one scale.
@@ -526,15 +357,32 @@ class FigurePlan:
     seeds: Sequence[int] = (1,)
     heavy_tasks: int = HEAVY_TASKS
     light_tasks: int = LIGHT_TASKS
+    #: ``WorkloadSpec`` keyword overrides for every run of the plan
+    #: (e.g. ``{"arrival_process": "mmpp"}``).
+    workload_overrides: Mapping[str, Any] = field(default_factory=dict)
+    #: A frozen workload trace every run of the plan replays.
+    workload_trace: Optional[str] = None
 
     def _grid(self, figure_id: str):
+        common = {
+            "workload_overrides": self.workload_overrides,
+            "workload_trace": self.workload_trace,
+        }
         if figure_id in ("fig7", "fig8"):
-            return _comparison_grid(self.task_counts, self.seeds, PAPER_COMPARISON)
+            return _comparison_grid(
+                self.task_counts, self.seeds, PAPER_COMPARISON, **common
+            )
         if figure_id in ("fig9", "fig10"):
-            return _utilization_grid(self._load(figure_id), self.seeds[0])
+            return _utilization_grid(
+                self._load(figure_id), self.seeds[0], **common
+            )
         if figure_id in ("fig11", "fig12"):
             return _heterogeneity_grid(
-                HETEROGENEITY_LEVELS, self.seeds, self.light_tasks, self.heavy_tasks
+                HETEROGENEITY_LEVELS,
+                self.seeds,
+                self.light_tasks,
+                self.heavy_tasks,
+                **common,
             )
         raise ValueError(f"unknown figure {figure_id!r}")
 
@@ -557,5 +405,7 @@ class FigurePlan:
                 figure_id, self._load(figure_id), self.seeds[0], filled
             )
         if figure_id in ("fig7", "fig8"):
-            return ALL_FIGURES[figure_id](self.task_counts, self.seeds, sweep=filled)
-        return ALL_FIGURES[figure_id](seeds=self.seeds, sweep=filled)
+            x_values = self.task_counts
+        else:
+            x_values = HETEROGENEITY_LEVELS
+        return _series_figure(figure_id, x_values, self.seeds, filled)

@@ -107,23 +107,6 @@ class RandomStreams:
     def __len__(self) -> int:
         return len(self._streams)
 
-    def spawn(self, prefix: str) -> "RandomStreams":
-        """Return a child registry whose stream names are prefixed.
-
-        Useful for handing a component its own namespaced sub-registry
-        without exposing the global namespace.
-        """
-        child = RandomStreams(self._seed)
-        parent = self
-
-        class _Prefixed(RandomStreams):
-            def __getitem__(self, name: str) -> np.random.Generator:
-                return parent[f"{prefix}.{name}"]
-
-        prefixed = _Prefixed(self._seed)
-        del child
-        return prefixed
-
     def reset(self) -> None:
         """Drop all derived streams (they re-derive deterministically)."""
         self._streams.clear()

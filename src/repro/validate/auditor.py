@@ -143,15 +143,16 @@ class _MeterShadow:
 
     def __init__(self, meter: ProcessorEnergyMeter) -> None:
         self.meter = meter
-        self.since = meter._since
-        self.state = meter._state
+        self.since = meter.last_transition
+        self.state = meter.state
         self.power = meter._current_power()
-        self.busy_t = meter._busy_time
-        self.idle_t = meter._idle_time
-        self.sleep_t = meter._sleep_time
-        self.busy_e = meter._busy_energy
-        self.idle_e = meter._idle_energy
-        self.sleep_e = meter._sleep_energy
+        cells = meter.snapshot()
+        self.busy_t = cells.busy_time
+        self.idle_t = cells.idle_time
+        self.sleep_t = cells.sleep_time
+        self.busy_e = cells.busy_energy
+        self.idle_e = cells.idle_energy
+        self.sleep_e = cells.sleep_energy
         #: Distinct power levels ever charged, per state.
         self.powers: dict[ProcState, set[float]] = {
             ProcState.BUSY: set(),
@@ -835,13 +836,15 @@ class InvariantAuditor:
             rep.count(INV_ENERGY)
             meter = shadow.meter
             pid = meter.owner or "proc"
+            cells = meter.snapshot()
+            since = meter.last_transition
             pairs = (
-                ("busy_time", meter._busy_time, shadow.busy_t),
-                ("idle_time", meter._idle_time, shadow.idle_t),
-                ("sleep_time", meter._sleep_time, shadow.sleep_t),
-                ("busy_energy", meter._busy_energy, shadow.busy_e),
-                ("idle_energy", meter._idle_energy, shadow.idle_e),
-                ("sleep_energy", meter._sleep_energy, shadow.sleep_e),
+                ("busy_time", cells.busy_time, shadow.busy_t),
+                ("idle_time", cells.idle_time, shadow.idle_t),
+                ("sleep_time", cells.sleep_time, shadow.sleep_t),
+                ("busy_energy", cells.busy_energy, shadow.busy_e),
+                ("idle_energy", cells.idle_energy, shadow.idle_e),
+                ("sleep_energy", cells.sleep_energy, shadow.sleep_e),
             )
             for name, observed, expected in pairs:
                 if not _close(observed, expected, tol):
@@ -854,17 +857,17 @@ class InvariantAuditor:
                         observed=observed,
                         expected=expected,
                     )
-            if meter._since != shadow.since:
+            if since != shadow.since:
                 self._violate(
                     INV_ENERGY,
                     pid,
-                    f"meter last transition {meter._since!r} != shadow "
+                    f"meter last transition {since!r} != shadow "
                     f"{shadow.since!r}",
                 )
             # Time closure: per-state times must account for every
             # second between metering start and the last transition.
-            elapsed = meter._since - meter.start_time
-            total_t = meter._busy_time + meter._idle_time + meter._sleep_time
+            elapsed = since - meter.start_time
+            total_t = cells.busy_time + cells.idle_time + cells.sleep_time
             if not _close(total_t, elapsed, tol):
                 self._violate(
                     INV_ENERGY,
@@ -879,12 +882,12 @@ class InvariantAuditor:
             # DVFS varies busy power, in which case the shadow
             # comparison above is the (stronger, exact) check.
             for state_powers, time_sum, energy_sum, name in (
-                (shadow.powers[ProcState.BUSY], meter._busy_time,
-                 meter._busy_energy, "busy"),
-                (shadow.powers[ProcState.IDLE], meter._idle_time,
-                 meter._idle_energy, "idle"),
-                (shadow.powers[ProcState.SLEEP], meter._sleep_time,
-                 meter._sleep_energy, "sleep"),
+                (shadow.powers[ProcState.BUSY], cells.busy_time,
+                 cells.busy_energy, "busy"),
+                (shadow.powers[ProcState.IDLE], cells.idle_time,
+                 cells.idle_energy, "idle"),
+                (shadow.powers[ProcState.SLEEP], cells.sleep_time,
+                 cells.sleep_energy, "sleep"),
             ):
                 if len(state_powers) == 1:
                     (rate,) = state_powers

@@ -156,10 +156,11 @@ class TestTallyUnit:
 
         def exact(state):
             closed = sum(
-                Fraction(getattr(m, f"_{state.value}_time")) for m in meters
+                Fraction(getattr(m.snapshot(), f"{state.value}_time"))
+                for m in meters
             )
             return closed + sum(
-                Fraction(now) - Fraction(m._since)
+                Fraction(now) - Fraction(m.last_transition)
                 for m in meters
                 if m.state is state
             )

@@ -1,8 +1,29 @@
 """Unit tests for the figure-regeneration CLI."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import cli
+
+#: A frozen workload trace shipped with the package.
+TRACE = (
+    Path(cli.__file__).resolve().parents[1]
+    / "workload/scenarios/swf-excerpt/trace.jsonl"
+)
+
+
+def _capture_plan(monkeypatch, run=False):
+    """Record the plan ``cli.main`` builds; run it only when *run*."""
+    plans = []
+    real = cli._run_figures
+
+    def capture(args, plan):
+        plans.append(plan)
+        return real(args, plan) if run else 0
+
+    monkeypatch.setattr(cli, "_run_figures", capture)
+    return plans
 
 
 class TestCLI:
@@ -23,33 +44,18 @@ class TestCLI:
     def test_workload_trace_flag_replays_frozen_input(
         self, capsys, monkeypatch
     ):
-        from pathlib import Path
-
-        from repro.experiments.config import set_workload_defaults
-
-        trace = (
-            Path(cli.__file__).resolve().parents[1]
-            / "workload/scenarios/swf-excerpt/trace.jsonl"
-        )
         monkeypatch.setattr(cli, "QUICK_HEAVY", 60)
-        try:
-            rc = cli.main(
-                ["fig9", "--quick", "--workload-trace", str(trace)]
-            )
-        finally:
-            set_workload_defaults()  # never leak into other tests
+        plans = _capture_plan(monkeypatch, run=True)
+        rc = cli.main(["fig9", "--quick", "--workload-trace", str(TRACE)])
         out = capsys.readouterr().out
         assert "replaying trace" in out
         assert rc in (0, 1)
+        (plan,) = plans
+        assert {c.workload_trace for c in plan.configs()} == {str(TRACE)}
 
     def test_workload_trace_flag_requires_existing_file(self, capsys):
-        from repro.experiments.config import set_workload_defaults
-
-        try:
-            with pytest.raises(SystemExit):
-                cli.main(["fig9", "--workload-trace", "/no/such/file.jsonl"])
-        finally:
-            set_workload_defaults()
+        with pytest.raises(SystemExit):
+            cli.main(["fig9", "--workload-trace", "/no/such/file.jsonl"])
         assert "no such file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("every", ["nan", "inf"])
@@ -62,26 +68,29 @@ class TestCLI:
         assert "--sample-every" in capsys.readouterr().err
 
     def test_arrival_process_flag_sets_default(self, capsys, monkeypatch):
-        from repro.experiments.config import ExperimentConfig, set_workload_defaults
-
-        figure_calls = {}
-
-        def fake_figures(*a, **k):
-            # Snapshot what a figure-constructed config would see.
-            figure_calls["cfg"] = ExperimentConfig()
-            return 0
-
-        monkeypatch.setattr(cli, "_run_figures", fake_figures)
-        try:
-            rc = cli.main(["fig9", "--quick", "--arrival-process", "diurnal"])
-        finally:
-            set_workload_defaults()
+        """The flag reaches every config of the plan, and nothing else."""
+        plans = _capture_plan(monkeypatch)
+        rc = cli.main(["--quick", "--arrival-process", "diurnal"])
         assert rc == 0
-        assert (
-            figure_calls["cfg"].workload_overrides["arrival_process"]
-            == "diurnal"
-        )
+        (plan,) = plans
+        configs = plan.configs()
+        assert len(configs) == 24
+        for config in configs:
+            assert config.workload_overrides == {"arrival_process": "diurnal"}
+            assert config.workload_trace is None
         assert "diurnal" in capsys.readouterr().out
+
+    def test_workload_flags_do_not_outlive_main(self, capsys, monkeypatch):
+        """A config built after ``main`` returns carries neither flag."""
+        from repro.experiments.config import ExperimentConfig
+
+        monkeypatch.setattr(cli, "QUICK_HEAVY", 60)
+        argv = ["fig9", "--quick", "--arrival-process", "mmpp"]
+        assert cli.main(argv + ["--workload-trace", str(TRACE)]) in (0, 1)
+        capsys.readouterr()
+        config = ExperimentConfig()
+        assert config.workload_overrides == {}
+        assert config.workload_trace is None
 
     def test_save_dir_writes_figure_json(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "QUICK_HEAVY", 60)

@@ -205,42 +205,6 @@ class TestSerialization:
         assert (a.avert, a.ecs, a.success_rate) == (b.avert, b.ecs, b.success_rate)
 
 
-class TestWorkloadDefaults:
-    """The process-wide hook behind --workload-trace/--arrival-process."""
-
-    def test_overrides_and_trace_flow_into_new_configs(self):
-        from repro.experiments.config import set_workload_defaults
-
-        try:
-            set_workload_defaults(
-                overrides={"arrival_process": "diurnal"}, trace="t.jsonl"
-            )
-            cfg = ExperimentConfig()
-            assert cfg.workload_overrides["arrival_process"] == "diurnal"
-            assert cfg.workload_trace == "t.jsonl"
-        finally:
-            set_workload_defaults()
-
-    def test_reset_restores_plain_defaults(self):
-        from repro.experiments.config import set_workload_defaults
-
-        set_workload_defaults(overrides={"arrival_process": "mmpp"})
-        set_workload_defaults()
-        cfg = ExperimentConfig()
-        assert cfg.workload_overrides == {}
-        assert cfg.workload_trace is None
-
-    def test_explicit_arguments_beat_defaults(self):
-        from repro.experiments.config import set_workload_defaults
-
-        try:
-            set_workload_defaults(overrides={"arrival_process": "diurnal"})
-            cfg = ExperimentConfig(workload_overrides={"pareto_alpha": 1.3})
-            assert cfg.workload_overrides == {"pareto_alpha": 1.3}
-        finally:
-            set_workload_defaults()
-
-
 class TestDefaultPlatform:
     def test_paper_range_low_end(self):
         p = default_platform()

@@ -1,29 +1,21 @@
-"""Unit tests for the figure regenerators (reduced scale)."""
+"""Unit tests for the figure plan (reduced scale)."""
 
 import json
 
 import pytest
 
-from repro.experiments import (
-    comparison_sweep,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
-)
 from repro.experiments.config import grid
-from repro.experiments.figures import FigureData, run_configs
+from repro.experiments.figures import FigureData, FigurePlan, run_configs
 from repro.obs import SeriesBank, Telemetry, use
 
 SMALL_COUNTS = (60, 120)
 SMALL_SEEDS = (1,)
 
 
-@pytest.fixture(scope="module")
-def small_sweep():
-    return comparison_sweep(SMALL_COUNTS, SMALL_SEEDS, schedulers=("adaptive-rl", "edf"))
+def build(plan: FigurePlan) -> dict:
+    """``{figure_id: FigureData}``: *plan* run serially, then built."""
+    runs = run_configs(plan.configs())
+    return {fid: plan.figure(fid, runs) for fid in plan.figure_ids}
 
 
 class TestFigureData:
@@ -39,31 +31,57 @@ class TestFigureData:
             )
 
 
+class TestFigurePlan:
+    def test_workload_fields_reach_every_config(self):
+        plan = FigurePlan(
+            ("fig7", "fig9", "fig11"),
+            task_counts=SMALL_COUNTS,
+            heavy_tasks=120,
+            light_tasks=60,
+            workload_overrides={"arrival_process": "mmpp"},
+            workload_trace="t.jsonl",
+        )
+        configs = plan.configs()
+        # Fig 9's pair at 120 tasks is part of the comparison grid.
+        assert len(configs) == 4 * 2 + 10
+        for config in configs:
+            assert config.workload_overrides == {"arrival_process": "mmpp"}
+            assert config.workload_trace == "t.jsonl"
+
+
 class TestComparisonFigures:
-    def test_figure7_structure(self, small_sweep):
-        fig = figure7(SMALL_COUNTS, SMALL_SEEDS, sweep=small_sweep)
+    @pytest.fixture(scope="class")
+    def figs(self):
+        return build(
+            FigurePlan(("fig7", "fig8"), task_counts=SMALL_COUNTS, seeds=SMALL_SEEDS)
+        )
+
+    def test_figure7_structure(self, figs):
+        fig = figs["fig7"]
         assert fig.figure_id == "fig7"
         assert fig.x_values == SMALL_COUNTS
         assert "Adaptive RL" in fig.series
         assert all(len(ys) == 2 for ys in fig.series.values())
         assert all(y > 0 for ys in fig.series.values() for y in ys)
 
-    def test_figure8_structure(self, small_sweep):
-        fig = figure8(SMALL_COUNTS, SMALL_SEEDS, sweep=small_sweep)
+    def test_figure8_structure(self, figs):
+        fig = figs["fig8"]
         assert fig.figure_id == "fig8"
         assert fig.y_label.startswith("energy")
         # ECS reported in millions.
         assert all(y < 100 for ys in fig.series.values() for y in ys)
 
-    def test_shared_sweep_consistency(self, small_sweep):
-        f7 = figure7(SMALL_COUNTS, SMALL_SEEDS, sweep=small_sweep)
-        f8 = figure8(SMALL_COUNTS, SMALL_SEEDS, sweep=small_sweep)
-        assert set(f7.series) == set(f8.series)
+    def test_shared_sweep_consistency(self, figs):
+        assert set(figs["fig7"].series) == set(figs["fig8"].series)
 
 
 class TestUtilizationFigures:
-    def test_figure9_structure(self):
-        fig = figure9(num_tasks=80, seed=1)
+    @pytest.fixture(scope="class")
+    def figs(self):
+        return build(FigurePlan(("fig9", "fig10"), heavy_tasks=80, light_tasks=80))
+
+    def test_figure9_structure(self, figs):
+        fig = figs["fig9"]
         assert fig.figure_id == "fig9"
         assert len(fig.x_values) == 10
         assert set(fig.series) == {
@@ -72,29 +90,29 @@ class TestUtilizationFigures:
         }
         assert all(0 <= y <= 1 for ys in fig.series.values() for y in ys)
 
-    def test_figure10_structure(self):
-        fig = figure10(num_tasks=80, seed=1)
+    def test_figure10_structure(self, figs):
+        fig = figs["fig10"]
         assert fig.figure_id == "fig10"
         assert all("lightly-loaded" in name for name in fig.series)
 
 
 class TestHeterogeneityFigures:
     @pytest.fixture(scope="class")
-    def h_sweep(self):
-        from repro.experiments.figures import heterogeneity_sweep
-
-        return heterogeneity_sweep(
-            (0.1, 0.9), seeds=(1,), light_tasks=50, heavy_tasks=120
+    def figs(self):
+        return build(
+            FigurePlan(
+                ("fig11", "fig12"), seeds=(1,), light_tasks=50, heavy_tasks=120
+            )
         )
 
-    def test_figure11_structure(self, h_sweep):
-        fig = figure11((0.1, 0.9), sweep=h_sweep)
+    def test_figure11_structure(self, figs):
+        fig = figs["fig11"]
         assert fig.figure_id == "fig11"
         assert set(fig.series) == {"Heavily-loaded", "Lightly-loaded"}
         assert all(0 <= y <= 1 for ys in fig.series.values() for y in ys)
 
-    def test_figure12_structure(self, h_sweep):
-        fig = figure12((0.1, 0.9), sweep=h_sweep)
+    def test_figure12_structure(self, figs):
+        fig = figs["fig12"]
         assert fig.figure_id == "fig12"
         assert all(y > 0 for ys in fig.series.values() for y in ys)
 

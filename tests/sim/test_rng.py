@@ -60,13 +60,6 @@ class TestRandomStreams:
         b = s["x"].random(4)
         assert np.array_equal(a, b)
 
-    def test_spawn_prefixes_names(self):
-        parent = RandomStreams(seed=9)
-        child = parent.spawn("sub")
-        a = child["x"].random(4)
-        b = RandomStreams(seed=9)["sub.x"].random(4)
-        assert np.array_equal(a, b)
-
 
 class TestBatchDraw:
     """batch_draw(n) must consume the stream exactly like n scalar draws."""
@@ -112,12 +105,6 @@ class TestBatchDraw:
             g.exponential(5.0)
         after_seq = g.random(8)
         assert np.array_equal(after_batch, after_seq)
-
-    def test_spawned_substream_batch_draws(self):
-        child = RandomStreams(seed=9).spawn("sub")
-        a = child.batch_draw("x", 16, "random")
-        b = RandomStreams(seed=9)["sub.x"].random(16)
-        assert np.array_equal(a, b)
 
     def test_zero_draws_consume_nothing(self):
         s = RandomStreams(seed=2)

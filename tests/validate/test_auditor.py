@@ -216,8 +216,8 @@ class TestCorruptionDetection:
 
     def test_corrupted_meter_energy(self):
         env, system, auditor = make_audited_cluster()
-        proc = system.processors[0]
-        proc.meter._busy_energy += 1.0
+        meter = system.processors[0].meter
+        meter._bank.busy_energy[meter._row] += 1.0
         auditor.sweep()
         bad = [v for v in auditor.report.violations if v.invariant == INV_ENERGY]
         assert bad
@@ -230,7 +230,8 @@ class TestCorruptionDetection:
 
     def test_corrupted_meter_raises_in_strict_mode(self):
         env, system, auditor = make_audited_cluster(on_violation="raise")
-        system.processors[0].meter._idle_energy -= 0.5
+        meter = system.processors[0].meter
+        meter._bank.idle_energy[meter._row] -= 0.5
         with pytest.raises(InvariantViolationError) as exc:
             auditor.sweep()
         assert exc.value.violation.invariant == INV_ENERGY
@@ -238,7 +239,8 @@ class TestCorruptionDetection:
 
     def test_meter_time_written_behind_set_state(self):
         env, system, auditor = make_audited_cluster()
-        system.processors[0].meter._busy_time += 1.0
+        meter = system.processors[0].meter
+        meter._bank.busy_time[meter._row] += 1.0
         auditor.sweep()
         bad = [v for v in auditor.report.violations if v.invariant == INV_USAGE]
         assert [v.subject for v in bad] == ["system"]
@@ -479,7 +481,8 @@ class TestCorruptionDetection:
 
     def test_collect_mode_keeps_running(self):
         env, system, auditor = make_audited_cluster()
-        system.processors[0].meter._busy_energy += 1.0
+        meter = system.processors[0].meter
+        meter._bank.busy_energy[meter._row] += 1.0
         system.nodes[0].queue.extend(
             object() for _ in range(system.nodes[0].queue_slots + 1)
         )
@@ -664,7 +667,8 @@ class TestReportSurface:
 
     def test_violation_str_format(self):
         env, system, auditor = make_audited_cluster()
-        system.processors[0].meter._sleep_time += 3.0
+        meter = system.processors[0].meter
+        meter._bank.sleep_time[meter._row] += 3.0
         auditor.sweep()
         v = auditor.report.violations[0]
         assert str(v).startswith(f"[{INV_ENERGY}] t=0 ")
