@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from ..energy.accounting import NodeEnergy, node_energy
-from ..energy.meter import ProcState
+from ..energy.meter import BUSY_CODE, IDLE_CODE, ProcState
 from ..sim.core import Environment
 from ..sim.events import Call, Event
 from ..sim.fold import fold_sum
@@ -45,7 +45,7 @@ from .taskgroup import TaskGroup
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .site import ResourceSite
 
-__all__ = ["ComputeNode", "NodeState", "SleepPolicy"]
+__all__ = ["ComputeNode", "NodeState", "SleepPolicy", "load_and_power"]
 
 _BUSY = ProcState.BUSY
 _IDLE = ProcState.IDLE
@@ -256,6 +256,13 @@ class ComputeNode:
         self._power_cache: tuple[float, ...] = ()
         self._total_power_cache = 0.0
         self._sleeping_cache = 0
+        #: Per processor, what a power refresh reads: the processor, its
+        #: meter's state-code column and row, and its idle and sleep
+        #: draws (static, like the profile).
+        self._meter_cells = tuple(
+            (p, *p.meter.state_cell(), p.profile.p_min_w, p.profile.p_sleep_w)
+            for p in self.processors
+        )
         for proc in self.processors:
             proc.node = self
 
@@ -326,7 +333,10 @@ class ComputeNode:
         float updates — so cached results are bit-identical to the
         uncached ones regardless of admission/completion order.
         """
-        self._load_cache = fold_sum(g.pw for g in self._active_groups)
+        load = 0
+        for g in self._active_groups:
+            load += g.pw
+        self._load_cache = load
         self._pending_size_cache = None
         self._deadlines_cache = None
         self._work_dirty = False
@@ -334,7 +344,7 @@ class ComputeNode:
     def _refresh_power_caches(self) -> None:
         """Recompute the per-processor power snapshot, its total (the
         same fold as :attr:`NodeState.total_power_w`) and the sleep
-        count, reading each processor's meter state once.
+        count, reading each meter's state code once from its bank.
 
         Each draw is what :attr:`Processor.current_power_w` returns, and
         the total is the same left fold from 0 in processor order.
@@ -342,14 +352,14 @@ class ComputeNode:
         draws = []
         total = 0
         sleeping = 0
-        for p in self.processors:
-            state = p.meter.state
-            if state is _BUSY:
+        for p, codes, row, idle_w, sleep_w in self._meter_cells:
+            code = codes[row]
+            if code == BUSY_CODE:
                 draw = p.busy_power_w
-            elif state is _IDLE:
-                draw = p.profile.p_min_w
+            elif code == IDLE_CODE:
+                draw = idle_w
             else:
-                draw = p.profile.p_sleep_w
+                draw = sleep_w
                 sleeping += 1
             draws.append(draw)
             total += draw
@@ -369,6 +379,24 @@ class ComputeNode:
             self._refresh_work_caches()
         return self._load_cache
 
+    def placement_terms(self) -> tuple[float, float, float, float]:
+        """``(total_speed_mips, pending_size_mi, processing_capacity,
+        sleeping fraction)``: the node terms of a placement score, each
+        after one dirty check."""
+        if self._work_dirty:
+            self._refresh_work_caches()
+        pending = self._pending_size_cache
+        if pending is None:
+            pending = self._fold_pending_size()
+        if self._power_dirty:
+            self._refresh_power_caches()
+        return (
+            self._total_speed_mips,
+            pending,
+            self._processing_capacity,
+            self._sleeping_cache / len(self.processors),
+        )
+
     @property
     def pending_tasks(self) -> int:
         """Tasks admitted to this node and not yet completed."""
@@ -382,12 +410,13 @@ class ComputeNode:
             self._refresh_work_caches()
         deadlines = self._deadlines_cache
         if deadlines is None:
-            deadlines = self._deadlines_cache = tuple(
-                t.deadline
-                for g in self._active_groups
-                for t in g.tasks
-                if not t.completed
-            )
+            pending: list[float] = []
+            for g in self._active_groups:
+                if g.dispatched_at is None:
+                    pending.extend(g.deadlines)  # see pending_size_mi
+                else:
+                    pending.extend(g.unfinished_deadlines())
+            deadlines = self._deadlines_cache = tuple(pending)
         return deadlines
 
     @property
@@ -397,12 +426,23 @@ class ComputeNode:
             self._refresh_work_caches()
         size = self._pending_size_cache
         if size is None:
-            size = self._pending_size_cache = fold_sum(
-                t.size_mi
-                for g in self._active_groups
-                for t in g.tasks
-                if not t.completed
-            )
+            size = self._fold_pending_size()
+        return size
+
+    def _fold_pending_size(self) -> float:
+        """Fold and cache the pending size: the unfinished members'
+        sizes, group by group in admission order, from 0."""
+        size = 0
+        for g in self._active_groups:
+            if g.dispatched_at is None:
+                # The feeder has not taken the group, so it has
+                # released no task: every member is unfinished.
+                for member_size in g.sizes:
+                    size += member_size
+            else:
+                for member_size in g.unfinished_sizes():
+                    size += member_size
+        self._pending_size_cache = size
         return size
 
     @property
@@ -856,3 +896,20 @@ class ComputeNode:
             f"PCc={self.processing_capacity:.0f} q={self.queued_groups}/"
             f"{self.queue_slots}>"
         )
+
+
+def load_and_power(nodes: Sequence[ComputeNode]) -> tuple[float, float]:
+    """``(Σ load, Σ total_power_w)`` over *nodes*: the two float terms a
+    site observation folds, each a left fold from 0.0 in node order.
+    Each node's terms are read after one dirty check per cache, in one
+    pass and without a call per node."""
+    load = 0.0
+    power = 0.0
+    for n in nodes:
+        if n._work_dirty:
+            n._refresh_work_caches()
+        if n._power_dirty:
+            n._refresh_power_caches()
+        load += n._load_cache
+        power += n._total_power_cache
+    return load, power

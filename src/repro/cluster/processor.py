@@ -51,6 +51,10 @@ class Processor:
         #: Count of tasks this processor has completed.
         self.tasks_completed = 0
         self._freq_scale = 1.0
+        #: Busy power at the current frequency scale (cubic model): set
+        #: here and at each rescale, as the frequency is the only input
+        #: that changes.
+        self.busy_power_w = self._busy_power()
         #: The owning node, set by it: a rescale marks the node's cached
         #: power snapshot stale (frequency sets busy power).
         self.node: Optional["ComputeNode"] = None
@@ -73,6 +77,7 @@ class Processor:
             raise ValueError("frequency scale must be positive")
         else:
             self._freq_scale = min(max(theta, MIN_FREQUENCY_SCALE), 1.0)
+        self.busy_power_w = self._busy_power()
         node = self.node
         if node is not None and not node._power_dirty:
             node._mark_power_dirty()
@@ -82,9 +87,7 @@ class Processor:
         """Speed at the current frequency scale."""
         return self.speed_mips * self._freq_scale
 
-    @property
-    def busy_power_w(self) -> float:
-        """Busy power at the current frequency scale (cubic model)."""
+    def _busy_power(self) -> float:
         p = self.profile
         return p.p_min_w + (p.p_max_w - p.p_min_w) * self._freq_scale**3
 

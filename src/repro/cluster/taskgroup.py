@@ -23,9 +23,8 @@ from itertools import count
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..sim.events import Event
-from ..sim.fold import fold_sum
 from ..workload.priorities import Priority
-from ..workload.task import Task
+from ..workload.task import Task, finish_times, sizes_and_deadlines, unfinished
 
 __all__ = ["TaskGroup", "processing_weight"]
 
@@ -41,10 +40,21 @@ def processing_weight(tasks: Sequence[Task], at_time: float) -> float:
     """
     if not tasks:
         raise ValueError("cannot compute processing weight of an empty group")
+    return _fold_weight(*sizes_and_deadlines(tasks), at_time)[1]
+
+
+def _fold_weight(
+    sizes: Sequence[float], deadlines: Sequence[float], at_time: float
+) -> tuple[float, float]:
+    """``(Σ si, pw)`` for one group's member columns: both sums are left
+    folds from the integer 0 in member order, as ``fold_sum`` folds."""
     eps = 1e-6
-    total_size = fold_sum(t.size_mi for t in tasks)
-    windows = fold_sum(max(t.deadline - at_time, eps) for t in tasks)
-    return total_size / (windows / len(tasks))
+    total_size = 0
+    windows = 0
+    for size, deadline in zip(sizes, deadlines):
+        total_size += size
+        windows += max(deadline - at_time, eps)
+    return total_size, total_size / (windows / len(sizes))
 
 
 class TaskGroup:
@@ -60,15 +70,29 @@ class TaskGroup:
         created_at: float,
         mode: str = "mixed",
     ) -> None:
-        task_list = sorted(tasks, key=lambda t: t.deadline)
-        if not task_list:
+        members = list(tasks)
+        if not members:
             raise ValueError("a task group must contain at least one task")
+        sizes, deadlines = sizes_and_deadlines(members)
+        if deadlines != sorted(deadlines):
+            # A stable sort on the deadlines read once: the order
+            # ``sorted(tasks, key=lambda t: t.deadline)`` gives.
+            order = sorted(range(len(members)), key=deadlines.__getitem__)
+            members = [members[i] for i in order]
+            sizes = [sizes[i] for i in order]
+            deadlines = [deadlines[i] for i in order]
         self.gid = next(_gid_counter)
-        self.tasks: list[Task] = task_list
+        self.tasks: list[Task] = members
+        #: Member sizes and deadlines in EDF order, read once here: the
+        #: node's pending work, the placement window and the DVFS
+        #: deadlines fold these.
+        self.sizes: list[float] = sizes
+        self.deadlines: list[float] = deadlines
         self.created_at = float(created_at)
         self.mode = mode
-        #: Processing weight frozen at creation time (Eq. 10).
-        self.pw = processing_weight(task_list, created_at)
+        #: Total computational size and the processing weight frozen at
+        #: creation time (Eq. 10), folded in one pass.
+        self.size_mi, self.pw = _fold_weight(sizes, deadlines, created_at)
 
         # -- assignment / execution record (filled by node & scheduler) --
         self.node_id: Optional[str] = None
@@ -76,7 +100,7 @@ class TaskGroup:
         self.dispatched_at: Optional[float] = None
         #: Error feedback value (Eq. 9) recorded at assignment.
         self.error: Optional[float] = None
-        self._remaining = len(task_list)
+        self._remaining = len(members)
         #: Created by a gang-mode node, whose feeder waits on it;
         #: triggered when every task completes.
         self.completion: Optional[Event] = None
@@ -91,11 +115,6 @@ class TaskGroup:
 
     def __iter__(self):
         return iter(self.tasks)
-
-    @property
-    def size_mi(self) -> float:
-        """Total computational size of the group."""
-        return fold_sum(t.size_mi for t in self.tasks)
 
     @property
     def priority(self) -> Priority:
@@ -156,7 +175,23 @@ class TaskGroup:
         """
         if not self.completed:
             raise RuntimeError(f"group {self.gid} has not completed")
-        return sum(1 for t in self.tasks if t.met_deadline)
+        hits = 0
+        i = 0
+        for finish in finish_times(self.tasks):
+            if finish != finish:
+                raise ValueError(f"task {self.tasks[i].tid} has not finished")
+            if finish <= self.deadlines[i]:
+                hits += 1
+            i += 1
+        return hits
+
+    def unfinished_sizes(self) -> list[float]:
+        """Sizes of the members not finished yet, in EDF order."""
+        return unfinished(self.tasks, self.sizes)
+
+    def unfinished_deadlines(self) -> list[float]:
+        """Deadlines of the members not finished yet, in EDF order."""
+        return unfinished(self.tasks, self.deadlines)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -147,9 +147,9 @@ class AdaptiveRLScheduler(Scheduler):
         backlog_remaining = 0
         # An agent with an empty backlog has nothing to group or place.
         for agent in self.agents.values():
-            if agent.backlog:
+            if agent.backlog.tasks:
                 agent.run_pass(now, self.config.backlog_patience)
-                backlog_remaining += len(agent.backlog)
+                backlog_remaining += len(agent.backlog.tasks)
         if self.governor is not None:
             self.governor.apply(now)
         if backlog_remaining > 0:

@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
-from ..cluster.node import ComputeNode
+from ..cluster.node import ComputeNode, load_and_power
 from ..cluster.site import ResourceSite
 from ..cluster.taskgroup import TaskGroup
 from ..obs import CAT_GROUP, CAT_MEMORY, CAT_RL, NULL_TELEMETRY, Telemetry
+from ..obs.metrics import BoundInstruments
 from ..rl.exploration import EpsilonGreedy
 from ..sim.fold import fold_sum
 from .actions import GroupingAction, GroupingMode, action_space
@@ -47,6 +48,14 @@ W_TIME = 0.6
 W_ENERGY = 0.8
 W_ERROR = 0.15
 W_WAKE = 0.5
+
+#: Metric names of the action counters, by action mode and by how the
+#: action was chosen (built once, not per decision).
+_MODE_METRICS = {mode: f"rl.actions.{mode}" for mode in GroupingMode.ALL}
+_SOURCE_METRICS = {
+    source: f"rl.actions.source.{source}"
+    for source in ("policy", "memory-seed", "memory-override")
+}
 
 
 @dataclass
@@ -90,6 +99,12 @@ class SiteAgent:
         self.exploration = exploration
         self.memory = memory
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        #: The agent's metric instruments, each bound on first update.
+        self._metrics = (
+            BoundInstruments(self.telemetry.metrics)
+            if self.telemetry.metering
+            else None
+        )
         self.backlog = Backlog()
         if grouping_enabled:
             self.actions = action_space(site.max_group_size)
@@ -142,11 +157,7 @@ class SiteAgent:
         site's index and the capacity term was folded at construction,
         so only load and power are folded here, in node order."""
         site = self.site
-        total_load = 0.0
-        power = 0.0
-        for n in site.nodes:
-            total_load += n.load
-            power += n.total_power_w
+        total_load, power = load_and_power(site.nodes)
         total_capacity = self._total_capacity
         obs = SiteObservation(
             load_ratio=(
@@ -198,7 +209,9 @@ class SiteAgent:
     # -- scheduling pass ---------------------------------------------------
     def run_pass(self, now: float, backlog_patience: float) -> int:
         """Group and assign backlog tasks; returns groups dispatched."""
-        if len(self.backlog) == 0:
+        backlog = self.backlog
+        tasks = backlog.tasks
+        if not tasks:
             return 0
 
         state, obs = self.observe()
@@ -208,7 +221,7 @@ class SiteAgent:
             self._record_action(action, now)
         dispatched = 0
 
-        oldest = self.backlog.oldest_arrival
+        oldest = backlog.oldest_arrival
         aged = oldest is not None and (now - oldest) >= backlog_patience
         # With spare nodes standing fully idle there is no reason to hold
         # tasks back for merging — capacity is abundant, dispatch now.
@@ -216,7 +229,7 @@ class SiteAgent:
         spare_capacity = site.spare_nodes > 0
 
         profiling = tel.profiling
-        while len(self.backlog) > 0:
+        while tasks:
             # Read per group: the last submission may have closed a node.
             open_nodes = site.open_nodes
             if not open_nodes:
@@ -224,7 +237,7 @@ class SiteAgent:
             if profiling:
                 t0 = tel.profiler.start()
                 group = merge_next_group(
-                    self.backlog,
+                    backlog,
                     action,
                     now,
                     allow_undersized=aged or spare_capacity,
@@ -232,7 +245,7 @@ class SiteAgent:
                 tel.profiler.stop("agent.grouping", t0)
             else:
                 group = merge_next_group(
-                    self.backlog,
+                    backlog,
                     action,
                     now,
                     allow_undersized=aged or spare_capacity,
@@ -279,7 +292,7 @@ class SiteAgent:
                         error=group.error,
                     )
                 if tel.metering:
-                    metrics = tel.metrics
+                    metrics = self._metrics
                     metrics.counter("sched.groups_dispatched").inc()
                     metrics.histogram("sched.group_size").observe(len(group))
         return dispatched
@@ -310,9 +323,9 @@ class SiteAgent:
                     opnum=action.opnum,
                 )
         if tel.metering:
-            metrics = tel.metrics
-            metrics.counter(f"rl.actions.{action.mode}").inc()
-            metrics.counter(f"rl.actions.source.{source}").inc()
+            metrics = self._metrics
+            metrics.counter(_MODE_METRICS[action.mode]).inc()
+            metrics.counter(_SOURCE_METRICS[source]).inc()
             metrics.gauge("rl.epsilon").set(epsilon)
 
     def _best_node(
@@ -337,28 +350,35 @@ class SiteAgent:
         """
         if explore:
             return open_nodes[self.exploration.random_index(len(open_nodes))]
-        window = max(
-            fold_sum(t.deadline - now for t in group.tasks) / len(group), 1e-6
-        )
+        if len(open_nodes) == 1:
+            return open_nodes[0]  # what min() returns for one candidate
+        deadlines = group.deadlines
+        window = 0
+        for deadline in deadlines:
+            window += deadline - now
+        window = max(window / len(deadlines), 1e-6)
         size_mi = group.size_mi
         pw = group.pw
         energy_term = self._energy_term
-
-        def score(node: ComputeNode) -> tuple[float, str]:
-            speed = node.total_speed_mips
-            est_wait = node.pending_size_mi / speed
-            est_exec = size_mi / speed
-            err = grouping_error(pw, node.processing_capacity)
-            sleeping_frac = node.sleeping_processors / node.num_processors
+        # One pass, keeping the first node of least (score, node_id):
+        # what ``min(open_nodes, key=lambda n: (score, n.node_id))``
+        # returns.
+        best = best_value = best_id = None
+        for node in open_nodes:
+            speed, pending_mi, capacity, sleeping_frac = node.placement_terms()
+            err = grouping_error(pw, capacity)
             value = (
-                W_TIME * (est_wait + est_exec) / window
+                W_TIME * (pending_mi / speed + size_mi / speed) / window
                 + energy_term[node]
                 + W_ERROR * err / (1.0 + err)
                 + W_WAKE * sleeping_frac
             )
-            return (value, node.node_id)
-
-        return min(open_nodes, key=score)
+            if best is None or (
+                value < best_value
+                or (value == best_value and node.node_id < best_id)
+            ):
+                best, best_value, best_id = node, value, node.node_id
+        return best
 
     # -- feedback ---------------------------------------------------------
     def group_completed(self, group: TaskGroup, now: float) -> Optional[FeedbackRecord]:
@@ -404,13 +424,14 @@ class SiteAgent:
         # below the previous group's, consult the shared memory next
         # cycle.
         previous_hit_fraction = self._last_hit_fraction
+        hit_fraction = record.hit_fraction
         regressed = (
             previous_hit_fraction is not None
-            and record.hit_fraction < previous_hit_fraction
+            and hit_fraction < previous_hit_fraction
         )
         if regressed:
             self._regressed = True
-        self._last_hit_fraction = record.hit_fraction
+        self._last_hit_fraction = hit_fraction
 
         tel = self.telemetry
         if tel.active:
@@ -447,7 +468,7 @@ class SiteAgent:
                         previous=previous_hit_fraction,
                     )
             if tel.metering:
-                metrics = tel.metrics
+                metrics = self._metrics
                 metrics.counter("rl.feedbacks").inc()
                 metrics.histogram("rl.l_val").observe(record.l_val)
                 if regressed:

@@ -20,8 +20,9 @@ from ..cluster.system import System
 from ..cluster.taskgroup import TaskGroup
 from ..metrics.streaming import StreamingRunStats
 from ..obs import CAT_TASK, NULL_TELEMETRY, Telemetry
+from ..obs.metrics import BoundInstruments
 from ..sim.core import Environment
-from ..sim.events import Event
+from ..sim.events import Call, Event
 from ..sim.rng import RandomStreams
 from ..workload.task import Task
 
@@ -122,7 +123,11 @@ class Scheduler(abc.ABC):
         self.learning_cycles = 0
         #: Tasks re-queued after node failures (failure injection).
         self.tasks_resubmitted = 0
-        self._wakeup: Optional[Event] = None
+        #: The scheduler's metric instruments, each bound on first
+        #: update (None without metering).
+        self._metrics: Optional[BoundInstruments] = None
+        #: True while a kick's cycle entry is scheduled and not yet run.
+        self._kicked = False
         self._expected: Optional[int] = None
         #: Triggered when `expect(n)` tasks have completed.
         self.all_done: Optional[Event] = None
@@ -138,7 +143,11 @@ class Scheduler(abc.ABC):
         self.system = system
         self.streams = streams
         self.telemetry = env.telemetry
-        self._wakeup = Event(env)
+        #: The platform's processor count (static), the denominator of
+        #: each cycle sample's busy fraction.
+        self._num_processors = system.num_processors
+        if self.telemetry.metering:
+            self._metrics = BoundInstruments(self.telemetry.metrics)
         self.all_done = Event(env)
         for node in system.nodes:
             node.on_task_complete(self._task_completed)
@@ -146,7 +155,10 @@ class Scheduler(abc.ABC):
             node.on_group_complete(self._group_completed_hook)
             node.on_tasks_orphaned(self._tasks_orphaned)
         self._setup()
-        env.process(self._loop())
+        # The kick loop's urgent start entry: a generator process running
+        # the loop would take it here, so the kernel's entries (and its
+        # event counts) are those of a process-driven loop.
+        Call(env, _loop_started, urgent=True)
 
     def expect(self, num_tasks: int) -> Event:
         """Declare how many task completions end the run; returns the
@@ -171,24 +183,25 @@ class Scheduler(abc.ABC):
 
     # -- kick loop ----------------------------------------------------------
     def kick(self) -> None:
-        """Request a scheduling pass at the current simulated time."""
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
+        """Request a scheduling pass at the current simulated time: one
+        cycle entry, shared by every kick until it runs."""
+        if not self._kicked and self.env is not None:
+            self._kicked = True
+            Call(self.env, self._cycle)
 
-    def _loop(self):
-        assert self.env is not None
+    def _cycle(self, _entry: Call) -> None:
+        """A kick's entry: one learning cycle.  Kicks from here on
+        schedule the next cycle."""
+        self._kicked = False
+        self.learning_cycles += 1
         tel = self.telemetry
-        while True:
-            yield self._wakeup
-            self._wakeup = Event(self.env)
-            self.learning_cycles += 1
-            if tel.profiling:
-                t0 = tel.profiler.start()
-                self._scheduling_pass()
-                tel.profiler.stop("scheduler.pass", t0)
-            else:
-                self._scheduling_pass()
-            self._sample_cycle()
+        if tel.profiling:
+            t0 = tel.profiler.start()
+            self._scheduling_pass()
+            tel.profiler.stop("scheduler.pass", t0)
+        else:
+            self._scheduling_pass()
+        self._sample_cycle()
 
     # -- completion plumbing ----------------------------------------------
     def _task_completed(self, task: Task, node: ComputeNode) -> None:
@@ -206,7 +219,7 @@ class Scheduler(abc.ABC):
                     met_deadline=task.met_deadline,
                 )
             if tel.metering:
-                tel.metrics.counter("sched.tasks_completed").inc()
+                self._metrics.counter("sched.tasks_completed").inc()
         if (
             self._expected is not None
             and len(self.completed) >= self._expected
@@ -243,7 +256,7 @@ class Scheduler(abc.ABC):
                         node=node.node_id,
                     )
             if tel.metering:
-                tel.metrics.counter("sched.tasks_resubmitted").inc(len(tasks))
+                self._metrics.counter("sched.tasks_resubmitted").inc(len(tasks))
         for task in tasks:
             self.submit(task)
         if tasks:
@@ -256,15 +269,20 @@ class Scheduler(abc.ABC):
         now = env.now
         # O(1): the system's usage tally is kept at every meter
         # transition and reads the exactly rounded sums over all meters.
-        busy, powered = system.usage.times(now)
+        usage = system.usage
+        busy, powered = usage.times(now)
         self.cycle_log.append(
             self.learning_cycles,
             now,
             busy,
             powered,
             len(self.completed),
-            system.usage.busy / system.num_processors,
+            usage.busy / self._num_processors,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+def _loop_started(_entry: Call) -> None:
+    """The kick loop's start entry; the loop needs no setup."""

@@ -14,6 +14,7 @@ The per-action **learning value** (Eq. 7) combines them:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -80,8 +81,6 @@ def scaled_reward(deadline_hits: int, group_size: int, error: float) -> float:
         raise ValueError("deadline_hits must lie in [0, group_size]")
     if error < 0:
         raise ValueError("error must be non-negative")
-    import math
-
     return (deadline_hits / group_size) * math.exp(-error)
 
 

@@ -19,6 +19,7 @@ implemented by :class:`~repro.cluster.node.ComputeNode`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Optional
 
 from ..cluster.taskgroup import TaskGroup
@@ -33,45 +34,57 @@ class Backlog:
     """Pending tasks awaiting grouping, kept in EDF order."""
 
     def __init__(self) -> None:
-        self._tasks: list[Task] = []
+        #: The pending tasks in EDF order.  Read it freely (an empty
+        #: backlog is an empty list); change it only through :meth:`add`
+        #: and :meth:`take`, which keep the columns below in step.
+        self.tasks: list[Task] = []
+        #: Each pending task's deadline, arrival time and priority, in
+        #: the same order, read once when the task was added.
+        self._deadlines: list[float] = []
+        self._arrivals: list[float] = []
+        self._priorities: list[Priority] = []
 
     def add(self, task: Task) -> None:
-        """Insert *task*, preserving EDF order."""
-        # Insertion keeps the list sorted; backlogs are short in steady
-        # state so a linear scan beats the constant factor of bisect with
-        # a key (and stays Python-version portable).
+        """Insert *task* after every pending task whose deadline is not
+        later than its own, preserving EDF order."""
         deadline = task.deadline
-        for i, existing in enumerate(self._tasks):
-            if deadline < existing.deadline:
-                self._tasks.insert(i, task)
-                return
-        self._tasks.append(task)
+        i = bisect_right(self._deadlines, deadline)
+        self.tasks.insert(i, task)
+        self._deadlines.insert(i, deadline)
+        self._arrivals.insert(i, task.arrival_time)
+        self._priorities.insert(i, task.priority)
 
     def __len__(self) -> int:
-        return len(self._tasks)
+        return len(self.tasks)
 
     def __iter__(self):
-        return iter(self._tasks)
+        return iter(self.tasks)
 
     @property
     def oldest_arrival(self) -> Optional[float]:
         """Earliest arrival time among pending tasks (None when empty)."""
-        if not self._tasks:
+        if not self._arrivals:
             return None
-        return min(t.arrival_time for t in self._tasks)
+        return min(self._arrivals)
 
     def peek_edf(self, k: int) -> list[Task]:
         """The *k* earliest-deadline tasks without removing them."""
-        return self._tasks[:k]
+        return self.tasks[:k]
 
     def take(self, tasks: Iterable[Task]) -> None:
         """Remove *tasks* (which must all be present) from the backlog."""
         for t in tasks:
-            self._tasks.remove(t)
+            i = self.tasks.index(t)
+            del self.tasks[i]
+            del self._deadlines[i]
+            del self._arrivals[i]
+            del self._priorities[i]
 
     def by_priority(self, priority: Priority) -> list[Task]:
         """Pending tasks of one priority class, EDF-ordered."""
-        return [t for t in self._tasks if t.priority == priority]
+        return [
+            t for t, p in zip(self.tasks, self._priorities) if p == priority
+        ]
 
 
 def merge_next_group(
@@ -99,7 +112,7 @@ def merge_next_group(
     -------
     The merged group, or ``None`` if no admissible group exists.
     """
-    if len(backlog) == 0:
+    if not backlog.tasks:
         return None
 
     if action.mode == GroupingMode.MIXED:

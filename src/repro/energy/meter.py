@@ -60,13 +60,9 @@ class ProcState(enum.Enum):
     SLEEP = "sleep"
 
 
-#: Column encoding of :class:`ProcState` (int codes).
+#: Column encoding of :class:`ProcState` (int codes): a state's code is
+#: its index in ``_CODE_TO_STATE``.
 BUSY_CODE, IDLE_CODE, SLEEP_CODE = 0, 1, 2
-_STATE_TO_CODE = {
-    ProcState.BUSY: BUSY_CODE,
-    ProcState.IDLE: IDLE_CODE,
-    ProcState.SLEEP: SLEEP_CODE,
-}
 _CODE_TO_STATE = (ProcState.BUSY, ProcState.IDLE, ProcState.SLEEP)
 
 _NAN = float("nan")
@@ -221,7 +217,18 @@ class UsageTally:
     :meth:`~ProcessorEnergyMeter.finalize`), so :meth:`times` is O(1).
     """
 
-    __slots__ = ("busy_units", "idle_units", "live_busy", "live_idle", "busy")
+    __slots__ = (
+        "busy_units",
+        "idle_units",
+        "live_busy",
+        "live_idle",
+        "busy",
+        "_closed",
+        "_opened",
+        "_last_time",
+        "_last_units",
+        "_read",
+    )
 
     def __init__(self) -> None:
         self.busy_units = 0
@@ -231,46 +238,93 @@ class UsageTally:
         self.live_idle = 0
         #: Meters whose state is BUSY, finalized or not.
         self.busy = 0
+        #: Per meter row, the units this tally last added for it: its
+        #: closed busy and idle time, and the start of its open span.
+        #: A transition then converts only its new closed total and its
+        #: time, each once.
+        self._closed: dict[int, list[int]] = {}
+        self._opened: dict[int, int] = {}
+        #: The time converted last and its units: the transitions and
+        #: the read of one simulated moment convert it once.
+        self._last_time = _NAN
+        self._last_units = 0
+        #: ``(now, times(now))`` of the last read, until a transition.
+        self._read: Optional[tuple[float, tuple[float, float]]] = None
 
     def add(self, meter: "ProcessorEnergyMeter") -> None:
         """Include *meter*: its closed times and, while it is live, its
         open span.  The meter keeps the tally current from then on."""
         bank, row = meter._bank, meter._row
-        self.busy_units += _units(bank.busy_time[row])
-        self.idle_units += _units(bank.idle_time[row])
+        busy = _units(bank.busy_time[row])
+        idle = _units(bank.idle_time[row])
+        self.busy_units += busy
+        self.idle_units += idle
+        self._closed[row] = [busy, idle]
+        self._read = None
         code = bank.state[row]
         if code == BUSY_CODE:
             self.busy += 1
         finalized = bank.finalized_at[row]
         if finalized != finalized:  # NaN: still metering
-            self._open(code, bank.since[row])
+            self._open(row, code, bank.since[row])
         meter._tally = self
 
-    def _open(self, code: int, since: float) -> None:
-        """A live meter entered *code* at *since*."""
-        if code == BUSY_CODE:
-            self.busy_units -= _units(since)
-            self.live_busy += 1
-        elif code == IDLE_CODE:
-            self.idle_units -= _units(since)
-            self.live_idle += 1
+    def _units_at(self, time: float) -> int:
+        """``_units(time)``, converting each new time once."""
+        if time == self._last_time:
+            return self._last_units
+        units = self._last_units = _units(time)
+        self._last_time = time
+        return units
 
-    def _close(self, code: int, since: float, closed: float, total: float) -> None:
-        """A live meter left *code*, entered at *since*, whose closed
-        time in it went from *closed* to *total*."""
+    def _open(self, row: int, code: int, since: float) -> None:
+        """The live meter of *row* entered *code* at *since*."""
         if code == BUSY_CODE:
-            self.busy_units += _units(total) - _units(closed) + _units(since)
-            self.live_busy -= 1
+            units = self._opened[row] = self._units_at(since)
+            self.busy_units -= units
+            self.live_busy += 1
+            self._read = None
         elif code == IDLE_CODE:
-            self.idle_units += _units(total) - _units(closed) + _units(since)
+            units = self._opened[row] = self._units_at(since)
+            self.idle_units -= units
+            self.live_idle += 1
+            self._read = None
+
+    def _close(self, row: int, code: int, closed: float, total: float) -> None:
+        """The live meter of *row* left *code*; its closed time in it
+        went from *closed* to *total*."""
+        if code == BUSY_CODE:
+            cells = self._closed[row]
+            change = self._opened[row]
+            if total != closed:
+                units = _units(total)
+                change += units - cells[0]
+                cells[0] = units
+            self.busy_units += change
+            self.live_busy -= 1
+            self._read = None
+        elif code == IDLE_CODE:
+            cells = self._closed[row]
+            change = self._opened[row]
+            if total != closed:
+                units = _units(total)
+                change += units - cells[1]
+                cells[1] = units
+            self.idle_units += change
             self.live_idle -= 1
+            self._read = None
 
     def times(self, now: float) -> tuple[float, float]:
         """``(busy_time, powered_time)`` summed over the meters at *now*."""
-        t = _units(now)
+        read = self._read
+        if read is not None and read[0] == now:
+            return read[1]
+        t = self._units_at(now)
         busy = self.busy_units + self.live_busy * t
         powered = busy + self.idle_units + self.live_idle * t
-        return busy / _UNITS_PER_SECOND, powered / _UNITS_PER_SECOND
+        result = (busy / _UNITS_PER_SECOND, powered / _UNITS_PER_SECOND)
+        self._read = (now, result)
+        return result
 
 
 #: Process-wide bank backing every :class:`ProcessorEnergyMeter`.
@@ -318,6 +372,12 @@ class ProcessorEnergyMeter:
         """Time of the most recent state change."""
         return self._bank.since[self._row]
 
+    def state_cell(self) -> tuple[list[int], int]:
+        """``(codes, row)``: ``codes[row]`` is this meter's current
+        state code (``BUSY_CODE``, ``IDLE_CODE`` or ``SLEEP_CODE``), a
+        read for callers that poll many meters' states."""
+        return self._bank.state, self._row
+
     def set_state(
         self, state: ProcState, now: float, power_w: Optional[float] = None
     ) -> None:
@@ -336,7 +396,7 @@ class ProcessorEnergyMeter:
         if power_w is not None and power_w < 0:
             raise ValueError("power_w must be non-negative")
         tel = self._telemetry
-        code = _STATE_TO_CODE[state]
+        code = _CODE_TO_STATE.index(state)
         previous = bank.state[row]
         if tel is not None and tel.tracing and code != previous:
             tel.emit(
@@ -356,7 +416,7 @@ class ProcessorEnergyMeter:
                 tally.busy -= 1
             if code == BUSY_CODE:
                 tally.busy += 1
-            tally._open(code, now)
+            tally._open(row, code, now)
 
     def _current_power(self) -> float:
         bank, row = self._bank, self._row
@@ -392,7 +452,7 @@ class ProcessorEnergyMeter:
         bank.since[row] = now
         tally = self._tally
         if tally is not None:
-            tally._close(code, since, closed, total)
+            tally._close(row, code, closed, total)
 
     def finalize(self, now: float) -> EnergyBreakdown:
         """Charge the final span and freeze the meter."""

@@ -203,17 +203,19 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown figures: {', '.join(unknown)}")
 
-    if args.strict:
-        import os
+    if not args.strict:
+        return _main(args, parser, wanted)
+    from ..validate import strict_scope
 
-        from ..validate import set_strict
-
-        # The env var (not just the in-process flag) so --jobs worker
-        # processes inherit strict mode too.
-        os.environ["REPRO_STRICT"] = "1"
-        set_strict(True)
+    # Restored when main returns or raises; --jobs workers started in
+    # the scope inherit it through the environment.
+    with strict_scope():
         print("strict mode: invariant auditor attached to every run")
+        return _main(args, parser, wanted)
 
+
+def _main(args, parser: argparse.ArgumentParser, wanted: list[str]) -> int:
+    """Everything :func:`main` does after parsing and strict mode."""
     if args.sample_every is not None and not 0 < args.sample_every < math.inf:
         parser.error("--sample-every must be positive and finite")
 

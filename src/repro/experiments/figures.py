@@ -80,6 +80,16 @@ class FigureData:
                 )
 
 
+def _grid_config(num_tasks: int, **fields: Any) -> ExperimentConfig:
+    """One grid point.  A run that replays a workload trace ignores
+    ``num_tasks``, so every such point gets the same placeholder count:
+    points that differ only in it share one job id, and a plan runs each
+    distinct simulation once."""
+    if fields.get("workload_trace") is not None:
+        num_tasks = 1
+    return ExperimentConfig(num_tasks=num_tasks, **fields)
+
+
 def _comparison_grid(
     task_counts: Sequence[int],
     seeds: Sequence[int],
@@ -90,7 +100,7 @@ def _comparison_grid(
     return {
         name: {
             n: [
-                ExperimentConfig(scheduler=name, num_tasks=n, seed=seed, **common)
+                _grid_config(n, scheduler=name, seed=seed, **common)
                 for seed in seeds
             ]
             for n in task_counts
@@ -102,7 +112,7 @@ def _comparison_grid(
 def _utilization_grid(num_tasks: int, seed: int, **common: Any) -> dict:
     """``{scheduler: config}``: the Experiment 2 pair at one load."""
     return {
-        name: ExperimentConfig(scheduler=name, num_tasks=num_tasks, seed=seed, **common)
+        name: _grid_config(num_tasks, scheduler=name, seed=seed, **common)
         for name in ("adaptive-rl", "online-rl")
     }
 
@@ -119,9 +129,9 @@ def _heterogeneity_grid(
     return {
         label: {
             h: [
-                ExperimentConfig(
+                _grid_config(
+                    n,
                     scheduler="adaptive-rl",
-                    num_tasks=n,
                     seed=seed,
                     platform=default_platform(heterogeneity_cv=h),
                     **common,

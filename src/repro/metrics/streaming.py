@@ -68,19 +68,25 @@ class StreamingRunStats:
 
     def record(self, task: Task) -> None:
         """Fold one completed *task* into the aggregates."""
+        priority, arrival, deadline, start, finish = task.completion_fields()
         self.completed += 1
-        met = task.met_deadline
+        # The checks and reads of met_deadline, response_time and
+        # waiting_time, on the fields read once above.
+        if finish != finish:
+            raise ValueError(f"task {task.tid} has not finished")
+        met = finish <= deadline
         if met:
             self.hits += 1
-        counts = self._per_priority[task.priority]
+        counts = self._per_priority[priority]
         counts[1] += 1
         if met:
             counts[0] += 1
-        finish = task.finish_time
-        if finish is not None and finish > self.makespan:
+        if finish > self.makespan:
             self.makespan = finish
-        response = task.response_time
-        wait = task.waiting_time
+        response = finish - arrival
+        if start != start:
+            raise ValueError(f"task {task.tid} has not started")
+        wait = start - arrival
         self.response_sum += response
         self.wait_sum += wait
         self.response_log.append(response)

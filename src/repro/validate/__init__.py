@@ -22,7 +22,8 @@ Three ways to turn it on:
 from __future__ import annotations
 
 import os
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 from .._lazy import lazy_exports
 
@@ -33,6 +34,7 @@ __all__ = [
     "InvariantViolationError",
     "strict_mode_enabled",
     "set_strict",
+    "strict_scope",
     "INV_CLOCK",
     "INV_ORDER",
     "INV_QUEUE",
@@ -94,3 +96,24 @@ def strict_mode_enabled() -> bool:
         return _STRICT_OVERRIDE
     raw = os.environ.get("REPRO_STRICT", "")
     return raw.strip().lower() not in ("", "0", "false", "no")
+
+
+@contextmanager
+def strict_scope() -> Iterator[None]:
+    """Strict mode for the duration of a block: on in this process and,
+    through ``REPRO_STRICT``, in every process started inside it (the
+    campaign's ``--jobs`` workers).  The override and the variable are
+    restored when the block ends or raises."""
+    global _STRICT_OVERRIDE
+    previous_override = _STRICT_OVERRIDE
+    previous_env = os.environ.get("REPRO_STRICT")
+    os.environ["REPRO_STRICT"] = "1"
+    _STRICT_OVERRIDE = True
+    try:
+        yield
+    finally:
+        _STRICT_OVERRIDE = previous_override
+        if previous_env is None:
+            os.environ.pop("REPRO_STRICT", None)
+        else:
+            os.environ["REPRO_STRICT"] = previous_env

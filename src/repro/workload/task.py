@@ -15,12 +15,12 @@ error message below is unchanged from the per-object implementation.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .priorities import Priority, classify_slack
 from .taskstore import TaskStore
 
-__all__ = ["Task"]
+__all__ = ["Task", "finish_times", "sizes_and_deadlines", "unfinished"]
 
 #: Backing store for standalone ``Task(...)`` constructions.  Bulk
 #: producers (the workload generator) use their own per-run stores; this
@@ -197,6 +197,18 @@ class Task:
             raise ValueError(f"task {self.tid} has not finished")
         return finish <= self._store.deadline[self._row]
 
+    def completion_fields(self) -> tuple[Priority, float, float, float, float]:
+        """``(priority, arrival_time, deadline, start, finish)``, each
+        read once; a start or finish not yet recorded is NaN."""
+        store, row = self._store, self._row
+        return (
+            _PRIORITIES[store.prio_code[row]],
+            store.arrival_time[row],
+            store.deadline[row],
+            store.start_time[row],
+            store.finish_time[row],
+        )
+
     def mark_started(self, time: float, processor_id: str, site_id: str) -> None:
         """Record execution start (simulator hook)."""
         store, row = self._store, self._row
@@ -277,6 +289,39 @@ class Task:
             f"arr={self.arrival_time:.2f}, dl={self.deadline:.2f}, "
             f"prio={self.priority.label})"
         )
+
+
+def sizes_and_deadlines(tasks: Iterable[Task]) -> tuple[list[float], list[float]]:
+    """Each task's size and deadline, in order, read once from its row:
+    the member fields a task group folds."""
+    sizes = []
+    deadlines = []
+    for t in tasks:
+        store, row = t._store, t._row
+        sizes.append(store.size_mi[row])
+        deadlines.append(store.deadline[row])
+    return sizes, deadlines
+
+
+def finish_times(tasks: Iterable[Task]) -> list[float]:
+    """Each task's finish time, in order; NaN while it has not finished."""
+    finishes = []
+    for t in tasks:
+        finishes.append(t._store.finish_time[t._row])
+    return finishes
+
+
+def unfinished(tasks: Iterable[Task], values: Sequence) -> list:
+    """``values[i]`` for each ``tasks[i]`` that has not finished, in
+    order, reading each task's finish time once."""
+    kept = []
+    i = 0
+    for t in tasks:
+        finish = t._store.finish_time[t._row]
+        if finish != finish:
+            kept.append(values[i])
+        i += 1
+    return kept
 
 
 def _rebuild(

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import cli
+from repro.experiments.figures import FigurePlan
 
 #: A frozen workload trace shipped with the package.
 TRACE = (
@@ -91,6 +92,51 @@ class TestCLI:
         config = ExperimentConfig()
         assert config.workload_overrides == {}
         assert config.workload_trace is None
+
+    def test_strict_mode_does_not_outlive_main(self, capsys, monkeypatch):
+        """``--strict`` holds while the figures run and is undone after,
+        so later runs in the process are not audited."""
+        import os
+
+        from repro.validate import strict_mode_enabled
+
+        seen = []
+
+        def stub(args, plan):
+            seen.append((os.environ.get("REPRO_STRICT"), strict_mode_enabled()))
+            return 0
+
+        monkeypatch.setattr(cli, "_run_figures", stub)
+        before = (os.environ.get("REPRO_STRICT"), strict_mode_enabled())
+        assert cli.main(["fig9", "--quick", "--strict"]) == 0
+        assert seen == [("1", True)]
+        assert (os.environ.get("REPRO_STRICT"), strict_mode_enabled()) == before
+
+        def crash(args, plan):
+            raise RuntimeError("run failed")
+
+        monkeypatch.setattr(cli, "_run_figures", crash)
+        with pytest.raises(RuntimeError):
+            cli.main(["fig9", "--quick", "--strict"])
+        assert (os.environ.get("REPRO_STRICT"), strict_mode_enabled()) == before
+        capsys.readouterr()
+
+    def test_trace_plan_runs_each_simulation_once(self, capsys, monkeypatch):
+        """A trace replay ignores the task count, so the plan runs one
+        config per (scheduler, seed, platform): 4 comparison schedulers
+        and 5 heterogeneity levels, where it planned 24."""
+        plans = _capture_plan(monkeypatch)
+        assert cli.main(["--quick", "--workload-trace", str(TRACE)]) == 0
+        capsys.readouterr()
+        (plan,) = plans
+        configs = plan.configs()
+        assert len(configs) == 9
+        assert {
+            (c.scheduler, c.seed, c.platform) for c in configs
+        } == {
+            (c.scheduler, c.seed, c.platform)
+            for c in FigurePlan(plan.figure_ids, task_counts=plan.task_counts).configs()
+        }
 
     def test_save_dir_writes_figure_json(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "QUICK_HEAVY", 60)

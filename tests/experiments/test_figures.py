@@ -42,8 +42,10 @@ class TestFigurePlan:
             workload_trace="t.jsonl",
         )
         configs = plan.configs()
-        # Fig 9's pair at 120 tasks is part of the comparison grid.
-        assert len(configs) == 4 * 2 + 10
+        # A trace replay ignores the task count, so one run per
+        # scheduler serves Figs 7 and 9, and one per heterogeneity level
+        # serves both of Fig 11's loads.
+        assert len(configs) == 4 + 5
         for config in configs:
             assert config.workload_overrides == {"arrival_process": "mmpp"}
             assert config.workload_trace == "t.jsonl"
