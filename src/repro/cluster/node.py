@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from ..energy.accounting import NodeEnergy, node_energy
-from ..energy.meter import BUSY_CODE, IDLE_CODE, ProcState
+from ..energy.meter import ProcState
 from ..sim.core import Environment
 from ..sim.events import Call, Event
 from ..sim.fold import fold_sum
@@ -256,13 +256,6 @@ class ComputeNode:
         self._power_cache: tuple[float, ...] = ()
         self._total_power_cache = 0.0
         self._sleeping_cache = 0
-        #: Per processor, what a power refresh reads: the processor, its
-        #: meter's state-code column and row, and its idle and sleep
-        #: draws (static, like the profile).
-        self._meter_cells = tuple(
-            (p, *p.meter.state_cell(), p.profile.p_min_w, p.profile.p_sleep_w)
-            for p in self.processors
-        )
         for proc in self.processors:
             proc.node = self
 
@@ -344,7 +337,7 @@ class ComputeNode:
     def _refresh_power_caches(self) -> None:
         """Recompute the per-processor power snapshot, its total (the
         same fold as :attr:`NodeState.total_power_w`) and the sleep
-        count, reading each meter's state code once from its bank.
+        count, reading each processor's meter state once.
 
         Each draw is what :attr:`Processor.current_power_w` returns, and
         the total is the same left fold from 0 in processor order.
@@ -352,14 +345,14 @@ class ComputeNode:
         draws = []
         total = 0
         sleeping = 0
-        for p, codes, row, idle_w, sleep_w in self._meter_cells:
-            code = codes[row]
-            if code == BUSY_CODE:
+        for p in self.processors:
+            state = p.meter.state
+            if state is _BUSY:
                 draw = p.busy_power_w
-            elif code == IDLE_CODE:
-                draw = idle_w
+            elif state is _IDLE:
+                draw = p.profile.p_min_w
             else:
-                draw = sleep_w
+                draw = p.profile.p_sleep_w
                 sleeping += 1
             draws.append(draw)
             total += draw

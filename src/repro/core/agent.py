@@ -23,7 +23,6 @@ from ..cluster.node import ComputeNode, load_and_power
 from ..cluster.site import ResourceSite
 from ..cluster.taskgroup import TaskGroup
 from ..obs import CAT_GROUP, CAT_MEMORY, CAT_RL, NULL_TELEMETRY, Telemetry
-from ..obs.metrics import BoundInstruments
 from ..rl.exploration import EpsilonGreedy
 from ..sim.fold import fold_sum
 from .actions import GroupingAction, GroupingMode, action_space
@@ -99,12 +98,6 @@ class SiteAgent:
         self.exploration = exploration
         self.memory = memory
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        #: The agent's metric instruments, each bound on first update.
-        self._metrics = (
-            BoundInstruments(self.telemetry.metrics)
-            if self.telemetry.metering
-            else None
-        )
         self.backlog = Backlog()
         if grouping_enabled:
             self.actions = action_space(site.max_group_size)
@@ -292,7 +285,7 @@ class SiteAgent:
                         error=group.error,
                     )
                 if tel.metering:
-                    metrics = self._metrics
+                    metrics = tel.metrics
                     metrics.counter("sched.groups_dispatched").inc()
                     metrics.histogram("sched.group_size").observe(len(group))
         return dispatched
@@ -323,7 +316,7 @@ class SiteAgent:
                     opnum=action.opnum,
                 )
         if tel.metering:
-            metrics = self._metrics
+            metrics = tel.metrics
             metrics.counter(_MODE_METRICS[action.mode]).inc()
             metrics.counter(_SOURCE_METRICS[source]).inc()
             metrics.gauge("rl.epsilon").set(epsilon)
@@ -468,7 +461,7 @@ class SiteAgent:
                         previous=previous_hit_fraction,
                     )
             if tel.metering:
-                metrics = self._metrics
+                metrics = tel.metrics
                 metrics.counter("rl.feedbacks").inc()
                 metrics.histogram("rl.l_val").observe(record.l_val)
                 if regressed:

@@ -20,7 +20,6 @@ from ..cluster.system import System
 from ..cluster.taskgroup import TaskGroup
 from ..metrics.streaming import StreamingRunStats
 from ..obs import CAT_TASK, NULL_TELEMETRY, Telemetry
-from ..obs.metrics import BoundInstruments
 from ..sim.core import Environment
 from ..sim.events import Call, Event
 from ..sim.rng import RandomStreams
@@ -123,9 +122,6 @@ class Scheduler(abc.ABC):
         self.learning_cycles = 0
         #: Tasks re-queued after node failures (failure injection).
         self.tasks_resubmitted = 0
-        #: The scheduler's metric instruments, each bound on first
-        #: update (None without metering).
-        self._metrics: Optional[BoundInstruments] = None
         #: True while a kick's cycle entry is scheduled and not yet run.
         self._kicked = False
         self._expected: Optional[int] = None
@@ -146,8 +142,6 @@ class Scheduler(abc.ABC):
         #: The platform's processor count (static), the denominator of
         #: each cycle sample's busy fraction.
         self._num_processors = system.num_processors
-        if self.telemetry.metering:
-            self._metrics = BoundInstruments(self.telemetry.metrics)
         self.all_done = Event(env)
         for node in system.nodes:
             node.on_task_complete(self._task_completed)
@@ -219,7 +213,7 @@ class Scheduler(abc.ABC):
                     met_deadline=task.met_deadline,
                 )
             if tel.metering:
-                self._metrics.counter("sched.tasks_completed").inc()
+                tel.metrics.counter("sched.tasks_completed").inc()
         if (
             self._expected is not None
             and len(self.completed) >= self._expected
@@ -256,7 +250,7 @@ class Scheduler(abc.ABC):
                         node=node.node_id,
                     )
             if tel.metering:
-                self._metrics.counter("sched.tasks_resubmitted").inc(len(tasks))
+                tel.metrics.counter("sched.tasks_resubmitted").inc(len(tasks))
         for task in tasks:
             self.submit(task)
         if tasks:

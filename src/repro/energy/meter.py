@@ -223,8 +223,7 @@ class UsageTally:
         "live_busy",
         "live_idle",
         "busy",
-        "_closed",
-        "_opened",
+        "_rows",
         "_last_time",
         "_last_units",
         "_read",
@@ -238,12 +237,13 @@ class UsageTally:
         self.live_idle = 0
         #: Meters whose state is BUSY, finalized or not.
         self.busy = 0
-        #: Per meter row, the units this tally last added for it: its
-        #: closed busy and idle time, and the start of its open span.
-        #: A transition then converts only its new closed total and its
-        #: time, each once.
-        self._closed: dict[int, list[int]] = {}
-        self._opened: dict[int, int] = {}
+        #: Per meter row, ``[busy, units, idle, units, since, units]``:
+        #: the last closed times and open-span start this tally saw,
+        #: each with its units.  A transition reuses a value's units
+        #: only while the value is the one cached, so each time is
+        #: converted once and a time written behind the meter still
+        #: changes nothing but the span it closes.
+        self._rows: dict[int, list] = {}
         #: The time converted last and its units: the transitions and
         #: the read of one simulated moment convert it once.
         self._last_time = _NAN
@@ -255,11 +255,13 @@ class UsageTally:
         """Include *meter*: its closed times and, while it is live, its
         open span.  The meter keeps the tally current from then on."""
         bank, row = meter._bank, meter._row
-        busy = _units(bank.busy_time[row])
-        idle = _units(bank.idle_time[row])
+        busy_time = bank.busy_time[row]
+        idle_time = bank.idle_time[row]
+        busy = _units(busy_time)
+        idle = _units(idle_time)
         self.busy_units += busy
         self.idle_units += idle
-        self._closed[row] = [busy, idle]
+        self._rows[row] = [busy_time, busy, idle_time, idle, _NAN, 0]
         self._read = None
         code = bank.state[row]
         if code == BUSY_CODE:
@@ -279,40 +281,42 @@ class UsageTally:
 
     def _open(self, row: int, code: int, since: float) -> None:
         """The live meter of *row* entered *code* at *since*."""
+        if code == SLEEP_CODE:
+            return
+        units = self._units_at(since)
+        cells = self._rows[row]
+        cells[4] = since
+        cells[5] = units
         if code == BUSY_CODE:
-            units = self._opened[row] = self._units_at(since)
             self.busy_units -= units
             self.live_busy += 1
-            self._read = None
-        elif code == IDLE_CODE:
-            units = self._opened[row] = self._units_at(since)
+        else:
             self.idle_units -= units
             self.live_idle += 1
-            self._read = None
+        self._read = None
 
-    def _close(self, row: int, code: int, closed: float, total: float) -> None:
-        """The live meter of *row* left *code*; its closed time in it
-        went from *closed* to *total*."""
+    def _close(
+        self, row: int, code: int, since: float, closed: float, total: float
+    ) -> None:
+        """The live meter of *row* left *code*, entered at *since*,
+        whose closed time in it went from *closed* to *total*."""
+        if code == SLEEP_CODE:
+            return
+        cells = self._rows[row]
+        i = 0 if code == BUSY_CODE else 2
+        closed_units = cells[i + 1] if closed == cells[i] else _units(closed)
+        total_units = closed_units if total == closed else _units(total)
+        since_units = cells[5] if since == cells[4] else _units(since)
+        cells[i] = total
+        cells[i + 1] = total_units
+        change = total_units - closed_units + since_units
         if code == BUSY_CODE:
-            cells = self._closed[row]
-            change = self._opened[row]
-            if total != closed:
-                units = _units(total)
-                change += units - cells[0]
-                cells[0] = units
             self.busy_units += change
             self.live_busy -= 1
-            self._read = None
-        elif code == IDLE_CODE:
-            cells = self._closed[row]
-            change = self._opened[row]
-            if total != closed:
-                units = _units(total)
-                change += units - cells[1]
-                cells[1] = units
+        else:
             self.idle_units += change
             self.live_idle -= 1
-            self._read = None
+        self._read = None
 
     def times(self, now: float) -> tuple[float, float]:
         """``(busy_time, powered_time)`` summed over the meters at *now*."""
@@ -371,12 +375,6 @@ class ProcessorEnergyMeter:
     def last_transition(self) -> float:
         """Time of the most recent state change."""
         return self._bank.since[self._row]
-
-    def state_cell(self) -> tuple[list[int], int]:
-        """``(codes, row)``: ``codes[row]`` is this meter's current
-        state code (``BUSY_CODE``, ``IDLE_CODE`` or ``SLEEP_CODE``), a
-        read for callers that poll many meters' states."""
-        return self._bank.state, self._row
 
     def set_state(
         self, state: ProcState, now: float, power_w: Optional[float] = None
@@ -452,7 +450,7 @@ class ProcessorEnergyMeter:
         bank.since[row] = now
         tally = self._tally
         if tally is not None:
-            tally._close(row, code, closed, total)
+            tally._close(row, code, since, closed, total)
 
     def finalize(self, now: float) -> EnergyBreakdown:
         """Charge the final span and freeze the meter."""

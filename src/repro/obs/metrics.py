@@ -14,7 +14,6 @@ import math
 from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 __all__ = [
-    "BoundInstruments",
     "Counter",
     "Gauge",
     "Histogram",
@@ -264,38 +263,3 @@ class MetricsRegistry:
     def as_dict(self) -> dict:
         """Flat ``{name: instrument.to_dict()}`` snapshot (JSON-ready)."""
         return {name: self._instruments[name].to_dict() for name in self.names()}
-
-
-class BoundInstruments:
-    """One owner's instruments of a registry, each bound on first use.
-
-    ``bound.counter(name)`` returns ``registry.counter(name)``: the first
-    call creates the instrument in the registry, exactly when the
-    registry's own accessor would, and later calls find it here without
-    the registry's lookup and type check.  A scheduler or agent keeps
-    one, so a per-decision update costs one dict read.
-    """
-
-    __slots__ = ("_registry", "_bound")
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._registry = registry
-        self._bound: Dict[str, Instrument] = {}
-
-    def counter(self, name: str) -> Counter:
-        inst = self._bound.get(name)
-        if inst is None:
-            inst = self._bound[name] = self._registry.counter(name)
-        return inst
-
-    def gauge(self, name: str) -> Gauge:
-        inst = self._bound.get(name)
-        if inst is None:
-            inst = self._bound[name] = self._registry.gauge(name)
-        return inst
-
-    def histogram(self, name: str) -> Histogram:
-        inst = self._bound.get(name)
-        if inst is None:
-            inst = self._bound[name] = self._registry.histogram(name)
-        return inst

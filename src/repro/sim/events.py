@@ -230,33 +230,15 @@ class Call(Timeout):
         delay: float = 0.0,
         urgent: bool = False,
     ) -> None:
-        # Built in one step: the fields Event.__init__ sets, then the
-        # entry Timeout.__init__ (or, urgent, Environment.schedule at
-        # URGENT) appends.
         if urgent:
-            delay = 0.0
-        elif delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        self.env = env
-        self.callbacks = [fn]
-        self._value = None
-        self._ok = True
-        self._defused = False
-        self._delay = delay
-        self.arg = arg
-        if urgent:
-            env._urgent.append((env._now, URGENT, next(env._eid), self))
-        elif delay == 0:
-            env._normal.append((env._now, NORMAL, next(env._eid), self))
+            Event.__init__(self, env)
+            self._value = None
+            self._delay = 0.0
+            env.schedule(self, URGENT)
         else:
-            at = env._now + delay
-            bucket = env._buckets.get(at)
-            if bucket is None:
-                env._buckets[at] = [(at, NORMAL, next(env._eid), self)]
-                heappush(env._times, at)
-            else:
-                bucket.append((at, NORMAL, next(env._eid), self))
-            env._calendar_len += 1
+            Timeout.__init__(self, env, delay)
+        self.callbacks.append(fn)
+        self.arg = arg
 
 
 class ConditionValue:

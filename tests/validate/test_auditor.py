@@ -15,6 +15,7 @@ from repro.cluster import PlatformSpec, TaskGroup, build_system
 from repro.core import AdaptiveRLConfig, AdaptiveRLScheduler
 from repro.core.actions import GroupingAction, GroupingMode
 from repro.core.shared_memory import Experience, SharedLearningMemory
+from repro.energy.meter import ProcState
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.rl.dense import DenseQTable
@@ -247,6 +248,22 @@ class TestCorruptionDetection:
         tallied, rescanned = bad[0].details["tallied"], bad[0].details["rescanned"]
         assert (tallied[0], rescanned[0]) == (0.0, 1.0)
         assert tallied[2] == rescanned[2] == 0
+
+    def test_meter_time_written_behind_then_state_left(self):
+        # The meter leaves the state before the sweep: its transition
+        # adds the span it closes, not the written time, so the tally
+        # still disagrees with the rescan.
+        env, system, auditor = make_audited_cluster()
+        meter = system.processors[0].meter
+        meter.set_state(ProcState.BUSY, 0.0)
+        meter._bank.busy_time[meter._row] += 1.0
+        meter.set_state(ProcState.IDLE, 2.0)
+        env.run(until=2.0)
+        auditor.sweep()
+        bad = [v for v in auditor.report.violations if v.invariant == INV_USAGE]
+        assert [v.subject for v in bad] == ["system"]
+        tallied, rescanned = bad[0].details["tallied"], bad[0].details["rescanned"]
+        assert (tallied[0], rescanned[0]) == (2.0, 3.0)
 
     def test_calendar_count_drift(self):
         env, system, auditor = make_audited_cluster()
