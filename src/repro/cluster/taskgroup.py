@@ -176,13 +176,13 @@ class TaskGroup:
         if not self.completed:
             raise RuntimeError(f"group {self.gid} has not completed")
         hits = 0
-        i = 0
-        for finish in finish_times(self.tasks):
+        for task, finish, deadline in zip(
+            self.tasks, finish_times(self.tasks), self.deadlines
+        ):
             if finish != finish:
-                raise ValueError(f"task {self.tasks[i].tid} has not finished")
-            if finish <= self.deadlines[i]:
+                raise ValueError(f"task {task.tid} has not finished")
+            if finish <= deadline:
                 hits += 1
-            i += 1
         return hits
 
     def unfinished_sizes(self) -> list[float]:

@@ -343,8 +343,6 @@ class SiteAgent:
         """
         if explore:
             return open_nodes[self.exploration.random_index(len(open_nodes))]
-        if len(open_nodes) == 1:
-            return open_nodes[0]  # what min() returns for one candidate
         deadlines = group.deadlines
         window = 0
         for deadline in deadlines:

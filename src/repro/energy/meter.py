@@ -60,9 +60,13 @@ class ProcState(enum.Enum):
     SLEEP = "sleep"
 
 
-#: Column encoding of :class:`ProcState` (int codes): a state's code is
-#: its index in ``_CODE_TO_STATE``.
+#: Column encoding of :class:`ProcState` (int codes).
 BUSY_CODE, IDLE_CODE, SLEEP_CODE = 0, 1, 2
+_STATE_TO_CODE = {
+    ProcState.BUSY: BUSY_CODE,
+    ProcState.IDLE: IDLE_CODE,
+    ProcState.SLEEP: SLEEP_CODE,
+}
 _CODE_TO_STATE = (ProcState.BUSY, ProcState.IDLE, ProcState.SLEEP)
 
 _NAN = float("nan")
@@ -217,17 +221,7 @@ class UsageTally:
     :meth:`~ProcessorEnergyMeter.finalize`), so :meth:`times` is O(1).
     """
 
-    __slots__ = (
-        "busy_units",
-        "idle_units",
-        "live_busy",
-        "live_idle",
-        "busy",
-        "_rows",
-        "_last_time",
-        "_last_units",
-        "_read",
-    )
+    __slots__ = ("busy_units", "idle_units", "live_busy", "live_idle", "busy")
 
     def __init__(self) -> None:
         self.busy_units = 0
@@ -237,98 +231,46 @@ class UsageTally:
         self.live_idle = 0
         #: Meters whose state is BUSY, finalized or not.
         self.busy = 0
-        #: Per meter row, ``[busy, units, idle, units, since, units]``:
-        #: the last closed times and open-span start this tally saw,
-        #: each with its units.  A transition reuses a value's units
-        #: only while the value is the one cached, so each time is
-        #: converted once and a time written behind the meter still
-        #: changes nothing but the span it closes.
-        self._rows: dict[int, list] = {}
-        #: The time converted last and its units: the transitions and
-        #: the read of one simulated moment convert it once.
-        self._last_time = _NAN
-        self._last_units = 0
-        #: ``(now, times(now))`` of the last read, until a transition.
-        self._read: Optional[tuple[float, tuple[float, float]]] = None
 
     def add(self, meter: "ProcessorEnergyMeter") -> None:
         """Include *meter*: its closed times and, while it is live, its
         open span.  The meter keeps the tally current from then on."""
         bank, row = meter._bank, meter._row
-        busy_time = bank.busy_time[row]
-        idle_time = bank.idle_time[row]
-        busy = _units(busy_time)
-        idle = _units(idle_time)
-        self.busy_units += busy
-        self.idle_units += idle
-        self._rows[row] = [busy_time, busy, idle_time, idle, _NAN, 0]
-        self._read = None
+        self.busy_units += _units(bank.busy_time[row])
+        self.idle_units += _units(bank.idle_time[row])
         code = bank.state[row]
         if code == BUSY_CODE:
             self.busy += 1
         finalized = bank.finalized_at[row]
         if finalized != finalized:  # NaN: still metering
-            self._open(row, code, bank.since[row])
+            self._open(code, bank.since[row])
         meter._tally = self
 
-    def _units_at(self, time: float) -> int:
-        """``_units(time)``, converting each new time once."""
-        if time == self._last_time:
-            return self._last_units
-        units = self._last_units = _units(time)
-        self._last_time = time
-        return units
-
-    def _open(self, row: int, code: int, since: float) -> None:
-        """The live meter of *row* entered *code* at *since*."""
-        if code == SLEEP_CODE:
-            return
-        units = self._units_at(since)
-        cells = self._rows[row]
-        cells[4] = since
-        cells[5] = units
+    def _open(self, code: int, since: float) -> None:
+        """A live meter entered *code* at *since*."""
         if code == BUSY_CODE:
-            self.busy_units -= units
+            self.busy_units -= _units(since)
             self.live_busy += 1
-        else:
-            self.idle_units -= units
+        elif code == IDLE_CODE:
+            self.idle_units -= _units(since)
             self.live_idle += 1
-        self._read = None
 
-    def _close(
-        self, row: int, code: int, since: float, closed: float, total: float
-    ) -> None:
-        """The live meter of *row* left *code*, entered at *since*,
-        whose closed time in it went from *closed* to *total*."""
-        if code == SLEEP_CODE:
-            return
-        cells = self._rows[row]
-        i = 0 if code == BUSY_CODE else 2
-        closed_units = cells[i + 1] if closed == cells[i] else _units(closed)
-        total_units = closed_units if total == closed else _units(total)
-        since_units = cells[5] if since == cells[4] else _units(since)
-        cells[i] = total
-        cells[i + 1] = total_units
-        change = total_units - closed_units + since_units
+    def _close(self, code: int, since: float, closed: float, total: float) -> None:
+        """A live meter left *code*, entered at *since*, whose closed
+        time in it went from *closed* to *total*."""
         if code == BUSY_CODE:
-            self.busy_units += change
+            self.busy_units += _units(total) - _units(closed) + _units(since)
             self.live_busy -= 1
-        else:
-            self.idle_units += change
+        elif code == IDLE_CODE:
+            self.idle_units += _units(total) - _units(closed) + _units(since)
             self.live_idle -= 1
-        self._read = None
 
     def times(self, now: float) -> tuple[float, float]:
         """``(busy_time, powered_time)`` summed over the meters at *now*."""
-        read = self._read
-        if read is not None and read[0] == now:
-            return read[1]
-        t = self._units_at(now)
+        t = _units(now)
         busy = self.busy_units + self.live_busy * t
         powered = busy + self.idle_units + self.live_idle * t
-        result = (busy / _UNITS_PER_SECOND, powered / _UNITS_PER_SECOND)
-        self._read = (now, result)
-        return result
+        return busy / _UNITS_PER_SECOND, powered / _UNITS_PER_SECOND
 
 
 #: Process-wide bank backing every :class:`ProcessorEnergyMeter`.
@@ -394,7 +336,7 @@ class ProcessorEnergyMeter:
         if power_w is not None and power_w < 0:
             raise ValueError("power_w must be non-negative")
         tel = self._telemetry
-        code = _CODE_TO_STATE.index(state)
+        code = _STATE_TO_CODE[state]
         previous = bank.state[row]
         if tel is not None and tel.tracing and code != previous:
             tel.emit(
@@ -414,7 +356,7 @@ class ProcessorEnergyMeter:
                 tally.busy -= 1
             if code == BUSY_CODE:
                 tally.busy += 1
-            tally._open(row, code, now)
+            tally._open(code, now)
 
     def _current_power(self) -> float:
         bank, row = self._bank, self._row
@@ -450,7 +392,7 @@ class ProcessorEnergyMeter:
         bank.since[row] = now
         tally = self._tally
         if tally is not None:
-            tally._close(row, code, since, closed, total)
+            tally._close(code, since, closed, total)
 
     def finalize(self, now: float) -> EnergyBreakdown:
         """Charge the final span and freeze the meter."""
